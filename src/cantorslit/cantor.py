@@ -79,174 +79,83 @@ def _check_tol(tol: float):
         raise ValueError("tol must be positive and finite")
 
 
-def k_distance(x: float, spec: CantorSpec, tol: float = DEFAULT_TOL) -> float:
-    """Distance from a real x to the 1-D Cantor set, within tol.
+def _descend(x, spec: CantorSpec, tol: float, full: bool = False):
+    """The one descent down the construction tree, elementwise over x.
 
-    Descends the construction tree: outside [0,1] the nearest point is the
-    closest endpoint, inside the removed middle gap it is the closest gap
-    endpoint, otherwise the query is rescaled into the surviving branch.
-    The descent stops once the cell size drops below tol.
+    Outside [0,1] the nearest point is the closest endpoint, inside the
+    removed middle gap it is the closest gap endpoint, otherwise the query is
+    rescaled into the surviving branch; a point stops once its cell is
+    shorter than tol or the spec's depth is reached.  Returns the distance,
+    or with full=True the triple (distance, nearest point, gap midpoint).
+    Settled points leave the working arrays, so each level costs only what
+    is still descending.
     """
     _check_tol(tol)
-    if not math.isfinite(x):
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    scale = 1.0
+    t = x.ravel().copy()
+    dist = np.empty(t.shape)
+    if full:
+        near, mid = np.empty(t.shape), np.empty(t.shape)
+        offset = np.zeros(t.shape)
+    scale = np.ones(t.shape)
+    idx = np.arange(t.size)
     level = 0
-    t = float(x)
-    while True:
-        if t <= 0.0:
-            return scale * abs(t)
-        if t >= 1.0:
-            return scale * (t - 1.0)
-        if scale < tol or level >= spec.depth:
-            return 0.0
-        lam = spec.ratio_at(level)
-        if lam <= t <= 1.0 - lam:
-            return scale * min(t - lam, (1.0 - lam) - t)
-        if t < lam:
-            t = t / lam
+    while idx.size:
+        edge = (t <= 0.0) | (t >= 1.0)
+        if level < spec.depth:
+            lam = spec.ratio_at(level)
+            cut = ~edge & (scale < tol)
+            gap = ~(edge | cut) & (t >= lam) & (t <= 1.0 - lam)
         else:
-            t = (t - (1.0 - lam)) / lam
-        scale *= lam
+            cut, gap = ~edge, np.zeros(t.shape, dtype=bool)
+        done = edge | cut | gap
+        k, ts, ss, cs, gs = idx[done], t[done], scale[done], cut[done], gap[done]
+        left = ts <= 0.0
+        # abs, not negation: a point at a left end has distance +0.0
+        d = np.where(left, np.abs(ts), ts - 1.0)
+        if gs.any():
+            d = np.where(gs, np.minimum(ts - lam, (1.0 - lam) - ts), d)
+        dist[k] = np.where(cs, 0.0, d * ss)
+        if full:
+            os_ = offset[done]
+            pt = np.where(left | cs, os_, os_ + ss)
+            md = np.where(cs, np.nan, np.where(left, -np.inf, np.inf))
+            if gs.any():
+                pt = np.where(gs, os_ + ss * np.where(
+                    ts - lam <= (1.0 - lam) - ts, lam, 1.0 - lam), pt)
+                md = np.where(gs, os_ + ss * 0.5, md)
+            near[k], mid[k] = pt, md
+        go = ~done
+        if not go.any():
+            break
+        # descend into the surviving branch; here level < depth
+        t, scale, idx = t[go], scale[go], idx[go]
+        hi = t > 1.0 - lam
+        if full:
+            offset = offset[go] + np.where(hi, scale * (1.0 - lam), 0.0)
+        t = np.where(hi, (t - (1.0 - lam)) / lam, t / lam)
+        scale = scale * lam
         level += 1
+    if full:
+        return tuple(a.reshape(x.shape) for a in (dist, near, mid))
+    return dist.reshape(x.shape)
+
+
+def k_distance(x: float, spec: CantorSpec, tol: float = DEFAULT_TOL) -> float:
+    """Distance from a real x to the 1-D Cantor set, within tol."""
+    return float(_descend(x, spec, tol))
 
 
 def k_distance_many(x, spec: CantorSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorised k_distance over an array of reals."""
-    _check_tol(tol)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    t = x.ravel().copy()
-    out = np.full(t.shape, np.nan)
-    scale = np.ones_like(t)
-    active = np.ones(t.shape, dtype=bool)
-    level = 0
-    while np.any(active):
-        ta = t[active]
-        sa = scale[active]
-        da = np.full(ta.shape, np.nan)
-
-        left = ta <= 0.0
-        right = ta >= 1.0
-        da[left] = sa[left] * (-ta[left])
-        da[right] = sa[right] * (ta[right] - 1.0)
-        open_ = ~(left | right)
-
-        exhausted = open_ & ((sa < tol) | (level >= spec.depth))
-        da[exhausted] = 0.0
-        open_ &= ~exhausted
-
-        if np.any(open_):
-            lam = spec.ratio_at(level)
-            to = ta[open_]
-            gap = (to >= lam) & (to <= 1.0 - lam)
-            dgap = np.minimum(to - lam, (1.0 - lam) - to)
-            dsub = np.where(gap, dgap * sa[open_], np.nan)
-            da[open_] = dsub
-            # descend into the surviving branches
-            lo = to < lam
-            hi = to > 1.0 - lam
-            to = np.where(lo, to / lam, to)
-            to = np.where(hi, (to - (1.0 - lam)) / lam, to)
-            ta[open_] = to
-            sa[open_] = sa[open_] * np.where(gap, 1.0, lam)
-
-        done = ~np.isnan(da)
-        idx = np.flatnonzero(active)
-        out[idx[done]] = da[done]
-        t[idx] = ta
-        scale[idx] = sa
-        active[idx[done]] = False
-        level += 1
-    return out.reshape(x.shape)
-
-
-def k_nearest(x: float, spec: CantorSpec, tol: float = DEFAULT_TOL) -> float:
-    """A point of the 1-D Cantor set within tol of the nearest one to x.
-
-    Same descent as k_distance, but tracks the construction cell so the
-    minimizing endpoint can be reported.
-    """
-    _check_tol(tol)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    offset = 0.0
-    scale = 1.0
-    level = 0
-    t = float(x)
-    while True:
-        if t <= 0.0:
-            return offset
-        if t >= 1.0:
-            return offset + scale
-        if scale < tol or level >= spec.depth:
-            return offset
-        lam = spec.ratio_at(level)
-        if lam <= t <= 1.0 - lam:
-            if t - lam <= (1.0 - lam) - t:
-                return offset + scale * lam
-            return offset + scale * (1.0 - lam)
-        if t < lam:
-            t = t / lam
-        else:
-            t = (t - (1.0 - lam)) / lam
-            offset += scale * (1.0 - lam)
-        scale *= lam
-        level += 1
+    return _descend(x, spec, tol)
 
 
 def k_nearest_many(x, spec: CantorSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorised k_nearest over an array of reals."""
-    _check_tol(tol)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    t = x.ravel().copy()
-    out = np.full(t.shape, np.nan)
-    offset = np.zeros_like(t)
-    scale = np.ones_like(t)
-    active = np.ones(t.shape, dtype=bool)
-    level = 0
-    while np.any(active):
-        ta = t[active]
-        oa = offset[active]
-        sa = scale[active]
-        res = np.full(ta.shape, np.nan)
-
-        left = ta <= 0.0
-        right = ta >= 1.0
-        res[left] = oa[left]
-        res[right] = oa[right] + sa[right]
-        open_ = ~(left | right)
-
-        exhausted = open_ & ((sa < tol) | (level >= spec.depth))
-        res[exhausted] = oa[exhausted]
-        open_ &= ~exhausted
-
-        if np.any(open_):
-            lam = spec.ratio_at(level)
-            to = ta[open_]
-            gap = (to >= lam) & (to <= 1.0 - lam)
-            near_left = to - lam <= (1.0 - lam) - to
-            gap_pt = oa[open_] + sa[open_] * np.where(near_left, lam, 1.0 - lam)
-            res[open_] = np.where(gap, gap_pt, np.nan)
-            hi = to > 1.0 - lam
-            to2 = np.where(to < lam, to / lam, to)
-            to2 = np.where(hi, (to - (1.0 - lam)) / lam, to2)
-            ta[open_] = to2
-            oa[open_] = oa[open_] + np.where(hi, sa[open_] * (1.0 - lam), 0.0)
-            sa[open_] = sa[open_] * np.where(gap, 1.0, lam)
-
-        done = ~np.isnan(res)
-        idx = np.flatnonzero(active)
-        out[idx[done]] = res[done]
-        t[idx] = ta
-        offset[idx] = oa
-        scale[idx] = sa
-        active[idx[done]] = False
-        level += 1
-    return out.reshape(x.shape)
+    """Points of the 1-D Cantor set within tol of the nearest ones to x."""
+    return _descend(x, spec, tol, full=True)[1]
 
 
 def k_gap_mid_many(x, spec: CantorSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -258,74 +167,29 @@ def k_gap_mid_many(x, spec: CantorSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
     distance function to the set peaks, which certified boundary witnesses
     need in order not to overshoot the active cone of the nearest point.
     """
-    _check_tol(tol)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    t = x.ravel().copy()
-    out = np.full(t.shape, np.nan)
-    offset = np.zeros_like(t)
-    scale = np.ones_like(t)
-    active = np.ones(t.shape, dtype=bool)
-    level = 0
-    while np.any(active):
-        ta = t[active]
-        oa = offset[active]
-        sa = scale[active]
-        res = np.full(ta.shape, np.nan)
-        settled = np.zeros(ta.shape, dtype=bool)
+    return _descend(x, spec, tol, full=True)[2]
 
-        left = ta <= 0.0
-        right = ta >= 1.0
-        res[left] = -np.inf
-        res[right] = np.inf
-        settled |= left | right
-        open_ = ~settled
 
-        exhausted = open_ & ((sa < tol) | (level >= spec.depth))
-        settled |= exhausted        # res stays nan: no resolved gap
-        open_ &= ~exhausted
+def _product_distance(coords, spec: CantorSpec, tol: float) -> np.ndarray:
+    """Distance to the product set from per-axis coordinate arrays.
 
-        if np.any(open_):
-            lam = spec.ratio_at(level)
-            to = ta[open_]
-            gap = (to >= lam) & (to <= 1.0 - lam)
-            res[open_] = np.where(gap, oa[open_] + sa[open_] * 0.5, np.nan)
-            settled_open = np.zeros(to.shape, dtype=bool)
-            settled_open |= gap
-            idx_open = np.flatnonzero(open_)
-            settled[idx_open[settled_open]] = True
-            hi = to > 1.0 - lam
-            to2 = np.where(to < lam, to / lam, to)
-            to2 = np.where(hi, (to - (1.0 - lam)) / lam, to2)
-            ta[open_] = to2
-            oa[open_] = oa[open_] + np.where(hi, sa[open_] * (1.0 - lam), 0.0)
-            sa[open_] = sa[open_] * np.where(gap, 1.0, lam)
-
-        idx = np.flatnonzero(active)
-        out[idx[settled]] = res[settled]
-        t[idx] = ta
-        offset[idx] = oa
-        scale[idx] = sa
-        active[idx[settled]] = False
-        level += 1
-    return out.reshape(x.shape)
+    Nearest-point coordinates decouple on a product set, so the distance is
+    the l2 norm of the per-axis distances, each resolved to tol/sqrt(axes).
+    The arrays broadcast against each other: equal shapes give points, axes
+    shaped along their own dimension give a tensor grid.
+    """
+    per_tol = tol / math.sqrt(len(coords))
+    return np.sqrt(sum(k_distance_many(c, spec, per_tol) ** 2 for c in coords))
 
 
 def c_distance(x, spec: CantorSpec, tol: float = DEFAULT_TOL) -> float:
-    """Euclidean distance to the product set prod K in R^(ambient_codim).
-
-    Nearest-point coordinates decouple on a product set, so the distance is
-    the l2 norm of the per-coordinate distances.
-    """
+    """Euclidean distance to the product set prod K in R^(ambient_codim)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.ambient_codim,):
         raise ValueError(
             f"point has dimension {x.shape}, expected ({spec.ambient_codim},)"
         )
-    per_tol = tol / math.sqrt(spec.ambient_codim)
-    d = [k_distance(float(c), spec, per_tol) for c in x]
-    return float(np.hypot.reduce(d)) if len(d) > 1 else d[0]
+    return float(_product_distance(list(x), spec, tol))
 
 
 def c_distance_grid(axes: list[np.ndarray], spec: CantorSpec,
@@ -333,15 +197,9 @@ def c_distance_grid(axes: list[np.ndarray], spec: CantorSpec,
     """c_distance on a tensor grid given the per-axis coordinates."""
     if len(axes) != spec.ambient_codim:
         raise ValueError("axis count must equal ambient_codim")
-    per_tol = tol / math.sqrt(spec.ambient_codim)
-    d2 = 0.0
-    shape = [len(a) for a in axes]
-    for i, a in enumerate(axes):
-        di = k_distance_many(a, spec, per_tol)
-        reshape = [1] * len(axes)
-        reshape[i] = shape[i]
-        d2 = d2 + di.reshape(reshape) ** 2
-    return np.sqrt(d2)
+    k = len(axes)
+    return _product_distance([np.reshape(a, [-1 if j == i else 1 for j in range(k)])
+                              for i, a in enumerate(axes)], spec, tol)
 
 
 def cantor_dim(spec: CantorSpec, n: int) -> float:

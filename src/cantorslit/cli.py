@@ -1,9 +1,10 @@
 """Command-line orchestration: sweeps, audits, and report emission.
 
-Every subcommand is deterministic for a fixed seed regardless of the
-worker count in CANTORSLIT_WORKERS; reports are CSV/JSON with '.' decimal
-separators and newline line endings, and each output file is paired with a
-manifest recording parameters, seeds, versions, and timing.
+Every subcommand is deterministic for a fixed seed and runs serially;
+CANTORSLIT_WORKERS is recorded in manifests but never read.  Reports are
+CSV/JSON with '.' decimal separators and newline line endings, and each
+output file is paired with a manifest recording parameters, seeds,
+versions, and timing.
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def write_manifest(out_path: str, command: str, params: dict,
                    seed: int | None, elapsed: float) -> None:
+    _write_manifest(out_path, command, params, seed, elapsed, None)
+
+
+def _write_manifest(out_path: str, command: str, params: dict,
+                    seed: int | None, elapsed: float,
+                    results: dict | None) -> None:
+    """write_manifest, plus a "results" record of what the CSV leaves out."""
     manifest = {
         "command": command,
         "params": params,
@@ -81,6 +89,8 @@ def write_manifest(out_path: str, command: str, params: dict,
         "elapsed_seconds": elapsed,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
+    if results is not None:
+        manifest["results"] = results
     with open(out_path + ".manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -170,12 +180,14 @@ def cmd_whitney_claim_count(args) -> int:
     expo = res.fitted_exponent(args.k_max)
     rows = [[k, res.counts.get(k, 0), expo] for k in range(args.k_max + 1)]
     write_csv(args.out, ["k", "max_count", "fitted_exponent"], rows)
-    write_manifest(args.out, "whitney claim-count", vars_of(args), None,
-                   time.time() - t0)
+    # sources without a projection-monotone chain are left out of the counts
+    _write_manifest(args.out, "whitney claim-count", vars_of(args), None,
+                    time.time() - t0, {"sources": res.sources,
+                                       "unreachable": res.unreachable})
     return 0
 
 
-def _parse_func(text: str, lam: float, n: int, h: float):
+def _parse_func(text: str, lam: float, n: int):
     """Test-function specs: const:<v>, coord:<axis>, jump:depth=<d>[,r=<r>]."""
     kind, _, rest = text.partition(":")
     if kind == "const":
@@ -212,7 +224,7 @@ def _dump_grid(path: str, f: GridField) -> None:
 def cmd_field(args) -> int:
     t0 = time.time()
     spec = _region(args)
-    fn = _parse_func(args.func, args.lam, args.n, args.h)
+    fn = _parse_func(args.func, args.lam, args.n)
     u = grid_sample(fn, spec, args.h)
     if args.action == "sample":
         out_field = u
@@ -234,7 +246,7 @@ def cmd_extend(args) -> int:
     if max_gen is None:
         max_gen = max(4, int(round(math.log2(1.0 / args.grid))) - 3)
     asm = assemble(args.lam, n=args.n, max_gen=max_gen)
-    fn = _parse_func(args.u, args.lam, args.n, args.grid)
+    fn = _parse_func(args.u, args.lam, args.n)
     u = grid_sample(fn, asm.region_omega, args.grid)
     eu = extend(u, asm)
     _dump_grid(args.out, eu)
@@ -444,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("extend")
     common(e)
-    e.add_argument("--p", type=float, default=1.5)
     e.add_argument("--u", default="jump:depth=1")
     e.add_argument("--grid", type=parse_number, default=2.0 ** -9)
     e.add_argument("--max-gen", type=int, default=None)

@@ -133,15 +133,6 @@ def inside_open_box(cube: DyadicCube, lo, hi) -> bool:
     return bool(np.all((cube.lo > lo) & (cube.hi < hi)))
 
 
-def crosses_hyperplane(cube: DyadicCube, axis: int, value: int) -> bool:
-    """Whether the open interior crosses the integer hyperplane x_axis = value.
-
-    Always false for generation >= 0 dyadic cubes; kept as an exact check.
-    """
-    scaled = value << cube.gen
-    return cube.idx[axis] < scaled < cube.idx[axis] + 1
-
-
 def root_cubes_covering(lo, hi, n: int) -> list[DyadicCube]:
     """Generation-0 integer cubes whose closed union covers the box [lo, hi]."""
     import math

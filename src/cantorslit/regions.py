@@ -1,4 +1,4 @@
-"""Membership, boundary-distance, and component oracles for the slit domains.
+"""Membership and component oracles for the slit domains.
 
 The domains are built from a box D with a rectangular notch removed and a
 "tent" region N(lam) pinched on the product Cantor set:
@@ -23,13 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .cantor import (CantorSpec, DEFAULT_TOL, c_distance, c_distance_grid,
+from .cantor import (CantorSpec, DEFAULT_TOL, _product_distance,
                      cell_left_endpoints, fat_thin_cantor,
-                     interval_union_distance, k_distance)
+                     interval_union_distance)
 
 REGION_KINDS = ("D", "N_lambda", "Omega_lambda", "Q0_tilde", "Omega2")
-
-SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -81,83 +79,51 @@ def _check_dim(spec: RegionSpec, x: np.ndarray):
         raise ValueError(f"point has shape {x.shape}, expected ({spec.n},)")
 
 
-def _in_d_profile(a: float, b: float) -> bool:
-    """2-D profile of D: (-2,1) x (-3/2,3/2) minus the closed notch."""
-    if not (-2.0 < a < 1.0 and -1.5 < b < 1.5):
-        return False
-    return not (-1.0 <= a <= 0.0 and -1.0 <= b <= 1.0)
+def _tent_height(spec: RegionSpec, coords) -> np.ndarray:
+    """dist(x', C(lam)) from the arrays of the first n-1 coordinates."""
+    return _product_distance(coords, spec.cantor, spec.tol)
 
 
-def _in_q0_profile(a: float, b: float) -> bool:
-    if not (-2.0 < a < 1.0 and -1.5 < b < 1.5):
-        return False
-    return not (-1.0 <= a <= 1.0 and -1.0 <= b <= 1.0)
+def _in_region(spec: RegionSpec, coords) -> np.ndarray:
+    """Membership from n coordinate arrays that broadcast against each other.
 
-
-def _prefix_ok(x: np.ndarray, n: int) -> bool:
-    return bool(np.all((x[: n - 2] > 0.0) & (x[: n - 2] < 1.0)))
-
-
-def graph_height(spec: RegionSpec, xp: np.ndarray) -> float:
-    """dist(x', C(lam)): the tent height over the first n-1 coordinates."""
-    return c_distance(xp, spec.cantor, spec.tol)
-
-
-def in_n_lambda(spec: RegionSpec, x: np.ndarray) -> bool:
+    The one membership routine: points pass their columns, grids pass each
+    axis shaped along its own dimension, so a grid's tent heights are
+    per-axis descents and no (cells, n) point array is built.  D, Omega and
+    Q0_tilde are open, N is closed; points within the distance tolerance of
+    the tent graph are classified by the <= inequality on the tol-resolved
+    height.  Omega_2 uses its variable-ratio set at the spec's full depth.
+    """
     n = spec.n
-    if not np.all((x[: n - 1] >= 0.0) & (x[: n - 1] <= 1.0)):
-        return False
-    if abs(x[n - 1]) > 1.0:
-        return False
-    return abs(x[n - 1]) <= graph_height(spec, x[: n - 1])
+    a, b = coords[n - 2], coords[n - 1]
+    if spec.kind == "Omega2":
+        cantor = spec.cantor if spec.cantor is not None else fat_thin_cantor(12)
+        over = (a >= 0.0) & (a <= 1.0)
+        above = np.abs(b) > interval_union_distance(a, cantor, cantor.depth)
+        return ((a > -1.0) & (a < 1.0)) & ((b > -1.0) & (b < 1.0)) & (~over | above)
+    in_n = None
+    if spec.kind in ("N_lambda", "Omega_lambda"):
+        h = np.abs(b)
+        in_n = h <= 1.0
+        for x in coords[: n - 1]:
+            in_n = in_n & ((x >= 0.0) & (x <= 1.0))
+        in_n = in_n & (h <= _tent_height(spec, coords[: n - 1]))
+        if spec.kind == "N_lambda":
+            return in_n
+    # D and Omega keep the notch [-1,0] x [-1,1]; Q0_tilde removes [-1,1]^2
+    notch_hi = 1.0 if spec.kind == "Q0_tilde" else 0.0
+    inside = ((a > -2.0) & (a < 1.0)) & ((b > -1.5) & (b < 1.5))
+    inside = inside & ~(((a >= -1.0) & (a <= notch_hi)) & ((b >= -1.0) & (b <= 1.0)))
+    for x in coords[: n - 2]:
+        inside = inside & ((x > 0.0) & (x < 1.0))
+    return inside if in_n is None else inside & ~in_n
 
 
 def region_membership(spec: RegionSpec, x) -> bool:
-    """Membership in the open region (D, Omega, Q0) or closed region (N).
-
-    Points within the distance tolerance of the tent graph are classified
-    by the <= inequality on the tol-resolved distance.
-    """
+    """Membership of one point in the open region (D, Omega, Q0) or closed N."""
     x = np.asarray(x, dtype=float)
     _check_dim(spec, x)
-    n = spec.n
-    if spec.kind == "D":
-        return _prefix_ok(x, n) and _in_d_profile(x[n - 2], x[n - 1])
-    if spec.kind == "Q0_tilde":
-        return _prefix_ok(x, n) and _in_q0_profile(x[n - 2], x[n - 1])
-    if spec.kind == "N_lambda":
-        return in_n_lambda(spec, x)
-    if spec.kind == "Omega_lambda":
-        if not (_prefix_ok(x, n) and _in_d_profile(x[n - 2], x[n - 1])):
-            return False
-        return not in_n_lambda(spec, x)
-    if spec.kind == "Omega2":
-        return omega2_membership(x, depth=None, cantor=spec.cantor)
-    raise AssertionError(spec.kind)
-
-
-def omega2_membership(x, depth: int | None = 12,
-                      cantor: CantorSpec | None = None) -> bool:
-    """Membership in Omega_2 = (-1,1)^2 minus the slit tent over [0,1].
-
-    The Cantor set is the variable-ratio (dimension 1, length 0) set
-    resolved at the given construction depth.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise ValueError("Omega2 is planar")
-    if cantor is None:
-        cantor = fat_thin_cantor(depth if depth is not None else 12)
-    depth = cantor.depth if depth is None else depth
-    if depth > cantor.depth:
-        raise ValueError(f"depth {depth} exceeds the spec depth {cantor.depth}")
-    a, b = float(x[0]), float(x[1])
-    if not (-1.0 < a < 1.0 and -1.0 < b < 1.0):
-        return False
-    if not (0.0 <= a <= 1.0):
-        return True
-    d = float(interval_union_distance([a], cantor, depth)[0])
-    return abs(b) > d
+    return bool(_in_region(spec, list(x)))
 
 
 def membership_grid(spec: RegionSpec, axes: list[np.ndarray]) -> np.ndarray:
@@ -165,104 +131,16 @@ def membership_grid(spec: RegionSpec, axes: list[np.ndarray]) -> np.ndarray:
     n = spec.n
     if len(axes) != n:
         raise ValueError("need one coordinate axis per dimension")
-    shape = tuple(len(a) for a in axes)
-
-    def broad(arr_1d, axis):
-        rs = [1] * n
-        rs[axis] = shape[axis]
-        return np.asarray(arr_1d).reshape(rs)
-
-    if spec.kind == "Omega2":
-        cantor = spec.cantor if spec.cantor is not None else fat_thin_cantor(12)
-        a, b = axes
-        d = interval_union_distance(a, cantor, cantor.depth)
-        in_sq = broad((a > -1) & (a < 1), 0) & broad((b > -1) & (b < 1), 1)
-        on_slab = broad((a >= 0) & (a <= 1), 0)
-        above = np.abs(broad(b, 1)) > broad(d, 0)
-        return in_sq & (~on_slab | above)
-
-    pre = np.ones(shape, dtype=bool)
-    for i in range(n - 2):
-        pre &= broad((axes[i] > 0) & (axes[i] < 1), i)
-    a, b = axes[n - 2], axes[n - 1]
-
-    if spec.kind in ("D", "Q0_tilde"):
-        lo = -1.0 if spec.kind == "D" else -1.0
-        hi = 0.0 if spec.kind == "D" else 1.0
-        box = broad((a > -2) & (a < 1), n - 2) & broad((b > -1.5) & (b < 1.5), n - 1)
-        notch = broad((a >= lo) & (a <= hi), n - 2) & broad((b >= -1) & (b <= 1), n - 1)
-        return pre & box & ~notch
-
-    g = c_distance_grid(axes[: n - 1], spec.cantor, spec.tol)
-    in_slab = np.ones(shape, dtype=bool)
-    for i in range(n - 1):
-        in_slab &= broad((axes[i] >= 0) & (axes[i] <= 1), i)
-    in_slab &= np.abs(broad(b, n - 1)) <= 1.0
-    in_n = in_slab & (np.abs(broad(b, n - 1)) <= g[..., None])
-
-    if spec.kind == "N_lambda":
-        return in_n
-    # Omega_lambda
-    box = broad((a > -2) & (a < 1), n - 2) & broad((b > -1.5) & (b < 1.5), n - 1)
-    notch = broad((a >= -1) & (a <= 0), n - 2) & broad((b >= -1) & (b <= 1), n - 1)
-    return pre & box & ~notch & ~in_n
+    return _in_region(spec, [np.reshape(a, [-1 if j == i else 1 for j in range(n)])
+                             for i, a in enumerate(axes)])
 
 
 def region_membership_many(spec: RegionSpec, X) -> np.ndarray:
     """Vectorised region membership for an (m, n) array of points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = spec.n
-    if X.shape[1] != n:
-        raise ValueError(f"points have dimension {X.shape[1]}, expected {n}")
-    if spec.kind == "Omega2":
-        return np.array([region_membership(spec, x) for x in X])
-    pre = np.all((X[:, : n - 2] > 0.0) & (X[:, : n - 2] < 1.0), axis=1)
-    a, b = X[:, n - 2], X[:, n - 1]
-    if spec.kind in ("D", "Q0_tilde"):
-        hi = 0.0 if spec.kind == "D" else 1.0
-        box = (a > -2) & (a < 1) & (b > -1.5) & (b < 1.5)
-        notch = (a >= -1.0) & (a <= hi) & (b >= -1.0) & (b <= 1.0)
-        return pre & box & ~notch
-    from .cantor import k_distance_many
-    slab = np.all((X[:, : n - 1] >= 0.0) & (X[:, : n - 1] <= 1.0), axis=1)
-    slab &= np.abs(b) <= 1.0
-    per_tol = spec.tol / math.sqrt(n - 1)
-    g2 = np.zeros(X.shape[0])
-    for i in range(n - 1):
-        g2 += k_distance_many(X[:, i], spec.cantor, per_tol) ** 2
-    in_n = slab & (np.abs(b) <= np.sqrt(g2))
-    if spec.kind == "N_lambda":
-        return in_n
-    box = (a > -2) & (a < 1) & (b > -1.5) & (b < 1.5)
-    notch = (a >= -1.0) & (a <= 0.0) & (b >= -1.0) & (b <= 1.0)
-    return pre & box & ~notch & ~in_n
-
-
-def boundary_distance(spec: RegionSpec, x) -> tuple[float, float]:
-    """Certified bracket [lo, hi] for dist(x, boundary of N(lam)).
-
-    The tent boundary is contained in the graph {|x_n| = g(x')} of the
-    1-Lipschitz height g, so |g(x') - |x_n|| / sqrt(2) is a valid lower
-    bound; an explicit graph point above the clamped horizontal position
-    gives the upper bound.
-    """
-    if spec.kind != "N_lambda":
-        raise ValueError("boundary_distance is defined for N_lambda specs")
-    x = np.asarray(x, dtype=float)
-    _check_dim(spec, x)
-    n = spec.n
-    tol = spec.tol
-    xp, xn = x[: n - 1], x[n - 1]
-    g = graph_height(spec, xp)
-    v = abs(g - abs(xn))
-    lo = max(0.0, v - tol) / SQRT2
-    # witness: graph point over the clamped horizontal position
-    xc = np.clip(xp, 0.0, 1.0)
-    gc = graph_height(spec, xc)
-    sign = 1.0 if xn >= 0.0 else -1.0
-    q = np.concatenate([xc, [sign * gc]])
-    hi = float(np.linalg.norm(x - q)) + tol
-    return lo, min(lo, hi) if hi < lo else hi
+    if X.shape[1] != spec.n:
+        raise ValueError(f"points have dimension {X.shape[1]}, expected {spec.n}")
+    return _in_region(spec, list(X.T))
 
 
 @dataclass

@@ -27,11 +27,10 @@ from itertools import product
 
 import numpy as np
 
-from .cantor import (CantorSpec, DEFAULT_TOL, k_distance_many, k_gap_mid_many,
-                     k_nearest_many)
+from .cantor import CantorSpec, DEFAULT_TOL, _descend
 from .dyadic import (DyadicCube, face_adjacent, inside_open_box, meets_box,
                      overlap_lengths, projection_contains, root_cubes_covering)
-from .regions import RegionSpec
+from .regions import RegionSpec, _in_region, _tent_height
 
 Q0_ID = 0  # sentinel id for the reservoir region in reflect maps and chains
 
@@ -71,6 +70,7 @@ class TentOracle:
         self.n = n
         self.tol = tol
         self._per_tol = tol / math.sqrt(n - 1)
+        self._region = RegionSpec(kind="N_lambda", n=n, cantor=cantor, tol=tol)
         # half of the first-level gap bounds the 1-D distance function on [0,1]
         self._max_k = (1.0 - 2.0 * cantor.ratio_at(0)) / 2.0
 
@@ -79,20 +79,17 @@ class TentOracle:
         return [DyadicCube(0, z + (-1,)), DyadicCube(0, z + (0,))]
 
     def _height(self, XP: np.ndarray) -> np.ndarray:
-        d2 = np.zeros(XP.shape[0])
-        for i in range(self.n - 1):
-            d2 += k_distance_many(XP[:, i], self.cantor, self._per_tol) ** 2
-        return np.sqrt(d2)
+        return _tent_height(self._region, list(XP.T))
 
     def member_many(self, X: np.ndarray) -> np.ndarray:
-        XP, xn = X[:, :-1], X[:, -1]
-        in_slab = np.all((XP >= 0.0) & (XP <= 1.0), axis=1) & (np.abs(xn) <= 1.0)
-        return in_slab & (np.abs(xn) <= self._height(XP))
+        return _in_region(self._region, list(X.T))
 
     def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n, tol = self.n, self.tol
         XP, xn = X[:, :-1], X[:, -1]
-        g = self._height(XP)
+        # height, nearest Cantor point and gap midpoint from one descent
+        d, near, mids = _descend(XP, self.cantor, self._per_tol, full=True)
+        g = np.sqrt(np.sum(d ** 2, axis=1))
         h = np.abs(xn)
         v = np.abs(g - h)
         lo = np.maximum(0.0, v - tol) / math.sqrt(2.0)
@@ -109,12 +106,6 @@ class TentOracle:
                 lo = np.minimum(lo, np.linalg.norm(np.maximum(q, 0.0), axis=1))
 
         # witnesses: graph points over candidate horizontal positions
-        near = np.stack(
-            [k_nearest_many(XP[:, i], self.cantor, self._per_tol)
-             for i in range(n - 1)], axis=1)
-        mids = np.stack(
-            [k_gap_mid_many(XP[:, i], self.cantor, self._per_tol)
-             for i in range(n - 1)], axis=1)
         diff = XP - near
         rho = np.linalg.norm(diff, axis=1)
         safe = np.where(rho > 0.0, rho, 1.0)
@@ -157,6 +148,8 @@ class SlitOracle:
         self.n = n
         self.tol = tol
         self.tent = TentOracle(cantor, n, tol)
+        self._region = RegionSpec(kind="Omega_lambda", n=n, cantor=cantor,
+                                  tol=tol)
 
     def roots(self) -> list[DyadicCube]:
         n = self.n
@@ -178,12 +171,7 @@ class SlitOracle:
         return d
 
     def member_many(self, X: np.ndarray) -> np.ndarray:
-        n = self.n
-        a, b = X[:, n - 2], X[:, n - 1]
-        ok = np.all((X[:, : n - 2] > 0.0) & (X[:, : n - 2] < 1.0), axis=1)
-        ok &= (a > -2.0) & (a < 1.0) & (b > -1.5) & (b < 1.5)
-        ok &= ~((a >= -1.0) & (a <= 0.0) & (b >= -1.0) & (b <= 1.0))
-        return ok & ~self.tent.member_many(X)
+        return _in_region(self._region, list(X.T))
 
     def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo_t, hi_t = self.tent.bracket_many(X)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorslit.cantor import (
     CantorSpec,
@@ -18,7 +20,6 @@ from cantorslit.cantor import (
     k_distance,
     k_distance_many,
     k_gap_mid_many,
-    k_nearest,
     k_nearest_many,
     membership,
     retained_measure,
@@ -45,8 +46,9 @@ def test_k_distance_known_points():
     # outside [0, 1] the distance is to the nearest endpoint
     assert abs(k_distance(-0.5, spec) - 0.5) <= 2.0 ** -39
     assert abs(k_distance(1.25, spec) - 0.25) <= 2.0 ** -39
-    # no negative zero at set points
+    # no negative zero at set points, scalar or vector
     assert math.copysign(1.0, k_distance(0.0, spec)) == 1.0
+    assert math.copysign(1.0, k_distance_many(np.array([0.0]), spec)[0]) == 1.0
 
 
 def test_k_distance_matches_interval_union():
@@ -73,7 +75,18 @@ def test_k_nearest_realizes_distance():
     near = k_nearest_many(xs, spec)
     dist = k_distance_many(xs, spec)
     assert np.allclose(np.abs(xs - near), dist, atol=2.0 ** -38)
-    assert k_nearest(0.4, spec) == pytest.approx(0.25, abs=2.0 ** -38)
+    assert k_nearest_many(np.array([0.4]), spec)[0] == pytest.approx(
+        0.25, abs=2.0 ** -38)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       x=st.floats(-0.5, 1.5))
+def test_descent_nearest_point_property(lam, x):
+    spec = CantorSpec(lam=lam)
+    near = float(k_nearest_many(np.array([x]), spec)[0])
+    assert abs(abs(x - near) - k_distance(x, spec)) <= 2.0 ** -38
+    assert k_distance(near, spec) <= 2.0 ** -38
 
 
 def test_gap_midpoints_bracket_points():

@@ -59,6 +59,24 @@ def test_whitney_build_and_verify(tmp_path):
     assert rep["boundary_crossings"] == 0
 
 
+def test_claim_count_manifest_reports_sources(tmp_path):
+    from cantorslit.regions import region_spec
+    from cantorslit.whitney import claim_count, reflect_assign, whitney_decompose
+
+    out = tmp_path / "counts.csv"
+    rc = run_cli(["whitney", "claim-count", "--lambda", "1/4",
+                  "--max-gen", "6", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().split("\n")[0] == "k,max_count,fitted_exponent"
+    manifest = json.loads((tmp_path / "counts.csv.manifest.json").read_text())
+    w = whitney_decompose(region_spec("N_lambda", lam=0.25), 6)
+    wt = whitney_decompose(region_spec("Omega_lambda", lam=0.25), 6)
+    res = claim_count(w, wt, reflect_assign(w, wt), k_max=4)
+    assert manifest["results"] == {"sources": res.sources,
+                                   "unreachable": res.unreachable}
+    assert res.sources > 0
+
+
 def test_sweep_schema(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = run_cli(["sweep", "--n", "2", "--p", "1.5",

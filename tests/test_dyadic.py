@@ -5,7 +5,6 @@ import pytest
 
 from cantorslit.dyadic import (
     DyadicCube,
-    crosses_hyperplane,
     cubes_touch,
     face_adjacent,
     inside_open_box,
@@ -71,12 +70,6 @@ def test_boxes_and_hyperplanes():
     assert not meets_box(c, [0.6, 0.6], [1.0, 1.0], closed=False)
     assert inside_open_box(c, [0.0, 0.0], [1.0, 1.0])
     assert not inside_open_box(c, [0.3, 0.3], [1.0, 1.0])
-    # a gen-0 cube over (0,1) does not cross integer hyperplanes
-    r = DyadicCube(gen=0, idx=(0, 0))
-    assert not crosses_hyperplane(r, 0, 0)
-    # but a gen-(-1)-style big cube is not constructible; check a crossing
-    wide = DyadicCube(gen=1, idx=(1, 0))
-    assert not crosses_hyperplane(wide, 0, 1)
 
 
 def test_root_cover():

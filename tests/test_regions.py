@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from cantorslit.cantor import CantorSpec
+from cantorslit.cantor import CantorSpec, k_distance_many
 from cantorslit.regions import (
-    boundary_distance,
     component_label,
     membership_grid,
     region_membership,
@@ -13,6 +12,7 @@ from cantorslit.regions import (
     region_spec,
     two_sided_sample,
 )
+from cantorslit.whitney import oracle_for
 
 
 def spec_omega(lam=0.25, n=2):
@@ -78,11 +78,17 @@ def test_q0_profile():
 
 def test_boundary_distance_bracket():
     nl = region_spec("N_lambda", lam=0.25)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        x = rng.uniform([0.0, -0.5], [1.0, 0.5])
-        lo, hi = boundary_distance(nl, x)
-        assert 0.0 <= lo <= hi + 1e-12
+    X = np.random.default_rng(5).uniform([0.0, -0.5], [1.0, 0.5], size=(50, 2))
+    lo, hi = oracle_for(nl).bracket_many(X)
+    assert np.all((0.0 <= lo) & (lo <= hi))
+    # brute force: at n=2 the tent boundary is the graph {|x_2| = g(x_1)}
+    step = 2.0 ** -14
+    s = np.arange(0.0, 1.0 + step, step)
+    g = k_distance_many(s, nl.cantor)
+    brute = np.array([np.sqrt((x[0] - s) ** 2 + (abs(x[1]) - g) ** 2).min()
+                      for x in X])
+    assert np.all(lo <= brute + 2.0 ** -30)
+    assert np.all(brute <= hi + step)
 
 
 def test_component_label_splits_pinch():
@@ -117,3 +123,64 @@ def test_region_spec_validation():
         region_spec("Omega2", n=3, cantor=CantorSpec(lam=0.25, ambient_codim=2))
     with pytest.raises(ValueError):
         region_spec("bogus", lam=0.25)
+
+
+# (kind, n, lambda): every region kind, with n=3 for all but the planar Omega2
+MEMBERSHIP_CASES = [(k, n, 0.25 if k in ("N_lambda", "Omega_lambda") else None)
+                    for n in (2, 3)
+                    for k in ("D", "Q0_tilde", "N_lambda", "Omega_lambda")
+                    ] + [("Omega2", 2, None)]
+
+# profile points (x_{n-1}, x_n) where < versus <= decides: box faces, notch
+# faces and corners, slab faces, and the tent graph over the gap midpoint
+# 1/2 of C(1/4), where the height is exactly 1/4
+PROFILE = {
+    "D": {(-2.0, 0.0): False, (0.99, 0.0): True, (1.0, 0.0): False,
+          (-1.5, 1.5): False, (-1.5, -1.4): True, (-1.0, 0.0): False,
+          (-1.01, 0.0): True, (0.0, 0.5): False, (0.01, 0.5): True,
+          (-0.5, 1.0): False, (-0.5, -1.01): True, (0.0, 1.0): False},
+    "Q0_tilde": {(-1.5, 0.0): True, (0.5, 0.5): False, (0.5, 1.0): False,
+                 (0.5, 1.2): True, (-1.0, 1.01): True, (-2.0, 0.0): False},
+    "N_lambda": {(0.5, 0.25): True, (0.5, -0.25): True, (0.5, 0.2500001): False,
+                 (0.25, 0.0): True, (0.25, 0.01): False, (0.0, 0.0): True,
+                 (1.0, 0.0): True, (1.0001, 0.0): False, (-0.0001, 0.0): False,
+                 (0.5, 1.0): False},
+    "Omega_lambda": {(0.5, 0.25): False, (0.5, -0.25): False, (0.5, 0.3): True,
+                     (0.25, 0.0): False, (0.25, -0.01): True, (0.0, 0.0): False,
+                     (1.0, 0.0): False, (-1.5, 0.0): True, (0.9, 1.5): False},
+    # the fat/thin set's first gap is (1/3, 2/3); open square (-1,1)^2
+    "Omega2": {(-1.0, 0.0): False, (0.5, 0.9): True, (-0.5, 0.0): True,
+               (0.0, 0.0): False, (0.5, 0.1): False, (0.5, 0.2): True,
+               (0.5, 1.0): False, (1.0, 0.5): False},
+}
+
+
+@pytest.mark.parametrize("kind,n,lam", MEMBERSHIP_CASES)
+def test_membership_forms_agree(kind, n, lam):
+    sp = region_spec(kind, lam=lam, n=n)
+    # lifted to n=3 by x_1 = 1/4, a point of C(1/4) inside (0,1): the tent
+    # height and every face stay those of the profile
+    lift = (0.25,) * (n - 2)
+    expected = {lift + p: m for p, m in PROFILE[kind].items()}
+    if n == 3:
+        # prefix faces: D, Q0_tilde and Omega are open in x_1, N is closed
+        in_n = kind == "N_lambda"
+        expected.update({(0.0, 0.5, 0.5): False, (1.0, 0.5, 0.5): False,
+                         (0.0, 0.25, 0.0): in_n, (1.0, 0.75, 0.0): in_n})
+        if kind in ("N_lambda", "Omega_lambda"):
+            # the tent graph over the gap midpoints (1/2, 1/2)
+            h = float(np.sqrt(0.25 ** 2 + 0.25 ** 2))
+            expected.update({(0.5, 0.5, h): in_n, (0.5, 0.5, -h): in_n,
+                             (0.5, 0.5, 0.3536): not in_n})
+    box = sp.bbox
+    rng = np.random.default_rng(17)
+    pts = np.concatenate([np.array(list(expected)),
+                          rng.uniform(box[0] - 0.2, box[1] + 0.2, (30, n))])
+    scalar = np.array([region_membership(sp, x) for x in pts])
+    assert list(scalar[:len(expected)]) == list(expected.values())
+    assert np.array_equal(region_membership_many(sp, pts), scalar)
+    axes = [np.unique(pts[:, i]) for i in range(n)]
+    grid = membership_grid(sp, axes)
+    assert grid.shape == tuple(len(a) for a in axes)
+    cells = tuple(np.searchsorted(axes[i], pts[:, i]) for i in range(n))
+    assert np.array_equal(grid[cells], scalar)
