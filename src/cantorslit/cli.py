@@ -68,14 +68,9 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def write_manifest(out_path: str, command: str, params: dict,
-                   seed: int | None, elapsed: float) -> None:
-    _write_manifest(out_path, command, params, seed, elapsed, None)
-
-
-def _write_manifest(out_path: str, command: str, params: dict,
-                    seed: int | None, elapsed: float,
-                    results: dict | None) -> None:
-    """write_manifest, plus a "results" record of what the CSV leaves out."""
+                   seed: int | None, elapsed: float,
+                   results: dict | None = None) -> None:
+    """Parameters, versions and timing, plus any results the output omits."""
     manifest = {
         "command": command,
         "params": params,
@@ -129,10 +124,11 @@ def cmd_region_components(args) -> int:
 def cmd_whitney_build(args) -> int:
     t0 = time.time()
     dec = whitney_decompose(_region(args), args.max_gen)
-    cubes = [{"gen": c.gen, "idx": list(c.idx), "status": "resolved"}
-             for c in dec.cubes]
-    cubes += [{"gen": c.gen, "idx": list(c.idx), "status": "frontier"}
-              for c in dec.frontier]
+    cubes = [{"gen": g, "idx": i, "status": status}
+             for gen, idx, status in ((dec.gen, dec.idx, "resolved"),
+                                      (dec.frontier_gen, dec.frontier_idx,
+                                       "frontier"))
+             for g, i in zip(gen.tolist(), idx.tolist())]
     with open(args.out, "w") as f:
         json.dump({"region": args.region, "lambda": args.lam, "n": args.n,
                    "max_gen": args.max_gen, "cubes": cubes}, f)
@@ -181,9 +177,9 @@ def cmd_whitney_claim_count(args) -> int:
     rows = [[k, res.counts.get(k, 0), expo] for k in range(args.k_max + 1)]
     write_csv(args.out, ["k", "max_count", "fitted_exponent"], rows)
     # sources without a projection-monotone chain are left out of the counts
-    _write_manifest(args.out, "whitney claim-count", vars_of(args), None,
-                    time.time() - t0, {"sources": res.sources,
-                                       "unreachable": res.unreachable})
+    write_manifest(args.out, "whitney claim-count", vars_of(args), None,
+                   time.time() - t0, {"sources": res.sources,
+                                      "unreachable": res.unreachable})
     return 0
 
 

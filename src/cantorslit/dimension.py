@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import CantorSpec, cell_endpoints
-from .fields import BoxUnion
 from .regions import RegionSpec, component_label
 
 
@@ -98,16 +97,6 @@ class NetHierarchy:
         lim = self.lam ** i + self.lam ** (i + j)
         d = np.linalg.norm(deep - x, axis=1)
         return int(np.count_nonzero(d <= lim))
-
-    def removed_set(self, i: int) -> BoxUnion:
-        """F_i: the union of all built deeper-level balls B(x, lambda^(i+j))."""
-        F = BoxUnion(n=self.n)
-        for lvl in sorted(self.levels):
-            if lvl <= i:
-                continue
-            for x in self.levels[lvl]:
-                F.add_ball(x, self.lam ** lvl)
-        return F
 
 
 def build_net_hierarchy(cantor: CantorSpec, levels: int, n: int = 2,

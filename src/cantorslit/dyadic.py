@@ -1,15 +1,17 @@
 """Exact dyadic cube geometry.
 
-A dyadic cube of generation k and integer index j in Z^n is
-Prod_i [j_i 2^-k, (j_i+1) 2^-k].  All containment, touching, and projection
-tests are carried out on integer ranges at a common scale, so there is no
-floating-point ambiguity anywhere in the Whitney machinery.  Side lengths
-2^-k and corners j 2^-k are exactly representable as binary floats for the
-generations used here, so float output of lo/hi/center is also exact.
+A dyadic cube of generation k and index j in Z^n is Prod_i [j_i 2^-k,
+(j_i+1) 2^-k].  Sets of cubes are int64 arrays gen (m,) and idx (m, n),
+sorted by (gen, idx); DyadicCube is a read-only view of one row.  Corners
+j 2^-k are exact binary floats, so float comparisons on them are exact.
+The scalar predicates (overlap_lengths, cubes_touch, face_adjacent,
+projection_contains) are the independent reference for the array code.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -47,36 +49,6 @@ class DyadicCube:
     def center(self) -> np.ndarray:
         return (np.array(self.idx, dtype=float) + 0.5) * self.side
 
-    def children(self) -> list["DyadicCube"]:
-        base = tuple(2 * j for j in self.idx)
-        return [DyadicCube(self.gen + 1, tuple(b + o for b, o in zip(base, off)))
-                for off in product((0, 1), repeat=self.n)]
-
-    def parent(self) -> "DyadicCube":
-        if self.gen == 0:
-            raise ValueError("generation-0 cube has no parent here")
-        return DyadicCube(self.gen - 1, tuple(j >> 1 for j in self.idx))
-
-    def int_range(self, scale_gen: int) -> tuple[tuple[int, int], ...]:
-        """Closed corner range [lo, hi] per axis at scale 2^-scale_gen."""
-        if scale_gen < self.gen:
-            raise ValueError("common scale must be at least the cube's own")
-        f = 1 << (scale_gen - self.gen)
-        return tuple((j * f, (j + 1) * f) for j in self.idx)
-
-    def contains_cube(self, other: "DyadicCube") -> bool:
-        if other.gen < self.gen:
-            return False
-        shift = other.gen - self.gen
-        return all(oj >> shift == j for j, oj in zip(self.idx, other.idx))
-
-    def contains_point(self, x, closed: bool = True) -> bool:
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.lo, self.hi
-        if closed:
-            return bool(np.all((x >= lo) & (x <= hi)))
-        return bool(np.all((x > lo) & (x < hi)))
-
 
 def overlap_lengths(a: DyadicCube, b: DyadicCube) -> tuple[int, ...] | None:
     """Per-axis integer overlap of the closures at the finer common scale.
@@ -85,10 +57,10 @@ def overlap_lengths(a: DyadicCube, b: DyadicCube) -> tuple[int, ...] | None:
     touch in a hyperplane along that axis.
     """
     g = max(a.gen, b.gen)
-    ra, rb = a.int_range(g), b.int_range(g)
+    fa, fb = 1 << (g - a.gen), 1 << (g - b.gen)
     out = []
-    for (alo, ahi), (blo, bhi) in zip(ra, rb):
-        w = min(ahi, bhi) - max(alo, blo)
+    for ja, jb in zip(a.idx, b.idx):
+        w = min((ja + 1) * fa, (jb + 1) * fb) - max(ja * fa, jb * fb)
         if w < 0:
             return None
         out.append(w)
@@ -116,28 +88,82 @@ def projection_contains(a: DyadicCube, b: DyadicCube, drop_axis: int) -> bool:
                for i, (aj, bj) in enumerate(zip(a.idx, b.idx)) if i != drop_axis)
 
 
-def meets_box(cube: DyadicCube, lo, hi, closed: bool = True) -> bool:
-    """Whether the closed cube meets the box [lo, hi] (float corners)."""
-    clo, chi = cube.lo, cube.hi
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if closed:
-        return bool(np.all((clo <= hi) & (chi >= lo)))
-    return bool(np.all((clo < hi) & (chi > lo)))
+# ---------------------------------------------------------------------------
+# cube arrays
 
 
-def inside_open_box(cube: DyadicCube, lo, hi) -> bool:
-    """Whether the closed cube lies inside the open box (lo, hi)."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return bool(np.all((cube.lo > lo) & (cube.hi < hi)))
+class CubeView(Sequence):
+    """DyadicCube views of the rows of (gen, idx) arrays, built on access."""
+
+    def __init__(self, gen: np.ndarray, idx: np.ndarray):
+        self._gen, self._idx = gen, idx
+
+    def __len__(self) -> int:
+        return len(self._gen)
+
+    def __getitem__(self, i: int) -> DyadicCube:
+        return DyadicCube(int(self._gen[i]), tuple(self._idx[i].tolist()))
+
+    def __iter__(self):
+        for g, row in zip(self._gen.tolist(), self._idx.tolist()):
+            yield DyadicCube(g, tuple(row))
 
 
-def root_cubes_covering(lo, hi, n: int) -> list[DyadicCube]:
-    """Generation-0 integer cubes whose closed union covers the box [lo, hi]."""
-    import math
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    ranges = [range(int(math.floor(lo[i])), int(math.ceil(hi[i])))
-              for i in range(n)]
-    return [DyadicCube(0, idx) for idx in product(*ranges)]
+def sides(gen) -> np.ndarray:
+    """Side lengths 2^-gen (exact)."""
+    return np.ldexp(1.0, -np.asarray(gen, dtype=np.int64))
+
+
+def subdivide(idx: np.ndarray) -> np.ndarray:
+    """Children 2 idx + {0,1}^n of same-generation cubes, 2^n per row."""
+    offs = np.array(list(product((0, 1), repeat=idx.shape[1])), dtype=np.int64)
+    return (2 * idx[:, None, :] + offs).reshape(-1, idx.shape[1])
+
+
+def order(gen: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Permutation sorting rows by (gen, idx_0, ..., idx_{n-1})."""
+    return np.lexsort(tuple(idx.T[::-1]) + (gen,))
+
+
+def meets_window(gen, idx: np.ndarray, lo, hi) -> np.ndarray:
+    """Which closed cubes meet the closed box [lo, hi]."""
+    s = sides(gen).reshape(-1, 1)
+    return np.all((idx * s <= np.asarray(hi)) & ((idx + 1) * s >= np.asarray(lo)),
+                  axis=1)
+
+
+class CubeIndex:
+    """Exact (gen, idx) -> row lookup over arrays sorted by (gen, idx).
+
+    Each generation's key is mixed-radix over its index range, axis 0 most
+    significant, so its sorted rows have increasing keys; a range whose keys
+    would not fit in int64 raises instead of wrapping.
+    """
+
+    def __init__(self, gen: np.ndarray, idx: np.ndarray):
+        # blocks: generation -> (start, stop) rows, in ascending generation
+        gens, starts = np.unique(gen, return_index=True)
+        stops = np.append(starts[1:], len(gen))
+        self.blocks = {g: (a, b) for g, a, b in
+                       zip(gens.tolist(), starts.tolist(), stops.tolist())}
+        self._keys = {}
+        for g, (a, b) in self.blocks.items():
+            lo, hi = idx[a:b].min(axis=0), idx[a:b].max(axis=0)
+            spans = (hi - lo + 1).tolist()
+            if math.prod(spans) - 1 > np.iinfo(np.int64).max:
+                raise OverflowError(f"generation {g} needs keys beyond int64")
+            strides = np.array([math.prod(spans[i + 1:]) for i in range(len(spans))])
+            keys = (idx[a:b] - lo) @ strides
+            if np.any(np.diff(keys) <= 0):
+                raise ValueError("rows must be sorted by (gen, idx) and distinct")
+            self._keys[g] = (lo, hi, strides, keys)
+
+    def find(self, g: int, q: np.ndarray) -> np.ndarray:
+        """Row of each generation-g query in the full arrays, -1 where absent."""
+        if g not in self.blocks:
+            return np.full(len(q), -1, dtype=np.int64)
+        lo, hi, strides, keys = self._keys[g]
+        inside = np.all((q >= lo) & (q <= hi), axis=1)
+        k = (np.where(inside[:, None], q, lo) - lo) @ strides
+        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        return np.where(inside & (keys[pos] == k), pos + self.blocks[g][0], -1)

@@ -26,19 +26,10 @@ from .whitney import (Q0_ID, ReflectAssignment, WhitneyDecomposition,
                       reflect_assign, whitney_decompose)
 
 
-def _bump_profile(t: np.ndarray) -> np.ndarray:
-    """C^1 cubic falloff: 1 at t <= 0, 0 at t >= 1."""
-    s = np.clip(t, 0.0, 1.0)
+def _bump_profile(x, center, side: float) -> np.ndarray:
+    """C^1 falloff along an axis: 1 on the cube, 0 past side/16 outside it."""
+    s = np.clip((np.abs(x - center) - side / 2.0) / (side / 16.0), 0.0, 1.0)
     return 1.0 - (3.0 * s * s - 2.0 * s ** 3)
-
-
-def bump_value(cube: DyadicCube, X: np.ndarray) -> np.ndarray:
-    """Tensor bump: 1 on the cube, 0 outside (9/8) of it, C^1 in between."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    half = cube.side / 2.0
-    taper = cube.side / 16.0
-    t = (np.abs(X - cube.center) - half) / taper
-    return np.prod(_bump_profile(t), axis=1)
 
 
 @dataclass
@@ -61,21 +52,17 @@ class PartitionOfUnity:
 def _support_slices(cube: DyadicCube, bbox: np.ndarray, h: float,
                     shape: tuple[int, ...]) -> tuple[tuple[slice, ...], list[np.ndarray]]:
     pad = cube.side / 16.0
-    sls, axes = [], []
-    for i in range(cube.n):
-        lo = cube.lo[i] - pad
-        hi = cube.hi[i] + pad
-        a = max(0, int(math.floor((lo - bbox[0, i]) / h)))
-        b = min(shape[i], int(math.ceil((hi - bbox[0, i]) / h)))
-        sls.append(slice(a, b))
-        axes.append(bbox[0, i] + (np.arange(a, b) + 0.5) * h)
-    return tuple(sls), axes
+    a = np.maximum(0, np.floor((cube.lo - pad - bbox[0]) / h).astype(int))
+    b = np.minimum(shape, np.ceil((cube.hi + pad - bbox[0]) / h).astype(int))
+    sls = tuple(slice(i, j) for i, j in zip(a.tolist(), b.tolist()))
+    return sls, [bbox[0, i] + (np.arange(s.start, s.stop) + 0.5) * h
+                 for i, s in enumerate(sls)]
 
 
 def partition_of_unity(dec: WhitneyDecomposition, h: float,
                        bbox: np.ndarray | None = None) -> PartitionOfUnity:
     """Tabulate the normalising bump system of the resolved cubes."""
-    if dec.cubes and h > min(c.side for c in dec.cubes) / 8.0 + 1e-15:
+    if len(dec) and h > 2.0 ** -int(dec.gen.max()) / 8.0 + 1e-15:
         raise ValueError("h must be at most the smallest cube side over 8")
     if bbox is None:
         n = dec.n
@@ -91,14 +78,10 @@ def partition_of_unity(dec: WhitneyDecomposition, h: float,
         sls, axes = _support_slices(cube, bbox, h, shape)
         if any(s.stop <= s.start for s in sls):
             continue
-        phi = np.ones([len(a) for a in axes])
-        half = cube.side / 2.0
-        taper = cube.side / 16.0
+        phi = np.ones(())
         for ax, coords in enumerate(axes):
-            prof = _bump_profile((np.abs(coords - cube.center[ax]) - half) / taper)
-            sh = [1] * cube.n
-            sh[ax] = len(coords)
-            phi = phi * prof.reshape(sh)
+            phi = np.multiply.outer(phi, _bump_profile(coords, cube.center[ax],
+                                                       cube.side))
         contributions[i + 1] = (sls, phi)
         total[sls] += phi
     return PartitionOfUnity(dec=dec, bbox=bbox, h=h,
@@ -133,14 +116,11 @@ def assemble(lam: float, n: int = 2, max_gen: int = 6,
 
 
 def _cells_in_cube(u: GridField, lo: np.ndarray, hi: np.ndarray) -> tuple[slice, ...]:
-    sls = []
-    for i in range(u.n):
-        a = int(math.floor((lo[i] - u.bbox[0, i]) / u.h + 0.5))
-        b = int(math.floor((hi[i] - u.bbox[0, i]) / u.h + 0.5))
-        a = max(0, a)
-        b = min(u.grid_shape[i], b)
-        sls.append(slice(a, b))
-    return tuple(sls)
+    """Index slices of the grid cells with centers in (lo, hi], clipped."""
+    a = np.floor((lo - u.bbox[0]) / u.h + 0.5).astype(int)
+    b = np.floor((hi - u.bbox[0]) / u.h + 0.5).astype(int)
+    return tuple(slice(max(0, i), min(m, j))
+                 for i, j, m in zip(a.tolist(), b.tolist(), u.grid_shape))
 
 
 def cube_average(u: GridField, Q) -> float:
@@ -152,15 +132,13 @@ def cube_average(u: GridField, Q) -> float:
     """
     if Q is None or (isinstance(Q, int) and Q == Q0_ID):
         q0 = membership_grid(RegionSpec(kind="Q0_tilde", n=u.n), u.axes())
-        sel = u.mask & q0
+        vals = u.values[u.mask & q0]
     else:
         sls = _cells_in_cube(u, Q.lo, Q.hi)
-        sel = np.zeros(u.grid_shape, dtype=bool)
-        sel[sls] = u.mask[sls]
-    cnt = int(np.count_nonzero(sel))
-    if cnt == 0:
+        vals = u.values[sls][u.mask[sls]]
+    if vals.size == 0:
         raise ValueError("cube has no masked-in cells to average over")
-    return float(np.sum(u.values[sel]) / cnt)
+    return float(np.sum(vals) / vals.size)
 
 
 def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
@@ -175,7 +153,6 @@ def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
     n_mask = membership_grid(asm.region_n, u.axes())
     num = np.zeros(u.grid_shape)
     q0_avg: float | None = None
-    averages: dict[int, float] = {}
     for cid, (sls, phi) in pou.contributions.items():
         rid = asm.reflect.mapping.get(cid)
         if rid is None:
@@ -186,7 +163,6 @@ def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
             a = q0_avg
         else:
             a = cube_average(u, asm.wt.cube(rid))
-        averages[cid] = a
         num[sls] += a * phi
     vals = np.zeros(u.grid_shape)
     vals[u.mask] = u.values[u.mask]
@@ -357,25 +333,19 @@ def jump_ratio(lam: float, n: int, p: float, h: float,
 
 
 def _pointwise_weights(dec: WhitneyDecomposition, x: np.ndarray):
-    """(cube id, raw bump value) pairs with positive bump at x."""
+    """(cube id, raw bump value) pairs with positive bump at x.
+
+    A cube's bump vanishes outside (9/8) of it, so only the 3^n cubes of
+    generation g around floor(x 2^g) can reach x.
+    """
     out = []
-    ids = dec._ids
-    if ids is None:
-        dec.id_of(dec.cubes[0])
-        ids = dec._ids
-    n = dec.n
-    gens = sorted({c.gen for c in dec.cubes})
-    for g in gens:
-        scale = 2.0 ** g
-        base = np.floor(x * scale).astype(int)
-        for off in product((-1, 0, 1), repeat=n):
-            idx = tuple(base + np.array(off))
-            cid = ids.get((g, idx))
-            if cid is None:
-                continue
-            val = float(bump_value(dec.cube(cid), x[None, :])[0])
-            if val > 0.0:
-                out.append((cid, val))
+    offs = np.array(list(product((-1, 0, 1), repeat=dec.n)), dtype=np.int64)
+    for g in dec.index.blocks:
+        rows = dec.index.find(g, np.floor(x * 2.0 ** g).astype(np.int64) + offs)
+        rows = rows[rows >= 0]
+        side = 2.0 ** -g
+        vals = np.prod(_bump_profile(x, (dec.idx[rows] + 0.5) * side, side), axis=1)
+        out += [(r + 1, v) for r, v in zip(rows.tolist(), vals.tolist()) if v > 0.0]
     return out
 
 
@@ -412,12 +382,9 @@ def gap_midpoints(spec: CantorSpec, depth: int) -> np.ndarray:
 
     Returns an (m, 2) array of (midpoint, distance to the Cantor set).
     """
-    ends = cell_endpoints(spec, depth)
-    cells = ends.reshape(-1, 2)
-    out = []
-    for (a0, b0), (a1, _) in zip(cells[:-1], cells[1:]):
-        out.append(((b0 + a1) / 2.0, (a1 - b0) / 2.0))
-    return np.array(out)
+    cells = cell_endpoints(spec, depth).reshape(-1, 2)
+    b0, a1 = cells[:-1, 1], cells[1:, 0]
+    return np.column_stack([(b0 + a1) / 2.0, (a1 - b0) / 2.0])
 
 
 def trace_mismatch(lam: float, hs: list[float], u_fn=None,

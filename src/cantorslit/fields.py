@@ -230,18 +230,6 @@ class BoxUnion:
             out |= np.sum((X - c) ** 2, axis=1) <= r * r
         return out
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.is_empty():
-            return None
-        los, his = [], []
-        for lo, hi in self.boxes:
-            los.append(lo)
-            his.append(hi)
-        for c, r in self.balls:
-            los.append(c - r)
-            his.append(c + r)
-        return np.min(los, axis=0), np.max(his, axis=0)
-
 
 def interval_union_measure(intervals: list[tuple[float, float]]) -> float:
     """Total length of a union of closed intervals (exact sweep)."""

@@ -196,18 +196,14 @@ def component_label(spec: RegionSpec, center, radius: float, h: float) -> Compon
         rr = rr + (axes[i] - center[i]).reshape(sh) ** 2
     mask &= rr <= radius ** 2
     structure = ndimage.generate_binary_structure(n, 1)  # faces only
-    raw, _ = ndimage.label(mask, structure=structure)
+    raw, count = ndimage.label(mask, structure=structure)
     # relabel components by first appearance in C-order scan
-    flat = raw.ravel()
-    order = {}
-    for v in flat:
-        if v != 0 and v not in order:
-            order[v] = len(order)
-    labels = np.full(raw.shape, -1, dtype=int)
-    for v, new in order.items():
-        labels[raw == v] = new
+    vals, first = np.unique(raw, return_index=True)
+    vals, first = vals[vals > 0], first[vals > 0]
+    lut = np.full(count + 1, -1)
+    lut[vals[np.argsort(first)]] = np.arange(len(vals))
     return ComponentMap(center=center, radius=radius, h=h, origin=origin,
-                        labels=labels, count=len(order))
+                        labels=lut[raw], count=len(vals))
 
 
 @dataclass

@@ -28,8 +28,8 @@ from itertools import product
 import numpy as np
 
 from .cantor import CantorSpec, DEFAULT_TOL, _descend
-from .dyadic import (DyadicCube, face_adjacent, inside_open_box, meets_box,
-                     overlap_lengths, projection_contains, root_cubes_covering)
+from .dyadic import (CubeIndex, CubeView, DyadicCube, meets_window, order,
+                     sides, subdivide)
 from .regions import RegionSpec, _in_region, _tent_height
 
 Q0_ID = 0  # sentinel id for the reservoir region in reflect maps and chains
@@ -60,7 +60,20 @@ def _profile_boundary_dist(P: np.ndarray) -> np.ndarray:
     return np.minimum(db, dr)
 
 
-class TentOracle:
+class _RegionOracle:
+    """Root cubes and membership of an oracle's region (self._region)."""
+
+    def roots(self) -> np.ndarray:
+        """Generation-0 index rows of the unit cubes covering the bbox."""
+        lo, hi = self._region.bbox
+        axes = (range(math.floor(a), math.ceil(b)) for a, b in zip(lo, hi))
+        return np.array(list(product(*axes)), dtype=np.int64)
+
+    def member_many(self, X: np.ndarray) -> np.ndarray:
+        return _in_region(self._region, list(X.T))
+
+
+class TentOracle(_RegionOracle):
     """Certified brackets on dist(x, boundary of N_lambda); membership in N."""
 
     def __init__(self, cantor: CantorSpec, n: int = 2, tol: float = DEFAULT_TOL):
@@ -74,15 +87,8 @@ class TentOracle:
         # half of the first-level gap bounds the 1-D distance function on [0,1]
         self._max_k = (1.0 - 2.0 * cantor.ratio_at(0)) / 2.0
 
-    def roots(self) -> list[DyadicCube]:
-        z = (0,) * (self.n - 1)
-        return [DyadicCube(0, z + (-1,)), DyadicCube(0, z + (0,))]
-
     def _height(self, XP: np.ndarray) -> np.ndarray:
         return _tent_height(self._region, list(XP.T))
-
-    def member_many(self, X: np.ndarray) -> np.ndarray:
-        return _in_region(self._region, list(X.T))
 
     def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n, tol = self.n, self.tol
@@ -120,23 +126,27 @@ class TentOracle:
         bound = np.where(np.isnan(bound), w, bound)
         w = np.clip(w, np.minimum(near, bound), np.maximum(near, bound))
         peak = np.where(np.isfinite(mids), mids, XP)
-        cands = [XP, w, peak]
+        cands = [w, peak]
         for i in range(n - 1):
             for c in (0.0, 1.0):
                 cp = XP.copy()
                 cp[:, i] = c
                 cands.append(cp)
         sgn = np.where(xn >= 0.0, 1.0, -1.0)
-        hi = np.full(X.shape[0], np.inf)
+        # x' itself, clipped: its height is g wherever x' lies in the box
+        cp = np.clip(XP, 0.0, 1.0)
+        gc, out = g.copy(), np.any(cp != XP, axis=1)
+        if out.any():
+            gc[out] = self._height(cp[out])
+        hi = np.sqrt(np.sum((XP - cp) ** 2, axis=1) + (xn - sgn * gc) ** 2)
         for cp in cands:
             cp = np.clip(cp, 0.0, 1.0)
-            gc = self._height(cp)
-            d2 = np.sum((XP - cp) ** 2, axis=1) + (xn - sgn * gc) ** 2
+            d2 = np.sum((XP - cp) ** 2, axis=1) + (xn - sgn * self._height(cp)) ** 2
             hi = np.minimum(hi, np.sqrt(d2))
         return lo, hi + tol
 
 
-class SlitOracle:
+class SlitOracle(_RegionOracle):
     """Certified brackets on dist(x, boundary of Omega_lambda); membership.
 
     The boundary splits into the rectilinear boundary of D (exact in the
@@ -151,27 +161,12 @@ class SlitOracle:
         self._region = RegionSpec(kind="Omega_lambda", n=n, cantor=cantor,
                                   tol=tol)
 
-    def roots(self) -> list[DyadicCube]:
-        n = self.n
-        pre = [(0,)] * (n - 2)
-        xs = [(-2,), (-1,), (0,)]
-        ys = [(-2,), (-1,), (0,), (1,)]
-        out = []
-        for x in xs:
-            for y in ys:
-                idx = tuple(0 for _ in range(n - 2)) + x + y
-                out.append(DyadicCube(0, idx))
-        return out
-
     def _d_boundary(self, X: np.ndarray) -> np.ndarray:
         n = self.n
         d = _profile_boundary_dist(X[:, n - 2:])
         for i in range(n - 2):
             d = np.minimum(d, np.minimum(np.abs(X[:, i]), np.abs(X[:, i] - 1.0)))
         return d
-
-    def member_many(self, X: np.ndarray) -> np.ndarray:
-        return _in_region(self._region, list(X.T))
 
     def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo_t, hi_t = self.tent.bracket_many(X)
@@ -185,44 +180,6 @@ class SlitOracle:
             # only the always-valid tent witness for the upper bound
             hi = hi_t
         return lo, hi
-
-
-class BoxOracle:
-    """Exact oracle for an open axis-aligned box (reference/test regions)."""
-
-    def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        self.n = len(self.lo)
-
-    def roots(self) -> list[DyadicCube]:
-        return root_cubes_covering(self.lo, self.hi, self.n)
-
-    def member_many(self, X: np.ndarray) -> np.ndarray:
-        return np.all((X > self.lo) & (X < self.hi), axis=1)
-
-    def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = _box_boundary_dist(X, self.lo, self.hi)
-        return d, d
-
-
-class EmptyOracle:
-    """Oracle for an empty region over a given bounding box."""
-
-    def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        self.n = len(self.lo)
-
-    def roots(self) -> list[DyadicCube]:
-        return root_cubes_covering(self.lo, self.hi, self.n)
-
-    def member_many(self, X: np.ndarray) -> np.ndarray:
-        return np.zeros(X.shape[0], dtype=bool)
-
-    def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        big = np.full(X.shape[0], np.inf)
-        return big, big
 
 
 def oracle_for(region: RegionSpec, tol: float = DEFAULT_TOL):
@@ -239,42 +196,75 @@ def oracle_for(region: RegionSpec, tol: float = DEFAULT_TOL):
 
 @dataclass
 class WhitneyDecomposition:
+    """Resolved and frontier cubes as (gen, idx) arrays sorted by (gen, idx).
+
+    Resolved cube ids are 1-based rows; cube(), cubes and frontier are views.
+    """
+
     oracle: object
     n: int
     max_gen: int
-    cubes: list[DyadicCube]            # resolved, sorted by (gen, idx)
+    gen: np.ndarray                    # (m,) resolved, sorted by (gen, idx)
+    idx: np.ndarray                    # (m, n)
     lo_q: np.ndarray                   # certified bracket per resolved cube
     hi_q: np.ndarray
-    frontier: list[DyadicCube]
+    frontier_gen: np.ndarray
+    frontier_idx: np.ndarray
     window: tuple | None = None
     _adj: dict | None = field(default=None, repr=False)
-    _ids: dict | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.index = CubeIndex(self.gen, self.idx)
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return len(self.gen)
+
+    @property
+    def cubes(self) -> CubeView:
+        return CubeView(self.gen, self.idx)
+
+    @property
+    def frontier(self) -> CubeView:
+        return CubeView(self.frontier_gen, self.frontier_idx)
 
     def cube(self, cid: int) -> DyadicCube:
         return self.cubes[cid - 1]
 
     def id_of(self, cube: DyadicCube) -> int:
-        if self._ids is None:
-            self._ids = {(c.gen, c.idx): i + 1 for i, c in enumerate(self.cubes)}
-        return self._ids[(cube.gen, cube.idx)]
+        row = int(self.index.find(cube.gen, np.array([cube.idx]))[0])
+        if row < 0:
+            raise KeyError((cube.gen, cube.idx))
+        return row + 1
 
     def adjacency(self) -> dict[int, list[tuple[int, bool]]]:
         """id -> sorted [(neighbor id, face_adjacent)]; 1-based ids."""
         if self._adj is None:
-            self._adj = _build_adjacency(self.cubes)
+            self._adj = _build_adjacency(self.idx, self.index)
         return self._adj
 
     @property
     def frontier_fraction(self) -> float:
-        total = len(self.cubes) + len(self.frontier)
-        return len(self.frontier) / total if total else 0.0
+        total = len(self.gen) + len(self.frontier_gen)
+        return len(self.frontier_gen) / total if total else 0.0
 
 
-def _sample_offsets(n: int) -> np.ndarray:
-    return np.array(list(product((0.0, 0.5, 1.0), repeat=n)))
+def _bracket_cubes(oracle, gen, idx: np.ndarray):
+    """Certified bracket on dist(Q, boundary) and sample membership per cube.
+
+    Every point of a cube is within a quarter diagonal of one of its 3^n
+    samples (offsets {0, 1/2, 1}^n, center in the middle column); one
+    bracket_many and one member_many call cover all the cubes.
+    """
+    m, n = idx.shape
+    side = np.broadcast_to(sides(gen), (m,))
+    offs = np.array(list(product((0.0, 0.5, 1.0), repeat=n)))
+    X = ((idx * side[:, None])[:, None, :] + side[:, None, None] * offs).reshape(-1, n)
+    lo_s, hi_s = oracle.bracket_many(X)
+    mem = oracle.member_many(X).reshape(m, -1)
+    lo_q = np.maximum(0.0, lo_s.reshape(m, -1).min(axis=1)
+                      - math.sqrt(n) * side / 4.0)
+    hi_q = hi_s.reshape(m, -1).min(axis=1)
+    return lo_q, hi_q, mem
 
 
 def whitney_decompose(region, max_gen: int, window=None,
@@ -291,103 +281,77 @@ def whitney_decompose(region, max_gen: int, window=None,
     oracle = oracle_for(region, tol) if isinstance(region, RegionSpec) else region
     n = oracle.n
     sqrtn = math.sqrt(n)
-    offs = _sample_offsets(n)
-    ns = offs.shape[0]
-    center_pos = (ns - 1) // 2
-
-    active = oracle.roots()
     if window is not None:
-        wlo, whi = (np.asarray(w, dtype=float) for w in window)
-        active = [c for c in active if meets_box(c, wlo, whi)]
-    resolved: list[DyadicCube] = []
-    res_lo: list[float] = []
-    res_hi: list[float] = []
-    frontier: list[DyadicCube] = []
-
-    while active:
-        m = len(active)
-        sides = np.array([c.side for c in active])
-        los = np.array([c.lo for c in active])
-        X = (los[:, None, :] + sides[:, None, None] * offs[None, :, :])
-        X = X.reshape(m * ns, n)
-        lo_s, hi_s = oracle.bracket_many(X)
-        mem_s = oracle.member_many(X)
-        lo_s = lo_s.reshape(m, ns)
-        hi_s = hi_s.reshape(m, ns)
-        mem_s = mem_s.reshape(m, ns)
-
-        lo_q = np.maximum(0.0, lo_s.min(axis=1) - sqrtn * sides / 4.0)
-        hi_q = hi_s.min(axis=1)
-        any_mem = mem_s.any(axis=1)
-        center_mem = mem_s[:, center_pos]
-        accept = (lo_q >= sqrtn * sides) & (hi_q <= 4.0 * sqrtn * sides) & center_mem
-        drop = ~accept & ~any_mem & (lo_q > 0.0)
-
-        nxt: list[DyadicCube] = []
-        for i, c in enumerate(active):
-            if accept[i]:
-                resolved.append(c)
-                res_lo.append(float(lo_q[i]))
-                res_hi.append(float(hi_q[i]))
-            elif drop[i]:
-                continue
-            elif c.gen >= max_gen:
-                frontier.append(c)
-            else:
-                kids = c.children()
-                if window is not None:
-                    kids = [k for k in kids if meets_box(k, wlo, whi)]
-                nxt.extend(kids)
-        active = nxt
-
-    order = sorted(range(len(resolved)), key=lambda i: resolved[i])
-    cubes = [resolved[i] for i in order]
-    lo_arr = np.array([res_lo[i] for i in order]) if cubes else np.zeros(0)
-    hi_arr = np.array([res_hi[i] for i in order]) if cubes else np.zeros(0)
-    frontier.sort()
+        window = tuple(tuple(np.asarray(w, dtype=float)) for w in window)
+    active = oracle.roots()
+    # (gen, idx, lo_q, hi_q) of the accepted cubes, one entry per round
+    found = [(np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64),
+              np.zeros(0), np.zeros(0))]
+    for g in range(max_gen + 1):
+        if window is not None:
+            active = active[meets_window(g, active, *window)]
+        if not len(active):
+            break
+        side = sides(np.full(len(active), g))
+        lo_q, hi_q, mem = _bracket_cubes(oracle, g, active)
+        accept = ((lo_q >= sqrtn * side) & (hi_q <= 4.0 * sqrtn * side)
+                  & mem[:, (3 ** n - 1) // 2])
+        drop = ~mem.any(axis=1) & (lo_q > 0.0)
+        found.append((np.full(int(accept.sum()), g), active[accept],
+                      lo_q[accept], hi_q[accept]))
+        active = active[~accept & ~drop]
+        if g < max_gen:
+            active = subdivide(active)
+    # what is left after the max_gen round is the frontier
+    gen, idx, lo_q, hi_q = (np.concatenate(col) for col in zip(*found))
+    perm = order(gen, idx)
+    fgen = np.full(len(active), max_gen, dtype=np.int64)
+    fperm = order(fgen, active)
     return WhitneyDecomposition(oracle=oracle, n=n, max_gen=max_gen,
-                                cubes=cubes, lo_q=lo_arr, hi_q=hi_arr,
-                                frontier=frontier,
-                                window=None if window is None else
-                                (tuple(wlo), tuple(whi)))
+                                gen=gen[perm], idx=idx[perm], lo_q=lo_q[perm],
+                                hi_q=hi_q[perm], frontier_gen=fgen[fperm],
+                                frontier_idx=active[fperm], window=window)
 
 
-def _build_adjacency(cubes: list[DyadicCube]) -> dict[int, list[tuple[int, bool]]]:
+def _build_adjacency(idx: np.ndarray,
+                     index: CubeIndex) -> dict[int, list[tuple[int, bool]]]:
     """Touching graph over cubes with exact face/corner classification.
 
-    Neighbors are discovered from the finer side: for each cube, candidate
-    coarser-or-equal indices touching its closure are enumerated (at most 3
-    per axis) and looked up.
+    Neighbors are found from the finer side, one (finer, coarser) generation
+    pair at a time: s levels coarser, index j touches ceil(j/2^s) - 1 ..
+    floor((j+1)/2^s), within (j >> s) + {-1, 0, 1}.  Same-generation pairs
+    are found once, from the smaller cube.  A pair is facial when exactly
+    one axis has zero integer overlap.
     """
-    lookup = {(c.gen, c.idx): i + 1 for i, c in enumerate(cubes)}
-    gens = sorted({c.gen for c in cubes})
-    adj: dict[int, set[int]] = {i + 1: set() for i in range(len(cubes))}
-    for i, c in enumerate(cubes):
-        cid = i + 1
-        for g in gens:
-            if g > c.gen:
+    m, n = idx.shape
+    offs = np.array(list(product((-1, 0, 1), repeat=n)), dtype=np.int64)
+    src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    facial = [np.zeros(0, dtype=bool)]
+    for gf, (a, b) in index.blocks.items():
+        fine, rows = idx[a:b], np.arange(a, b)
+        for gc in index.blocks:
+            if gc > gf:
                 break
-            b = 1 << (c.gen - g)
-            axis_ranges = []
-            for j in c.idx:
-                m_min = -((b - j) // b)          # ceil((j - b)/b)
-                m_max = (j + 1) // b
-                axis_ranges.append(range(m_min, m_max + 1))
-            for idx in product(*axis_ranges):
-                if g == c.gen and idx == c.idx:
-                    continue
-                other = lookup.get((g, idx))
-                if other is not None:
-                    adj[cid].add(other)
-                    adj[other].add(cid)
-    out: dict[int, list[tuple[int, bool]]] = {}
-    for cid, nbrs in adj.items():
-        rows = []
-        for nid in sorted(nbrs, key=lambda k: cubes[k - 1]):
-            ov = overlap_lengths(cubes[cid - 1], cubes[nid - 1])
-            rows.append((nid, sum(1 for w in ov if w == 0) == 1))
-        out[cid] = rows
-    return out
+            s = gf - gc
+            lo = ((fine + (1 << s) - 1) >> s) - 1
+            hi = (fine + 1) >> s
+            for off in offs if s else offs[len(offs) // 2 + 1:]:
+                cand = (fine >> s) + off
+                ok = np.all((cand >= lo) & (cand <= hi), axis=1)
+                hit = index.find(gc, cand[ok])
+                found = hit >= 0
+                f, c = fine[ok][found], cand[ok][found]
+                w = np.minimum(f + 1, (c + 1) << s) - np.maximum(f, c << s)
+                src.append(rows[ok][found])
+                dst.append(hit[found])
+                facial.append(np.sum(w == 0, axis=1) == 1)
+    u = np.concatenate(src + dst) + 1
+    v = np.concatenate(dst + src) + 1
+    fac = np.concatenate(facial + facial)
+    perm = np.lexsort((v, u))
+    pairs = list(zip(v[perm].tolist(), fac[perm].tolist()))
+    ends = np.cumsum(np.bincount(u, minlength=m + 1)).tolist()
+    return {cid: pairs[ends[cid - 1]:ends[cid]] for cid in range(1, m + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -417,79 +381,56 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
 
     W1/W2/W4 are exact dyadic checks; W3 passes when the recomputed bracket
     intersects [sqrt(n) l, 4 sqrt(n) l].  Optional Monte Carlo coverage check
-    verifies that random region points land in exactly one cube (skipped for
-    windowed decompositions).
+    verifies that random region points land in exactly one cube, resolved or
+    frontier (skipped for windowed decompositions).
     """
-    n = dec.n
+    if not len(dec):
+        return WhitneyReport(0, 0, 0, 0, 0, dec.frontier_fraction, 0, 0)
+    n, side = dec.n, sides(dec.gen)
     sqrtn = math.sqrt(n)
-    cubes = dec.cubes
-    w1 = w2 = w3 = w4 = crossings = 0
+    lo_q, hi_q, mem = _bracket_cubes(dec.oracle, dec.gen, dec.idx)
+    # W1: center inside and no boundary within the half-diagonal
+    w1 = int(np.sum(~(mem[:, (3 ** n - 1) // 2] & (lo_q > sqrtn * side / 2.0))))
+    # W3: bracket must intersect the admissible interval
+    w3 = int(np.sum((hi_q < sqrtn * side) | (lo_q > 4.0 * sqrtn * side)))
 
-    if cubes:
-        offs = _sample_offsets(n)
-        ns = offs.shape[0]
-        sides = np.array([c.side for c in cubes])
-        los = np.array([c.lo for c in cubes])
-        X = (los[:, None, :] + sides[:, None, None] * offs[None, :, :])
-        X = X.reshape(len(cubes) * ns, n)
-        lo_s, hi_s = dec.oracle.bracket_many(X)
-        mem_c = dec.oracle.member_many(los + 0.5 * sides[:, None])
-        lo_q = np.maximum(0.0, lo_s.reshape(-1, ns).min(axis=1)
-                          - sqrtn * sides / 4.0)
-        hi_q = hi_s.reshape(-1, ns).min(axis=1)
+    # W2: no cube, resolved or frontier, has an ancestor among them
+    gen = np.concatenate([dec.gen, dec.frontier_gen])
+    idx = np.concatenate([dec.idx, dec.frontier_idx])
+    perm = order(gen, idx)
+    gen, idx = gen[perm], idx[perm]
+    union = CubeIndex(gen, idx)
+    has_anc = np.zeros(len(gen), dtype=bool)
+    for g, (a, b) in union.blocks.items():
+        for ga in union.blocks:
+            if ga < g:
+                has_anc[a:b] |= union.find(ga, idx[a:b] >> (g - ga)) >= 0
+    w2 = int(np.sum(has_anc))
 
-        # W1: center inside and no boundary within the half-diagonal
-        w1 = int(np.sum(~(mem_c & (lo_q > sqrtn * sides / 2.0))))
-        # W3: bracket must intersect the admissible interval
-        w3 = int(np.sum((hi_q < sqrtn * sides) | (lo_q > 4.0 * sqrtn * sides)))
+    # W4 over the touching graph: side ratio > 4
+    gl = dec.gen.tolist()
+    w4 = sum(1 for cid, nbrs in dec.adjacency().items() for nid, _ in nbrs
+             if nid > cid and abs(gl[cid - 1] - gl[nid - 1]) > 2)
 
-        # W2: no cube contains another (same-gen duplicates impossible by
-        # construction; ancestors detected by index shifting)
-        keys = {(c.gen, c.idx) for c in cubes + dec.frontier}
-        for c in cubes + dec.frontier:
-            g, idx = c.gen, c.idx
-            while g > 0:
-                g -= 1
-                idx = tuple(j >> 1 for j in idx)
-                if (g, idx) in keys:
-                    w2 += 1
-                    break
-
-        # W4 over the touching graph
-        adj = dec.adjacency()
-        for cid, nbrs in adj.items():
-            for nid, _ in nbrs:
-                if nid <= cid:
-                    continue
-                dg = abs(cubes[cid - 1].gen - cubes[nid - 1].gen)
-                if dg > 2:  # side ratio > 4
-                    w4 += 1
-
-        # exact check: interiors never cross the slab boundary hyperplanes
-        for c in cubes:
-            for axis, vals in ((n - 1, (-1, 1)),) + tuple(
-                    (i, (0, 1)) for i in range(n - 1)):
-                for v in vals:
-                    scaled = v << c.gen if v >= 0 else -((-v) << c.gen)
-                    if c.idx[axis] < scaled < c.idx[axis] + 1:
-                        crossings += 1
+    # exact check: interiors never cross the slab boundary hyperplanes
+    # x_i = 0, 1 (i < n-1) and x_n = -1, 1; corners are exact floats, and
+    # only cubes coarser than generation 0 can straddle integer planes
+    planes = np.array([[0.0, 1.0]] * (n - 1) + [[-1.0, 1.0]])
+    s = side[:, None, None]
+    crossings = int(np.sum((dec.idx[..., None] * s < planes)
+                           & (planes < (dec.idx[..., None] + 1) * s)))
 
     checked = misses = 0
-    if coverage_samples > 0 and dec.window is None and cubes:
+    if coverage_samples > 0 and dec.window is None:
         rng = np.random.default_rng(seed)
-        all_cubes = cubes + dec.frontier
-        lo_all = np.array([c.lo for c in all_cubes])
-        hi_all = np.array([c.hi for c in all_cubes])
-        blo = lo_all.min(axis=0)
-        bhi = hi_all.max(axis=0)
-        pts = rng.uniform(blo, bhi, size=(coverage_samples, n))
-        mem = dec.oracle.member_many(pts)
-        pts = pts[mem]
-        checked = len(pts)
-        for p in pts:
-            hits = np.sum(np.all((lo_all <= p) & (p <= hi_all), axis=1))
-            if hits != 1:
-                misses += 1
+        s = sides(gen)[:, None]
+        pts = rng.uniform((idx * s).min(axis=0), ((idx + 1) * s).max(axis=0),
+                          size=(coverage_samples, n))
+        pts = pts[dec.oracle.member_many(pts)]
+        # the generation-g cube holding x is floor(x 2^g), exactly
+        hits = sum(union.find(g, np.floor(pts * 2.0 ** g).astype(np.int64)) >= 0
+                   for g in union.blocks)
+        checked, misses = len(pts), int(np.sum(hits != 1))
     return WhitneyReport(w1_violations=w1, w2_violations=w2, w3_violations=w3,
                          w4_violations=w4, boundary_crossings=crossings,
                          frontier_fraction=dec.frontier_fraction,
@@ -500,17 +441,17 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
 # central family, reflected cubes, chains
 
 
+def _central_mask(dec: WhitneyDecomposition) -> np.ndarray:
+    """Resolved cubes whose closure meets [0,1]^{n-1} x {0}."""
+    h = dec.idx[:, :-1]
+    scale = np.left_shift(np.int64(1), dec.gen)[:, None]
+    return (np.isin(dec.idx[:, -1], (-1, 0))
+            & np.all((h + 1 >= 0) & (h <= scale), axis=1))
+
+
 def central_family(dec: WhitneyDecomposition) -> list[int]:
     """Ids of resolved cubes whose closure meets [0,1]^{n-1} x {0}."""
-    n = dec.n
-    out = []
-    for i, c in enumerate(dec.cubes):
-        if c.idx[n - 1] not in (-1, 0):
-            continue
-        scale = 1 << c.gen
-        if all(c.idx[j] + 1 >= 0 and c.idx[j] <= scale for j in range(n - 1)):
-            out.append(i + 1)
-    return out
+    return (np.flatnonzero(_central_mask(dec)) + 1).tolist()
 
 
 @dataclass
@@ -532,37 +473,38 @@ def reflect_assign(w: WhitneyDecomposition,
     Cubes meeting the central patch map to the reservoir (Q0_ID).  Others map
     to the closest complement cube, center to center, among those in the same
     closed half-space whose drop-axis projection contains the cube's and
-    whose side is at most twice the cube's.  Containment forces the candidate
-    generation into {gen-1, gen}, so candidates are two vertical stacks.
+    whose side is at most twice the cube's; ties go to the smaller
+    (gen, idx).  Containment forces the candidate generation into
+    {gen-1, gen}, so candidates are two vertical stacks.
     """
     n = w.n
-    v_ids = set(central_family(w))
+    central = _central_mask(w)
+    cen_w = (w.idx + 0.5) * sides(w.gen)[:, None]
+    cen_t = (wt.idx + 0.5) * sides(wt.gen)[:, None]
+    t_idx = wt.idx.tolist()
     stacks: dict[tuple, list[tuple[int, int]]] = {}
-    for i, c in enumerate(wt.cubes):
-        stacks.setdefault((c.gen, c.idx[: n - 1]), []).append((c.idx[n - 1], i + 1))
+    for wid, (g, row) in enumerate(zip(wt.gen.tolist(), t_idx), 1):
+        stacks.setdefault((g, tuple(row[: n - 1])), []).append((row[n - 1], wid))
     mapping: dict[int, int | None] = {}
     unassigned: list[int] = []
-    for i, c in enumerate(w.cubes):
-        cid = i + 1
-        if cid in v_ids:
+    for cid, (g, row, in_v) in enumerate(
+            zip(w.gen.tolist(), w.idx.tolist(), central.tolist()), 1):
+        if in_v:
             mapping[cid] = Q0_ID
             continue
-        positive = c.idx[n - 1] >= 0
+        positive = row[n - 1] >= 0
         best = None
-        cc = c.center
-        for gshift in (1, 0):          # candidate gen = c.gen - gshift
-            g = c.gen - gshift
-            if g < 0:
+        cc = cen_w[cid - 1]
+        for gshift in (1, 0):          # candidate gen = g - gshift
+            gc = g - gshift
+            if gc < 0:
                 continue
-            horiz = tuple(j >> gshift for j in c.idx[: n - 1])
-            for jn, wid in stacks.get((g, horiz), ()):
-                if positive and jn < 0:
+            horiz = tuple(j >> gshift for j in row[: n - 1])
+            for jn, wid in stacks.get((gc, horiz), ()):
+                if (jn >= 0) != positive:
                     continue
-                if not positive and jn >= 0:
-                    continue
-                cand = wt.cubes[wid - 1]
-                d = float(np.linalg.norm(cand.center - cc))
-                key = (d, cand.gen, cand.idx)
+                d = float(np.linalg.norm(cen_t[wid - 1] - cc))
+                key = (d, gc, tuple(t_idx[wid - 1]))
                 if best is None or key < best[0]:
                     best = (key, wid)
         if best is None:
@@ -570,23 +512,20 @@ def reflect_assign(w: WhitneyDecomposition,
             unassigned.append(cid)
         else:
             mapping[cid] = best[1]
-    return ReflectAssignment(mapping=mapping, v_ids=sorted(v_ids),
+    return ReflectAssignment(mapping=mapping, v_ids=central_family(w),
                              unassigned=unassigned)
 
 
-def q0_adjacent(cube: DyadicCube, n: int) -> bool:
-    """Whether the cube's closure meets the reservoir closure facially.
+def q0_adjacent(gen, idx: np.ndarray) -> np.ndarray:
+    """Which cubes' closures meet the reservoir closure facially.
 
     The reservoir is D minus the closed square [-1,1]^2 in the profile plane;
     a complement cube (inside D) meets its closure in an (n-1)-dimensional
     set exactly when the cube is not strictly inside the open square.
     """
-    for axis in (n - 2, n - 1):
-        j = cube.idx[axis]
-        scale = 1 << cube.gen
-        if not (j > -scale and j + 1 < scale):
-            return True
-    return False
+    scale = np.left_shift(np.int64(1), np.asarray(gen)).reshape(-1, 1)
+    prof = idx[:, -2:]
+    return ~np.all((prof > -scale) & (prof + 1 < scale), axis=1)
 
 
 @dataclass
@@ -594,9 +533,6 @@ class Chain:
     ids: list[int]
     constraint: str
     found: bool
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 def chain(wt: WhitneyDecomposition, a: int, b: int,
@@ -612,34 +548,30 @@ def chain(wt: WhitneyDecomposition, a: int, b: int,
     """
     if constraint not in ("none", "projection-monotone"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    n = wt.n
-    if constraint == "projection-monotone":
-        if b != Q0_ID:
-            raise ValueError("projection-monotone chains must target the reservoir")
-        if a == Q0_ID:
-            return Chain(ids=[Q0_ID], constraint=constraint, found=True)
-        src = wt.cube(a)
-
-        def admissible(nid: int) -> bool:
-            if nid == Q0_ID:
-                return True
-            return projection_contains(wt.cube(nid), src, n - 1)
-    else:
-        def admissible(nid: int) -> bool:
-            return True
-
+    if constraint == "projection-monotone" and b != Q0_ID:
+        raise ValueError("projection-monotone chains must target the reservoir")
     if a == b:
         return Chain(ids=[a], constraint=constraint, found=True)
+    n, rows, allowed = wt.n, np.arange(len(wt)), None
+    if constraint == "projection-monotone":
+        # cubes no finer than the source whose horizontal index is the
+        # source's shifted to their generation; the search never leaves
+        # them, and ends on reaching the reservoir
+        shift = int(wt.gen[a - 1]) - wt.gen
+        ok = shift >= 0
+        anc = wt.idx[a - 1, : n - 1] >> np.where(ok, shift, 0)[:, None]
+        rows = np.flatnonzero(ok & np.all(wt.idx[:, : n - 1] == anc, axis=1))
+        allowed = set((rows + 1).tolist()) | {Q0_ID}
     adj = wt.adjacency()
+    q0_ids = (rows[q0_adjacent(wt.gen[rows], wt.idx[rows])] + 1).tolist()
+    q0_set = set(q0_ids)
 
     def neighbors(nid: int):
         if nid == Q0_ID:
-            out = [i for i in range(1, len(wt.cubes) + 1)
-                   if q0_adjacent(wt.cubes[i - 1], n)]
-        else:
-            out = [m for m, _ in adj[nid]]
-            if q0_adjacent(wt.cube(nid), n):
-                out = [Q0_ID] + out
+            return q0_ids
+        out = [m for m, _ in adj[nid]]
+        if nid in q0_set:
+            out = [Q0_ID] + out
         return out
 
     prev = {a: None}
@@ -653,7 +585,7 @@ def chain(wt: WhitneyDecomposition, a: int, b: int,
                 cur = prev[cur]
             return Chain(ids=ids[::-1], constraint=constraint, found=True)
         for nxt in neighbors(cur):
-            if nxt not in prev and admissible(nxt):
+            if nxt not in prev and (allowed is None or nxt in allowed):
                 prev[nxt] = cur
                 dq.append(nxt)
     return Chain(ids=[], constraint=constraint, found=False)
@@ -694,7 +626,8 @@ def claim_count(w: WhitneyDecomposition, wt: WhitneyDecomposition,
     adj = w.adjacency()
     per_cube: dict[tuple[int, int], int] = {}
     sources = unreachable = 0
-    for cid in range(1, len(w.cubes) + 1):
+    w_gen, wt_gen = w.gen.tolist(), wt.gen.tolist()
+    for cid in range(1, len(w) + 1):
         if cid in v_set:
             continue
         if not any(nid in v_set for nid, _ in adj[cid]):
@@ -707,11 +640,10 @@ def claim_count(w: WhitneyDecomposition, wt: WhitneyDecomposition,
         if not ch.found:
             unreachable += 1
             continue
-        gen_i = w.cube(cid).gen
         for nid in ch.ids:
             if nid == Q0_ID:
                 continue
-            k = gen_i - wt.cube(nid).gen
+            k = w_gen[cid - 1] - wt_gen[nid - 1]
             if 0 <= k <= k_max:
                 per_cube[(nid, k)] = per_cube.get((nid, k), 0) + 1
     counts = {k: 0 for k in range(k_max + 1)}
@@ -725,11 +657,8 @@ def v_growth_fit(dec: WhitneyDecomposition, gen_lo: int = 4,
                  gen_hi: int | None = None) -> float:
     """Fitted exponent b in |V at generation g| ~ A 2^{b g}."""
     gen_hi = dec.max_gen if gen_hi is None else gen_hi
-    v_ids = central_family(dec)
-    counts: dict[int, int] = {}
-    for cid in v_ids:
-        g = dec.cube(cid).gen
-        counts[g] = counts.get(g, 0) + 1
+    gens, sizes = np.unique(dec.gen[_central_mask(dec)], return_counts=True)
+    counts = dict(zip(gens.tolist(), sizes.tolist()))
     gs = [g for g in range(gen_lo, gen_hi + 1) if counts.get(g, 0) > 0]
     if len(gs) < 2:
         raise ValueError("not enough populated generations to fit")

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from cantorslit.dyadic import (
+    CubeIndex,
+    CubeView,
     DyadicCube,
     cubes_touch,
     face_adjacent,
-    inside_open_box,
-    meets_box,
+    meets_window,
+    order,
     overlap_lengths,
     projection_contains,
-    root_cubes_covering,
+    sides,
+    subdivide,
 )
 
 
@@ -24,21 +27,17 @@ def test_basic_geometry():
 
 
 def test_children_parent_roundtrip():
-    c = DyadicCube(gen=3, idx=(5, -2))
-    kids = c.children()
-    assert len(kids) == 4
-    for k in kids:
-        assert k.parent() == c
-        assert c.contains_cube(k)
-    assert c.parent().contains_cube(c)
-
-
-def test_contains_point():
-    c = DyadicCube(gen=1, idx=(0, 0))
-    assert c.contains_point([0.5, 0.5])
-    assert c.contains_point([0.25, 0.0], closed=True)
-    assert not c.contains_point([0.25, 0.0], closed=False)
-    assert not c.contains_point([0.75, 0.25])
+    idx = np.array([[5, -2], [0, 0]], dtype=np.int64)
+    kids = subdivide(idx)
+    assert kids.shape == (8, 2)
+    # each row's four children shift back to it, and lie inside it
+    assert np.array_equal(kids >> 1, np.repeat(idx, 4, axis=0))
+    parent = DyadicCube(3, (5, -2))
+    for k in kids[:4].tolist():
+        child = DyadicCube(4, tuple(k))
+        assert np.all(parent.lo <= child.lo) and np.all(child.hi <= parent.hi)
+    assert sorted(map(tuple, kids[:4].tolist())) == [
+        (10, -4), (10, -3), (11, -4), (11, -3)]
 
 
 def test_touching_and_faces():
@@ -65,24 +64,56 @@ def test_projection_contains():
 
 
 def test_boxes_and_hyperplanes():
-    c = DyadicCube(gen=2, idx=(1, 1))
-    assert meets_box(c, [0.0, 0.0], [1.0, 1.0])
-    assert not meets_box(c, [0.6, 0.6], [1.0, 1.0], closed=False)
-    assert inside_open_box(c, [0.0, 0.0], [1.0, 1.0])
-    assert not inside_open_box(c, [0.3, 0.3], [1.0, 1.0])
-
-
-def test_root_cover():
-    roots = root_cubes_covering([-1.0, -1.0], [1.0, 1.0], 2)
-    assert len(roots) == 4
-    los = sorted(tuple(r.idx) for r in roots)
-    assert los == [(-1, -1), (-1, 0), (0, -1), (0, 0)]
+    idx = np.array([[1, 1]], dtype=np.int64)     # [1/4, 1/2]^2 at gen 2
+    assert meets_window(2, idx, [0.0, 0.0], [1.0, 1.0])[0]
+    assert not meets_window(2, idx, [0.6, 0.6], [1.0, 1.0])[0]
+    # closed test: a box touching the cube's corner meets it
+    assert meets_window(2, idx, [0.5, 0.5], [1.0, 1.0])[0]
+    # per-row generations
+    got = meets_window(np.array([0, 3]), np.array([[0, 0], [0, 0]]),
+                       [0.2, 0.2], [0.3, 0.3])
+    assert got.tolist() == [True, False]
 
 
 def test_ordering_deterministic():
     cubes = [DyadicCube(gen=2, idx=(i, j)) for i in (1, 0) for j in (1, 0)]
     s = sorted(cubes)
     assert s[0].idx == (0, 0) and s[-1].idx == (1, 1)
+    # the array order is the DyadicCube order
+    rng = np.random.default_rng(3)
+    gen = rng.integers(0, 4, size=200)
+    idx = rng.integers(-5, 5, size=(200, 3))
+    perm = order(gen, idx)
+    view = list(CubeView(gen[perm], idx[perm]))
+    assert view == sorted(CubeView(gen, idx))
+
+
+def test_cube_index_lookup():
+    rng = np.random.default_rng(4)
+    gen = rng.integers(0, 5, size=300)
+    idx = rng.integers(-40, 40, size=(300, 2))
+    keep = np.unique(np.column_stack([gen, idx]), axis=0, return_index=True)[1]
+    gen, idx = gen[keep], idx[keep]
+    perm = order(gen, idx)
+    gen, idx = gen[perm], idx[perm]
+    index = CubeIndex(gen, idx)
+    rows = {(g, tuple(r)): i for i, (g, r) in
+            enumerate(zip(gen.tolist(), idx.tolist()))}
+    q = rng.integers(-45, 45, size=(500, 2))
+    for g in range(-1, 6):
+        got = index.find(g, q).tolist()
+        assert got == [rows.get((g, tuple(r)), -1) for r in q.tolist()]
+    assert np.array_equal(sides(np.array([0, 3])), [1.0, 0.125])
+
+
+def test_cube_index_refuses_to_wrap():
+    gen = np.zeros(2, dtype=np.int64)
+    with pytest.raises(OverflowError):
+        CubeIndex(gen, np.array([[0, 0], [2 ** 40, 2 ** 40]], dtype=np.int64))
+    # 2^31 x 2^32 keys still fit
+    CubeIndex(gen, np.array([[0, 0], [2 ** 31 - 1, 2 ** 32 - 1]], dtype=np.int64))
+    with pytest.raises(ValueError):
+        CubeIndex(gen, np.array([[1, 0], [0, 0]], dtype=np.int64))
 
 
 def test_invalid_cube():

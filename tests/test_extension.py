@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cantorslit.cantor import CantorSpec
+from cantorslit.dyadic import DyadicCube
 from cantorslit.extension import (
     assemble,
     bound_report,
@@ -63,6 +64,27 @@ def test_cube_average_constant(asm):
     assert cube_average(u, q) == pytest.approx(3.5, abs=1e-12)
     # the reservoir average (Q = None) is the same constant
     assert cube_average(u, None) == pytest.approx(3.5, abs=1e-12)
+
+    # a random field against the full-grid masked mean over cell centers
+    rng = np.random.default_rng(29)
+    r = GridField(bbox=u.bbox, h=u.h, values=rng.normal(size=u.grid_shape),
+                  mask=u.mask, kind="scalar")
+    grids = np.meshgrid(*u.axes(), indexing="ij")
+
+    def brute(cube):
+        sel = u.mask.copy()
+        for ax, g in enumerate(grids):
+            sel &= (g > cube.lo[ax]) & (g < cube.hi[ax])
+        return float(np.sum(r.values[sel]) / np.count_nonzero(sel))
+
+    # the first resolved cubes, and [0,1] x [1,2], clipped by the grid edge
+    clipped = DyadicCube(0, (0, 1))
+    assert clipped.hi[1] > u.bbox[1, 1]
+    for cube in [asm.wt.cube(cid) for cid in range(1, 21)] + [clipped]:
+        assert cube_average(r, cube) == brute(cube)
+    # a cube inside the tent has no masked-in cells
+    with pytest.raises(ValueError):
+        cube_average(r, DyadicCube(4, (8, 0)))
 
 
 def test_extend_constant_exact(asm):

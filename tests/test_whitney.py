@@ -1,14 +1,17 @@
 """Tests for the certified Whitney machinery: cubes, reflect map, chains."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from cantorslit.dyadic import DyadicCube, cubes_touch, projection_contains
+from cantorslit.dyadic import (DyadicCube, cubes_touch, face_adjacent, order,
+                               projection_contains)
 from cantorslit.regions import region_spec
 from cantorslit.whitney import (
     Q0_ID,
+    WhitneyDecomposition,
     central_family,
     chain,
     claim_count,
@@ -16,10 +19,17 @@ from cantorslit.whitney import (
     reflect_assign,
     v_growth_fit,
     verify_whitney,
+    oracle_for,
     whitney_decompose,
 )
 
 LAM = 0.25
+# sha256 of (gen, idx, lo_q, hi_q) of the max_gen=7 fixture, as int64 and
+# float64 bytes; any change to the decomposition or its brackets shows here
+FIXTURE_SHA = {
+    "w": "cc12035dd67cbd7816795b979c78b00732a087be52fd0df535eda8c77eacd21e",
+    "wt": "11fbe9ff250bdb09ffcc1c8f1eadf06c203d4c26315835df3faec5f33ffbc1a6",
+}
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +51,70 @@ def test_decomposition_clean(decs):
     assert len(w) > 0 and len(wt) > 0
 
 
+def test_fixture_pinned(decs):
+    for name, dec in zip(("w", "wt"), decs):
+        h = hashlib.sha256()
+        for a in (dec.gen.astype("<i8"), dec.idx.astype("<i8"),
+                  dec.lo_q.astype("<f8"), dec.hi_q.astype("<f8")):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == FIXTURE_SHA[name]
+
+
+def test_verifier_flags_planted_defects():
+    """W2, W4 and the crossing check fire on a decomposition built by hand.
+
+    (2,(1,1)) contains (3,(2,2)): one W2 violation.  (6,(32,16)) touches
+    (2,(1,1)) across four generations: one W4 violation.  No dyadic cube of
+    generation >= 0 straddles an integer hyperplane, so the crossing is a
+    generation -1 cube, [-2,0] x [0,2], straddling x_n = 1 and no other
+    slab plane.
+    """
+    gen = np.array([2, 3, 6, -1], dtype=np.int64)
+    idx = np.array([[1, 1], [2, 2], [32, 16], [-1, 0]], dtype=np.int64)
+    perm = order(gen, idx)
+    dec = WhitneyDecomposition(
+        oracle=oracle_for(region_spec("N_lambda", lam=LAM)), n=2, max_gen=7,
+        gen=gen[perm], idx=idx[perm], lo_q=np.zeros(4), hi_q=np.zeros(4),
+        frontier_gen=np.zeros(0, dtype=np.int64),
+        frontier_idx=np.zeros((0, 2), dtype=np.int64))
+    rep = verify_whitney(dec)
+    assert rep.w2_violations == 1
+    assert rep.w4_violations == 1
+    assert rep.boundary_crossings == 1
+
+
+def _small_decompositions():
+    yield whitney_decompose(region_spec("Omega_lambda", lam=LAM), 5,
+                            window=((0.0, -1.0), (1.0, 1.0)))
+    yield whitney_decompose(region_spec("N_lambda", lam=LAM, n=3), 6,
+                            window=((0.4, 0.4, -0.1), (0.6, 0.6, 0.1)))
+
+
+def test_adjacency_matches_brute_force():
+    """adjacency() is the all-pairs touching graph, with exact face flags."""
+    for dec in _small_decompositions():
+        cubes = list(dec.cubes)
+        assert len(set(dec.gen.tolist())) >= 3
+        want = {cid: [] for cid in range(1, len(cubes) + 1)}
+        for i, a in enumerate(cubes):
+            for j in range(i + 1, len(cubes)):
+                if cubes_touch(a, cubes[j]):
+                    want[i + 1].append(j + 1)
+                    want[j + 1].append(i + 1)
+        adj = dec.adjacency()
+        assert {cid: [nid for nid, _ in nbrs] for cid, nbrs in adj.items()} \
+            == {cid: sorted(v) for cid, v in want.items()}
+        for cid, nbrs in adj.items():
+            for nid, facial in nbrs:
+                assert facial == face_adjacent(cubes[cid - 1], cubes[nid - 1])
+
+
 def test_whitney_bracket_consistency(decs):
     w, _ = decs
     sqrt2 = math.sqrt(2.0)
     lo = np.asarray(w.lo_q)
     hi = np.asarray(w.hi_q)
-    sides = np.array([c.side for c in w.cubes])
+    sides = 2.0 ** -w.gen.astype(float)
     assert np.all(sqrt2 * sides <= lo + 1e-12)
     assert np.all(hi <= 4.0 * sqrt2 * sides + 1e-12)
 
@@ -95,13 +163,16 @@ def test_reflect_properties(decs):
 
 
 def test_q0_adjacency():
-    assert q0_adjacent(DyadicCube(0, (-1, 0)), 2)      # touches x = -1
-    assert not q0_adjacent(DyadicCube(3, (2, 2)), 2)   # strictly inside
+    gen = np.array([0, 3])
+    idx = np.array([[-1, 0],      # touches x = -1
+                    [2, 2]])      # strictly inside
+    assert q0_adjacent(gen, idx).tolist() == [True, False]
 
 
 def test_chain_reaches_reservoir(decs):
     _, wt = decs
-    ra_ids = [i + 1 for i, c in enumerate(wt.cubes)][:40]
+    ra_ids = list(range(1, min(len(wt), 40) + 1))
+    q0 = q0_adjacent(wt.gen, wt.idx)
     found = 0
     for rid in ra_ids:
         ch = chain(wt, rid, Q0_ID)
@@ -111,7 +182,7 @@ def test_chain_reaches_reservoir(decs):
             # consecutive members touch (or end at the reservoir)
             for a, b in zip(ch.ids[:-1], ch.ids[1:]):
                 if b == Q0_ID:
-                    assert q0_adjacent(wt.cube(a), wt.n)
+                    assert q0[a - 1]
                 else:
                     assert cubes_touch(wt.cube(a), wt.cube(b))
     assert found == len(ra_ids)
@@ -120,7 +191,7 @@ def test_chain_reaches_reservoir(decs):
 def test_chain_projection_monotone(decs):
     _, wt = decs
     checked = 0
-    for rid in range(1, len(wt.cubes) + 1):
+    for rid in range(1, len(wt) + 1):
         ch = chain(wt, rid, Q0_ID, constraint="projection-monotone")
         if not ch.found:
             continue
