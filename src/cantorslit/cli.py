@@ -50,6 +50,28 @@ def parse_point(text: str) -> np.ndarray:
     return np.array([parse_number(t) for t in text.split(",")])
 
 
+def _checked(parse, ok, what: str):
+    """argparse type that parses, then rejects values outside the domain.
+
+    A rejected value makes the parser exit with status 2 and a usage
+    message before any command runs.
+    """
+    def conv(text: str):
+        v = parse(text)
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return v
+    return conv
+
+
+LAMBDA = _checked(parse_number, lambda v: 0.0 < v < 0.5, "in (0, 1/2)")
+LAMBDAS = _checked(parse_number_list, lambda vs: all(0.0 < v < 0.5 for v in vs),
+                   "a list of numbers in (0, 1/2)")
+DIM = _checked(int, lambda v: v >= 2, "an integer >= 2")
+MAX_GEN = _checked(int, lambda v: v >= 4, "an integer >= 4")
+K_MAX = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         if math.isnan(v):
@@ -398,15 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
         if region:
             p.add_argument("--region", default="N_lambda")
         if lam:
-            p.add_argument("--lambda", dest="lam", type=parse_number,
-                           default=0.25)
+            p.add_argument("--lambda", dest="lam", type=LAMBDA, default=0.25)
         if n:
-            p.add_argument("--n", type=int, default=2)
+            p.add_argument("--n", type=DIM, default=2)
 
     c = sub.add_parser("cantor")
     cs = c.add_subparsers(dest="sub", required=True)
     cd = cs.add_parser("dist")
-    cd.add_argument("--lambda", dest="lam", type=parse_number, required=True)
+    cd.add_argument("--lambda", dest="lam", type=LAMBDA, required=True)
     cd.add_argument("--x", type=parse_number, required=True)
     cd.set_defaults(func_handler=cmd_cantor_dist)
 
@@ -426,18 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
     ws = w.add_subparsers(dest="sub", required=True)
     wb = ws.add_parser("build")
     common(wb, region=True)
-    wb.add_argument("--max-gen", type=int, default=8)
+    wb.add_argument("--max-gen", type=MAX_GEN, default=8)
     wb.add_argument("--out", required=True)
     wb.set_defaults(func_handler=cmd_whitney_build)
     wv = ws.add_parser("verify")
     common(wv, region=True)
-    wv.add_argument("--max-gen", type=int, default=8)
+    wv.add_argument("--max-gen", type=MAX_GEN, default=8)
     wv.add_argument("--out")
     wv.set_defaults(func_handler=cmd_whitney_verify)
     wc = ws.add_parser("claim-count")
     common(wc)
-    wc.add_argument("--max-gen", type=int, default=10)
-    wc.add_argument("--k-max", type=int, default=4)
+    wc.add_argument("--max-gen", type=MAX_GEN, default=10)
+    wc.add_argument("--k-max", type=K_MAX, default=4)
     wc.add_argument("--out", required=True)
     wc.set_defaults(func_handler=cmd_whitney_claim_count)
 
@@ -454,14 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(e)
     e.add_argument("--u", default="jump:depth=1")
     e.add_argument("--grid", type=parse_number, default=2.0 ** -9)
-    e.add_argument("--max-gen", type=int, default=None)
+    e.add_argument("--max-gen", type=MAX_GEN, default=None)
     e.add_argument("--out", required=True)
     e.set_defaults(func_handler=cmd_extend)
 
     s = sub.add_parser("sweep")
-    s.add_argument("--n", type=int, default=2)
+    s.add_argument("--n", type=DIM, default=2)
     s.add_argument("--p", type=float, default=1.5)
-    s.add_argument("--lambdas", type=parse_number_list, required=True)
+    s.add_argument("--lambdas", type=LAMBDAS, required=True)
     s.add_argument("--grid", type=parse_number, default=None)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
@@ -471,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = d.add_subparsers(dest="sub", required=True)
     de = dsub.add_parser("estimate")
     de.add_argument("--set", default="cantor-slit")
-    de.add_argument("--lambda", dest="lam", type=parse_number, required=True)
+    de.add_argument("--lambda", dest="lam", type=LAMBDA, required=True)
     de.add_argument("--levels", type=int, default=5)
     de.add_argument("--out", required=True)
     de.set_defaults(func_handler=cmd_dim_estimate)

@@ -132,12 +132,24 @@ def meets_window(gen, idx: np.ndarray, lo, hi) -> np.ndarray:
                   axis=1)
 
 
+def radix_strides(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mixed-radix strides over the integer box [lo, hi], axis 0 most significant.
+
+    (row - lo) @ strides is an exact key that preserves lexicographic order;
+    a box whose keys would not fit in int64 raises instead of wrapping.
+    """
+    spans = (hi - lo + 1).tolist()
+    if math.prod(spans) - 1 > np.iinfo(np.int64).max:
+        raise OverflowError("index range needs keys beyond int64")
+    return np.array([math.prod(spans[i + 1:]) for i in range(len(spans))],
+                    dtype=np.int64)
+
+
 class CubeIndex:
     """Exact (gen, idx) -> row lookup over arrays sorted by (gen, idx).
 
-    Each generation's key is mixed-radix over its index range, axis 0 most
-    significant, so its sorted rows have increasing keys; a range whose keys
-    would not fit in int64 raises instead of wrapping.
+    Each generation's key is mixed-radix over its index range (radix_strides),
+    so its sorted rows have increasing keys.
     """
 
     def __init__(self, gen: np.ndarray, idx: np.ndarray):
@@ -149,10 +161,7 @@ class CubeIndex:
         self._keys = {}
         for g, (a, b) in self.blocks.items():
             lo, hi = idx[a:b].min(axis=0), idx[a:b].max(axis=0)
-            spans = (hi - lo + 1).tolist()
-            if math.prod(spans) - 1 > np.iinfo(np.int64).max:
-                raise OverflowError(f"generation {g} needs keys beyond int64")
-            strides = np.array([math.prod(spans[i + 1:]) for i in range(len(spans))])
+            strides = radix_strides(lo, hi)
             keys = (idx[a:b] - lo) @ strides
             if np.any(np.diff(keys) <= 0):
                 raise ValueError("rows must be sorted by (gen, idx) and distinct")

@@ -208,13 +208,20 @@ def jump_test_function(x0, r: float, region: RegionSpec, witness,
 
     def u(X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        d = np.linalg.norm(X - x0, axis=1)
+        out = np.zeros(len(X))
+        # only rows in the support box |X - x0|_inf <= 3r can be nonzero:
+        # elsewhere the computed d >= |X - x0|_inf (sqrt(x*x) rounds to |x|),
+        # so d / r > 3 and the cutoff is exactly +0.0
+        near = np.flatnonzero(np.all(np.abs(X - x0) / r <= 3.0, axis=1))
+        Y = X[near]
+        d = np.linalg.norm(Y - x0, axis=1)
         cut = np.clip(3.0 - d / r, 0.0, 1.0)
         # exact indicator: region membership restricted to the witness's
         # side of the pinch plane (the local component is sign-definite)
-        ind = region_membership_many(region, X)
-        ind &= sgn * (X[:, n - 1] - x0[n - 1]) > 0.0
-        return cut * ind
+        ind = region_membership_many(region, Y)
+        ind &= sgn * (Y[:, n - 1] - x0[n - 1]) > 0.0
+        out[near] = cut * ind
+        return out
 
     u.x0, u.r, u.component = x0, r, label
     return u

@@ -29,7 +29,7 @@ import numpy as np
 
 from .cantor import CantorSpec, DEFAULT_TOL, _descend
 from .dyadic import (CubeIndex, CubeView, DyadicCube, meets_window, order,
-                     sides, subdivide)
+                     radix_strides, sides, subdivide)
 from .regions import RegionSpec, _in_region, _tent_height
 
 Q0_ID = 0  # sentinel id for the reservoir region in reflect maps and chains
@@ -475,45 +475,52 @@ def reflect_assign(w: WhitneyDecomposition,
     closed half-space whose drop-axis projection contains the cube's and
     whose side is at most twice the cube's; ties go to the smaller
     (gen, idx).  Containment forces the candidate generation into
-    {gen-1, gen}, so candidates are two vertical stacks.
+    {gen-1, gen}, so candidates are two vertical stacks.  A generation block
+    of wt is sorted with the horizontal axes most significant, so each
+    half-stack is one run of rows, found by searchsorted on the key
+    (horizontal index, x_n >= 0).
     """
-    n = w.n
     central = _central_mask(w)
     cen_w = (w.idx + 0.5) * sides(w.gen)[:, None]
     cen_t = (wt.idx + 0.5) * sides(wt.gen)[:, None]
-    t_idx = wt.idx.tolist()
-    stacks: dict[tuple, list[tuple[int, int]]] = {}
-    for wid, (g, row) in enumerate(zip(wt.gen.tolist(), t_idx), 1):
-        stacks.setdefault((g, tuple(row[: n - 1])), []).append((row[n - 1], wid))
-    mapping: dict[int, int | None] = {}
-    unassigned: list[int] = []
-    for cid, (g, row, in_v) in enumerate(
-            zip(w.gen.tolist(), w.idx.tolist(), central.tolist()), 1):
-        if in_v:
-            mapping[cid] = Q0_ID
-            continue
-        positive = row[n - 1] >= 0
-        best = None
-        cc = cen_w[cid - 1]
-        for gshift in (1, 0):          # candidate gen = g - gshift
-            gc = g - gshift
-            if gc < 0:
+    up_w, up_t = w.idx[:, -1:] >= 0, wt.idx[:, -1:] >= 0
+    # candidate pairs (W row, W-tilde row), one run per W cube and stack
+    pw, pt = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for gc, (a, b) in wt.index.blocks.items():
+        stack = np.hstack([wt.idx[a:b, :-1], up_t[a:b]])
+        lo, hi = stack.min(axis=0), stack.max(axis=0)
+        strides = radix_strides(lo, hi)
+        keys = (stack - lo) @ strides
+        for gshift in (1, 0):          # W gen = gc + gshift
+            if gc + gshift not in w.index.blocks:
                 continue
-            horiz = tuple(j >> gshift for j in row[: n - 1])
-            for jn, wid in stacks.get((gc, horiz), ()):
-                if (jn >= 0) != positive:
-                    continue
-                d = float(np.linalg.norm(cen_t[wid - 1] - cc))
-                key = (d, gc, tuple(t_idx[wid - 1]))
-                if best is None or key < best[0]:
-                    best = (key, wid)
-        if best is None:
-            mapping[cid] = None
-            unassigned.append(cid)
-        else:
-            mapping[cid] = best[1]
+            wa, wb = w.index.blocks[gc + gshift]
+            rows = wa + np.flatnonzero(~central[wa:wb])
+            q = np.hstack([w.idx[rows, :-1] >> gshift, up_w[rows]])
+            inside = np.all((q >= lo) & (q <= hi), axis=1)
+            rows, k = rows[inside], (q[inside] - lo) @ strides
+            start = np.searchsorted(keys, k, side="left")
+            count = np.searchsorted(keys, k, side="right") - start
+            pw.append(np.repeat(rows, count))
+            pt.append(a + np.arange(count.sum())
+                      + np.repeat(start - np.cumsum(count) + count, count))
+    pw, pt = np.concatenate(pw), np.concatenate(pt)
+    # centers are dyadic, so each squared distance is an exact sum and its
+    # sqrt is bit-identical to np.linalg.norm of the difference
+    diff = cen_t[pt] - cen_w[pw]
+    d = np.sqrt(np.sum(diff * diff, axis=1))
+    # wt rows are in (gen, idx) order, so the first pair per W cube after
+    # sorting by (W row, d, wt row) is the (d, gen, idx) minimum
+    perm = np.lexsort((pt, d, pw))
+    pw, pt = pw[perm], pt[perm]
+    first = np.unique(pw, return_index=True)[1]
+    target = np.full(len(w), -1, dtype=np.int64)
+    target[pw[first]] = pt[first] + 1
+    target[central] = Q0_ID
+    mapping = {cid: (t if t >= 0 else None)
+               for cid, t in enumerate(target.tolist(), 1)}
     return ReflectAssignment(mapping=mapping, v_ids=central_family(w),
-                             unassigned=unassigned)
+                             unassigned=(np.flatnonzero(target < 0) + 1).tolist())
 
 
 def q0_adjacent(gen, idx: np.ndarray) -> np.ndarray:

@@ -77,6 +77,29 @@ def test_claim_count_manifest_reports_sources(tmp_path):
     assert res.sources > 0
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["whitney", "claim-count", "--lambda", "0.7"], "--lambda"),
+    (["whitney", "claim-count", "--max-gen", "3"], "--max-gen"),
+    (["whitney", "claim-count", "--k-max", "-1"], "--k-max"),
+    (["whitney", "build", "--n", "1"], "--n"),
+    (["sweep", "--lambdas", "1/8,1/2"], "--lambdas"),
+])
+def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
+                                            monkeypatch):
+    import cantorslit.cli as cli
+
+    def no_work(*a, **kw):
+        raise AssertionError("work started on a bad argument")
+    monkeypatch.setattr(cli, "whitney_decompose", no_work)
+    monkeypatch.setattr(cli, "bound_report", no_work)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {flag}" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_schema(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = run_cli(["sweep", "--n", "2", "--p", "1.5",

@@ -21,7 +21,7 @@ from cantorslit.extension import (
     thm_upper_curve,
 )
 from cantorslit.fields import GridField, grid_sample
-from cantorslit.regions import region_spec
+from cantorslit.regions import region_membership_many, region_spec
 
 LAM = 0.25
 H = 2.0 ** -9
@@ -137,6 +137,42 @@ def test_jump_function_structure():
     assert vals[2] == 0.0
     assert np.all((u(np.random.default_rng(2).uniform(-0.4, 0.4, (200, 2)))
                    >= 0.0))
+
+
+def test_jump_function_support_box_is_exact():
+    """u equals the formula evaluated on every row, bit for bit (signed zeros too)."""
+    ro = region_spec("Omega_lambda", lam=LAM)
+    rng = np.random.default_rng(5)
+    # r = 5/32 puts the Pythagorean points (9, 12)/32 at d = 15/32 = 3r exactly
+    for r in (1.0 / 8.0, 5.0 / 32.0):
+        x0 = np.zeros(2)
+        u = jump_test_function(x0, r, ro, np.array([r / 8.0, r / 2.0]))
+        b = 3.0 * r
+        t = np.linspace(-b, b, 41)
+        edge = np.concatenate([np.column_stack([np.full_like(t, s), t])
+                               for s in (-b, b)]
+                              + [np.column_stack([t, np.full_like(t, s)])
+                                 for s in (-b, b)])
+        sphere = np.array([[0.0, b], [b, 0.0], [0.0, -b], [-b, 0.0]]
+                          + [[sx * 9 / 32, sy * 12 / 32] for sx in (-1, 1)
+                             for sy in (-1, 1)]
+                          + [[sx * 12 / 32, sy * 9 / 32] for sx in (-1, 1)
+                             for sy in (-1, 1)])
+        ulp = np.column_stack([np.nextafter(np.full(2, b), [0.0, 1.0]),
+                               np.full(2, 0.01)])
+        far = np.array([[0.9, 0.5], [5.0, 5.0], [-3.0, 0.2], [0.0, -0.9]])
+        pts = np.concatenate([rng.uniform([-0.2, -1.0], [1.2, 1.0], (20000, 2)),
+                              rng.uniform(-b - 0.01, b + 0.01, (20000, 2)),
+                              edge, sphere, ulp, far])
+        for X in (pts, np.zeros((0, 2))):
+            d = np.linalg.norm(X - x0, axis=1)
+            ind = region_membership_many(ro, X)
+            ind &= X[:, 1] - x0[1] > 0.0
+            want = np.clip(3.0 - d / r, 0.0, 1.0) * ind
+            got = u(X)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert np.all(u(sphere[:4]) == 0.0)
 
 
 def test_jump_function_rejects_one_sided_point():

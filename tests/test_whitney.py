@@ -162,6 +162,88 @@ def test_reflect_properties(decs):
     assert ra.unassigned_fraction <= 0.05
 
 
+def _reflect_reference(w, wt):
+    """The per-cube loop over both candidate stacks, keyed (d, gen, idx)."""
+    n = w.n
+    central = set(central_family(w))
+    cen_w = (w.idx + 0.5) * 2.0 ** -w.gen[:, None].astype(float)
+    cen_t = (wt.idx + 0.5) * 2.0 ** -wt.gen[:, None].astype(float)
+    t_idx = wt.idx.tolist()
+    stacks = {}
+    for wid, (g, row) in enumerate(zip(wt.gen.tolist(), t_idx), 1):
+        stacks.setdefault((g, tuple(row[: n - 1])), []).append((row[n - 1], wid))
+    mapping, unassigned = {}, []
+    for cid, (g, row) in enumerate(zip(w.gen.tolist(), w.idx.tolist()), 1):
+        if cid in central:
+            mapping[cid] = Q0_ID
+            continue
+        positive = row[n - 1] >= 0
+        best = None
+        for gshift in (1, 0):          # candidate gen = g - gshift
+            gc = g - gshift
+            horiz = tuple(j >> gshift for j in row[: n - 1])
+            for jn, wid in stacks.get((gc, horiz), ()):
+                if (jn >= 0) != positive:
+                    continue
+                d = float(np.linalg.norm(cen_t[wid - 1] - cen_w[cid - 1]))
+                key = (d, gc, tuple(t_idx[wid - 1]))
+                if best is None or key < best[0]:
+                    best = (key, wid)
+        mapping[cid] = None if best is None else best[1]
+        if best is None:
+            unassigned.append(cid)
+    return mapping, sorted(central), unassigned
+
+
+def _assert_reflect_matches_reference(w, wt):
+    ra = reflect_assign(w, wt)
+    mapping, v_ids, unassigned = _reflect_reference(w, wt)
+    assert list(ra.mapping.items()) == list(mapping.items())
+    assert ra.v_ids == v_ids
+    assert ra.unassigned == unassigned
+    return ra
+
+
+def test_reflect_matches_reference(decs):
+    # n=2 at lambda 1/4 and 1/8
+    _assert_reflect_matches_reference(*decs)
+    _assert_reflect_matches_reference(
+        whitney_decompose(region_spec("N_lambda", lam=0.125), 6),
+        whitney_decompose(region_spec("Omega_lambda", lam=0.125), 6))
+    # n=3, on a window around the pinch
+    win = ((0.3, 0.3, -0.2), (0.7, 0.7, 0.2))
+    _assert_reflect_matches_reference(
+        whitney_decompose(region_spec("N_lambda", lam=LAM, n=3), 5, window=win),
+        whitney_decompose(region_spec("Omega_lambda", lam=LAM, n=3), 5,
+                          window=win))
+    # one windowed pair as the trace study builds it: h = 2^-8 above the
+    # first gap midpoint
+    h, m, g = 2.0 ** -8, 0.5, 0.25
+    win = ((m - 16 * h, g - 16 * h), (m + 16 * h, g + 16 * h))
+    _assert_reflect_matches_reference(
+        whitney_decompose(region_spec("N_lambda", lam=LAM), 11, window=win),
+        whitney_decompose(region_spec("Omega_lambda", lam=LAM), 11, window=win))
+
+
+def test_reflect_tie_goes_to_smaller_gen_idx():
+    """Mirror-image candidates at equal distance: the smaller (gen, idx) wins."""
+    def dec(idx):
+        idx = np.array(idx, dtype=np.int64)
+        gen = np.full(len(idx), 2, dtype=np.int64)
+        return WhitneyDecomposition(
+            oracle=None, n=2, max_gen=2, gen=gen, idx=idx,
+            lo_q=np.zeros(len(idx)), hi_q=np.zeros(len(idx)),
+            frontier_gen=np.zeros(0, dtype=np.int64),
+            frontier_idx=np.zeros((0, 2), dtype=np.int64))
+    # the first two tent cubes sit halfway between two same-side complement
+    # cubes; the third has no complement cube in its column
+    w = dec([[1, -3], [1, 2], [3, 2]])
+    wt = dec([[1, -4], [1, -2], [1, 0], [1, 1], [1, 3]])
+    ra = _assert_reflect_matches_reference(w, wt)
+    assert [wt.cube(ra.mapping[cid]).idx for cid in (1, 2)] == [(1, -4), (1, 1)]
+    assert ra.unassigned == [3] and ra.mapping[3] is None
+
+
 def test_q0_adjacency():
     gen = np.array([0, 3])
     idx = np.array([[-1, 0],      # touches x = -1
