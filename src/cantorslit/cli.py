@@ -70,6 +70,7 @@ LAMBDAS = _checked(parse_number_list, lambda vs: all(0.0 < v < 0.5 for v in vs),
 DIM = _checked(int, lambda v: v >= 2, "an integer >= 2")
 MAX_GEN = _checked(int, lambda v: v >= 4, "an integer >= 4")
 K_MAX = _checked(int, lambda v: v >= 1, "an integer >= 1")
+P = _checked(parse_number, lambda v: v > 1, "a number > 1")
 
 
 def _fmt(v) -> str:
@@ -275,11 +276,8 @@ def cmd_extend(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.time()
     rep = bound_report(args.n, args.p, args.lambdas, h=args.grid)
-    rows = [[row["lambda"], row["dim"], row["norm_factor"],
-             row["empirical_ratio"], row["C_eff"], row["thm11_upper"]]
-            for row in rep.rows]
-    write_csv(args.out, ["lambda", "dim", "norm_factor", "empirical_ratio",
-                         "C_eff", "thm11_upper"], rows)
+    write_csv(args.out, list(rep.COLUMNS),
+              [[row[c] for c in rep.COLUMNS] for row in rep.rows])
     write_manifest(args.out, "sweep", vars_of(args), args.seed,
                    time.time() - t0)
     return 0
@@ -332,75 +330,48 @@ def cmd_density(args) -> int:
 # config-driven runs
 
 
-VALID_KINDS = ("bound-sweep", "claim-count", "dim-estimate", "density",
-               "whitney-audit")
+# config kind -> the subcommand that runs it
+CONFIG_COMMANDS = {
+    "bound-sweep": ["sweep"],
+    "claim-count": ["whitney", "claim-count"],
+    "dim-estimate": ["dim", "estimate"],
+    "density": ["density"],
+    "whitney-audit": ["whitney", "verify"],
+}
 
 
-def validate_config(cfg: dict) -> None:
-    kind = cfg.get("kind")
-    if kind not in VALID_KINDS:
-        raise ValueError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
-    params = cfg.get("params", {})
-    for lam in params.get("lambdas", []) + \
-            ([params["lambda"]] if "lambda" in params else []):
-        if not 0.0 < lam < 0.5:
-            raise ValueError("lambda must be in (0, 1/2)")
-    if "p" in params and params["p"] <= 1:
-        raise ValueError("p must be > 1")
-    if "out" not in cfg:
-        raise ValueError("config must name an output path 'out'")
+def config_argv(cfg: dict) -> list[str]:
+    """The command line a config stands for.
 
-
-def run(cfg: dict) -> int:
-    """Dispatch a validated experiment config to its subcommand handler."""
-    validate_config(cfg)
-    params = dict(cfg.get("params", {}))
-    kind = cfg["kind"]
-    ns = argparse.Namespace(out=cfg["out"], seed=int(params.get("seed", 0)))
-    if kind == "bound-sweep":
-        ns.n = int(params.get("n", 2))
-        ns.p = float(params["p"])
-        ns.lambdas = [float(v) for v in params["lambdas"]]
-        ns.grid = params.get("h")
-        return cmd_sweep(ns)
-    if kind == "claim-count":
-        ns.lam = float(params["lambda"])
-        ns.n = int(params.get("n", 2))
-        ns.max_gen = int(params.get("max_gen", 10))
-        ns.k_max = int(params.get("k_max", 4))
-        return cmd_whitney_claim_count(ns)
-    if kind == "dim-estimate":
-        ns.lam = float(params["lambda"])
-        ns.levels = int(params.get("levels", 5))
-        ns.set = params.get("set", "cantor-slit")
-        return cmd_dim_estimate(ns)
-    if kind == "density":
-        ns.lam = float(params["lambda"])
-        ns.n = int(params.get("n", 2))
-        ns.point = params.get("point", "0,0")
-        ns.radii = [float(v) for v in params.get("radii", [0.25, 0.125, 0.0625])]
-        ns.samples = int(params.get("samples", 10 ** 6))
-        return cmd_density(ns)
-    # whitney-audit
-    ns.region = params.get("region", "N_lambda")
-    ns.lam = float(params["lambda"])
-    ns.n = int(params.get("n", 2))
-    ns.max_gen = int(params.get("max_gen", 8))
-    return cmd_whitney_verify(ns)
+    `out` and each param become long options, `_` written as `-`, except
+    `h`, which is `--grid`.  Lists are joined with commas and floats are
+    written with repr, which parse_number reads back exactly.
+    """
+    argv = list(CONFIG_COMMANDS[cfg["kind"]])
+    for key, val in [("out", cfg["out"]), *cfg.get("params", {}).items()]:
+        opt = "grid" if key == "h" else key.replace("_", "-")
+        text = ",".join(map(_fmt, val)) if isinstance(val, list) else _fmt(val)
+        argv.append(f"--{opt}={text}")
+    return argv
 
 
 def cmd_run(args) -> int:
+    """Run a YAML config through the same parser as the command line."""
     import yaml
     with open(args.config) as f:
-        cfg = yaml.safe_load(f)
+        cfg = yaml.safe_load(f) or {}
     for override in args.set or []:
         key, _, val = override.partition("=")
         cfg.setdefault("params", {})[key] = yaml.safe_load(val)
-    try:
-        return run(cfg)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    problems = [f"unknown key {k!r}"
+                for k in sorted(set(cfg) - {"kind", "out", "params"})]
+    if cfg.get("kind") not in CONFIG_COMMANDS:
+        problems.append(f"'kind' must be one of {', '.join(CONFIG_COMMANDS)}")
+    if "out" not in cfg:
+        problems.append("'out' is missing")
+    if problems:
+        build_parser().error(f"config {args.config}: " + "; ".join(problems))
+    return main(config_argv(cfg))
 
 
 def vars_of(args) -> dict:
@@ -481,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep")
     s.add_argument("--n", type=DIM, default=2)
-    s.add_argument("--p", type=float, default=1.5)
+    s.add_argument("--p", type=P, default=1.5)
     s.add_argument("--lambdas", type=LAMBDAS, required=True)
     s.add_argument("--grid", type=parse_number, default=None)
     s.add_argument("--seed", type=int, default=0)

@@ -294,8 +294,7 @@ class BoundReport:
 
 
 def bound_report(n: int, p: float, lams: list[float],
-                 h: float | None = None, depth: int = 3,
-                 C: float = 1.0) -> BoundReport:
+                 h: float | None = None, C: float = 1.0) -> BoundReport:
     """Closed-form norm factors and effective constants per lambda.
 
     When h is given, an empirical ratio for the jump test function at the

@@ -3,8 +3,8 @@
 Scalar and vector quantities live on regular cell-centered grids with a
 boolean membership mask.  Finite differences never couple cells across the
 mask, so the two sides of a slit stay numerically independent.  The module
-also measures axis projections of unions of boxes and balls (exactly via
-interval unions in the plane) and runs the cube-level energy check that
+also measures axis projections of unions of boxes (exactly via interval
+unions in the plane) and runs the cube-level energy check that
 compares masked gradient energy against the scale delta^((n-p)/n) l^(n-p).
 """
 
@@ -56,18 +56,6 @@ class GridField:
         grids = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    def cell_index(self, x) -> tuple[int, ...] | None:
-        x = np.asarray(x, dtype=float)
-        idx = np.floor((x - self.bbox[0]) / self.h).astype(int)
-        if np.any(idx < 0) or np.any(idx >= np.array(self.grid_shape)):
-            return None
-        return tuple(idx)
-
-    def value_at(self, x):
-        idx = self.cell_index(x)
-        if idx is None:
-            raise ValueError(f"point {x} outside the field bbox")
-        return self.values[idx]
 
 
 def _grid_axes(bbox: np.ndarray, h: float) -> list[np.ndarray]:
@@ -193,16 +181,15 @@ def seminorm_p(g: GridField, p: float, submask: np.ndarray | None = None) -> flo
 
 
 # ---------------------------------------------------------------------------
-# unions of boxes and balls, and their axis projections
+# unions of boxes, and their axis projections
 
 
 @dataclass
 class BoxUnion:
-    """Finite union of axis-aligned boxes and round balls in R^n."""
+    """Finite union of closed axis-aligned boxes in R^n."""
 
     n: int
     boxes: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    balls: list[tuple[np.ndarray, float]] = field(default_factory=list)
 
     def add_box(self, lo, hi):
         lo = np.asarray(lo, dtype=float)
@@ -211,14 +198,8 @@ class BoxUnion:
             raise ValueError("box corners must be ordered n-vectors")
         self.boxes.append((lo, hi))
 
-    def add_ball(self, center, radius: float):
-        center = np.asarray(center, dtype=float)
-        if center.shape != (self.n,) or radius < 0:
-            raise ValueError("ball needs an n-vector center and radius >= 0")
-        self.balls.append((center, float(radius)))
-
     def is_empty(self) -> bool:
-        return not self.boxes and not self.balls
+        return not self.boxes
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         """Boolean membership of points in the closed union."""
@@ -226,8 +207,6 @@ class BoxUnion:
         out = np.zeros(X.shape[0], dtype=bool)
         for lo, hi in self.boxes:
             out |= np.all((X >= lo) & (X <= hi), axis=1)
-        for c, r in self.balls:
-            out |= np.sum((X - c) ** 2, axis=1) <= r * r
         return out
 
 
@@ -253,8 +232,6 @@ def _projected_intervals(F: BoxUnion, drop: int) -> list[tuple[float, float]]:
     keep = 1 - drop
     for lo, hi in F.boxes:
         out.append((lo[keep], hi[keep]))
-    for c, r in F.balls:
-        out.append((c[keep] - r, c[keep] + r))
     return out
 
 
@@ -262,7 +239,7 @@ def projection_measure(F: BoxUnion, axis: int, h: float = 2.0 ** -12) -> float:
     """(n-1)-measure of the union projected along the given axis (1-based).
 
     Exact interval-union sweep in the plane; for n >= 3 the projected
-    boxes/disks are rasterised on a grid of spacing h over their bounding
+    boxes are rasterised on a grid of spacing h over their bounding
     box (over-approximation error is at most perimeter * h per member).
     """
     if not 1 <= axis <= F.n:
@@ -273,18 +250,14 @@ def projection_measure(F: BoxUnion, axis: int, h: float = 2.0 ** -12) -> float:
     if F.n == 2:
         return interval_union_measure(_projected_intervals(F, drop))
     keep = [i for i in range(F.n) if i != drop]
-    lo = np.min([b[0][keep] for b in F.boxes] +
-                [c[keep] - r for c, r in F.balls], axis=0)
-    hi = np.max([b[1][keep] for b in F.boxes] +
-                [c[keep] + r for c, r in F.balls], axis=0)
+    lo = np.min([b[0][keep] for b in F.boxes], axis=0)
+    hi = np.max([b[1][keep] for b in F.boxes], axis=0)
     axes = [np.arange(lo[i], hi[i] + h, h) + h / 2 for i in range(F.n - 1)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     hit = np.zeros(pts.shape[0], dtype=bool)
     for blo, bhi in F.boxes:
         hit |= np.all((pts >= blo[keep]) & (pts <= bhi[keep]), axis=1)
-    for c, r in F.balls:
-        hit |= np.sum((pts - c[keep]) ** 2, axis=1) <= r * r
     return float(np.count_nonzero(hit)) * h ** (F.n - 1)
 
 

@@ -230,12 +230,6 @@ class WhitneyDecomposition:
     def cube(self, cid: int) -> DyadicCube:
         return self.cubes[cid - 1]
 
-    def id_of(self, cube: DyadicCube) -> int:
-        row = int(self.index.find(cube.gen, np.array([cube.idx]))[0])
-        if row < 0:
-            raise KeyError((cube.gen, cube.idx))
-        return row + 1
-
     def adjacency(self) -> dict[int, list[tuple[int, bool]]]:
         """id -> sorted [(neighbor id, face_adjacent)]; 1-based ids."""
         if self._adj is None:
@@ -658,16 +652,3 @@ def claim_count(w: WhitneyDecomposition, wt: WhitneyDecomposition,
         counts[k] = max(counts[k], c)
     return ClaimCountResult(counts=counts, per_cube=per_cube,
                             sources=sources, unreachable=unreachable)
-
-
-def v_growth_fit(dec: WhitneyDecomposition, gen_lo: int = 4,
-                 gen_hi: int | None = None) -> float:
-    """Fitted exponent b in |V at generation g| ~ A 2^{b g}."""
-    gen_hi = dec.max_gen if gen_hi is None else gen_hi
-    gens, sizes = np.unique(dec.gen[_central_mask(dec)], return_counts=True)
-    counts = dict(zip(gens.tolist(), sizes.tolist()))
-    gs = [g for g in range(gen_lo, gen_hi + 1) if counts.get(g, 0) > 0]
-    if len(gs) < 2:
-        raise ValueError("not enough populated generations to fit")
-    ys = [math.log2(counts[g]) for g in gs]
-    return float(np.polyfit(gs, ys, 1)[0])

@@ -168,10 +168,11 @@ def test_run_config_rejects_bad_lambda(tmp_path, capsys):
         "params:\n"
         "  lambdas: [0.6]\n"
     )
-    rc = run_cli(["run", "--config", str(cfg)])
-    assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--config", str(cfg)])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "lambda must be in (0, 1/2)" in err
+    assert "argument --lambdas" in err and "(0, 1/2)" in err
 
 
 def test_run_config_set_override(tmp_path):
@@ -188,6 +189,77 @@ def test_run_config_set_override(tmp_path):
                   "--set", "lambdas=[0.125, 0.0625]"])
     assert rc == 0
     assert out.read_text().count("\n") == 3  # header + 2 rows after override
+
+
+@pytest.mark.parametrize("cfg, flag", [
+    ({"kind": "claim-count", "out": "x", "params": {"k_max": -1}},
+     "argument --k-max"),
+    ({"kind": "whitney-audit", "out": "x", "params": {"max_gen": 3}},
+     "argument --max-gen"),
+    ({"kind": "bound-sweep", "out": "x", "params": {"lambdas": [0.6]}},
+     "argument --lambdas"),
+    ({"kind": "bound-sweep", "out": "x",
+      "params": {"lambdas": [0.125], "p": 1}}, "argument --p"),
+    ({"kind": "claim-count", "out": "x", "params": {"maxgen": 4}},
+     "unrecognized arguments: --maxgen"),
+    ({"out": "x", "params": {"lambda": 0.25}}, "'kind'"),
+    ({"kind": "density", "params": {"lambda": 0.25}}, "'out'"),
+])
+def test_bad_configs_exit_before_any_work(cfg, flag, tmp_path, capsys,
+                                          monkeypatch):
+    import yaml
+
+    import cantorslit.cli as cli
+
+    def no_work(*a, **kw):
+        raise AssertionError("work started on a bad config")
+    monkeypatch.setattr(cli, "whitney_decompose", no_work)
+    monkeypatch.setattr(cli, "bound_report", no_work)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and flag in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_run_config_uses_command_line_defaults(tmp_path):
+    out = tmp_path / "sweep.csv"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"kind: bound-sweep\nout: {out}\n"
+                   "params:\n  lambdas: [0.125]\n")
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert manifest["params"]["p"] == 1.5
+
+
+def test_run_config_density_point_list(tmp_path):
+    out = tmp_path / "dens.json"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"kind: density\nout: {out}\n"
+                   "params:\n  lambda: 0.25\n  point: [0, 0]\n"
+                   "  radii: [0.25]\n  samples: 2000\n")
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    assert json.loads(out.read_text())["upper"]["c_fit"] > 0.0
+
+
+def test_run_config_matches_command_line(tmp_path):
+    cli_out, cfg_out = tmp_path / "cli.csv", tmp_path / "cfg.csv"
+    assert run_cli(["whitney", "claim-count", "--lambda", "1/4",
+                    "--max-gen", "6", "--out", str(cli_out)]) == 0
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"kind: claim-count\nout: {cfg_out}\n"
+                   "params:\n  lambda: 0.25\n  max_gen: 6\n")
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    assert cfg_out.read_bytes() == cli_out.read_bytes()
+    params = [json.loads((tmp_path / f"{name}.manifest.json").read_text())
+              ["params"] for name in ("cli.csv", "cfg.csv")]
+    for p in params:
+        p.pop("out")
+    assert params[0] == params[1]
 
 
 def test_console_script_installed():
