@@ -6,7 +6,8 @@ domains.  A variable-ratio variant removes a different middle proportion at
 each construction step, which allows sets of full dimension but zero length.
 
 All distances are resolved by recursive descent down the construction tree
-and certified to an absolute tolerance ``tol``.
+and certified to the absolute tolerance DEFAULT_TOL = 2^-40; only the
+per-axis descents of a product distance take a finer one.
 """
 
 from __future__ import annotations
@@ -143,9 +144,9 @@ def _descend(x, spec: CantorSpec, tol: float, full: bool = False):
     return dist.reshape(x.shape)
 
 
-def k_distance(x: float, spec: CantorSpec, tol: float = DEFAULT_TOL) -> float:
-    """Distance from a real x to the 1-D Cantor set, within tol."""
-    return float(_descend(x, spec, tol))
+def k_distance(x: float, spec: CantorSpec) -> float:
+    """Distance from a real x to the 1-D Cantor set, within 2^-40."""
+    return float(_descend(x, spec, DEFAULT_TOL))
 
 
 def k_distance_many(x, spec: CantorSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -153,12 +154,12 @@ def k_distance_many(x, spec: CantorSpec, tol: float = DEFAULT_TOL) -> np.ndarray
     return _descend(x, spec, tol)
 
 
-def k_nearest_many(x, spec: CantorSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Points of the 1-D Cantor set within tol of the nearest ones to x."""
-    return _descend(x, spec, tol, full=True)[1]
+def k_nearest_many(x, spec: CantorSpec) -> np.ndarray:
+    """Points of the 1-D Cantor set within 2^-40 of the nearest ones to x."""
+    return _descend(x, spec, DEFAULT_TOL, full=True)[1]
 
 
-def k_gap_mid_many(x, spec: CantorSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
+def k_gap_mid_many(x, spec: CantorSpec) -> np.ndarray:
     """Midpoint of the construction gap around each x (vectorised).
 
     Returns -inf / +inf for points left of 0 / right of 1 (half-infinite
@@ -166,40 +167,41 @@ def k_gap_mid_many(x, spec: CantorSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
     cutoff (no surrounding gap resolved).  The midpoint is where the local
     distance function to the set peaks, which certified boundary witnesses
     need in order not to overshoot the active cone of the nearest point.
+    Descends to 2^-40.
     """
-    return _descend(x, spec, tol, full=True)[2]
+    return _descend(x, spec, DEFAULT_TOL, full=True)[2]
 
 
-def _product_distance(coords, spec: CantorSpec, tol: float) -> np.ndarray:
-    """Distance to the product set from per-axis coordinate arrays.
+def _product_distance(coords, spec: CantorSpec) -> np.ndarray:
+    """Distance, within 2^-40, to the product set from per-axis coordinates.
 
     Nearest-point coordinates decouple on a product set, so the distance is
-    the l2 norm of the per-axis distances, each resolved to tol/sqrt(axes).
+    the l2 norm of the per-axis distances, each resolved to 2^-40/sqrt(axes).
     The arrays broadcast against each other: equal shapes give points, axes
     shaped along their own dimension give a tensor grid.
     """
-    per_tol = tol / math.sqrt(len(coords))
+    per_tol = DEFAULT_TOL / math.sqrt(len(coords))
     return np.sqrt(sum(k_distance_many(c, spec, per_tol) ** 2 for c in coords))
 
 
-def c_distance(x, spec: CantorSpec, tol: float = DEFAULT_TOL) -> float:
-    """Euclidean distance to the product set prod K in R^(ambient_codim)."""
+def c_distance(x, spec: CantorSpec) -> float:
+    """Euclidean distance to the product set prod K in R^(ambient_codim),
+    within 2^-40."""
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.ambient_codim,):
         raise ValueError(
             f"point has dimension {x.shape}, expected ({spec.ambient_codim},)"
         )
-    return float(_product_distance(list(x), spec, tol))
+    return float(_product_distance(list(x), spec))
 
 
-def c_distance_grid(axes: list[np.ndarray], spec: CantorSpec,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
+def c_distance_grid(axes: list[np.ndarray], spec: CantorSpec) -> np.ndarray:
     """c_distance on a tensor grid given the per-axis coordinates."""
     if len(axes) != spec.ambient_codim:
         raise ValueError("axis count must equal ambient_codim")
     k = len(axes)
     return _product_distance([np.reshape(a, [-1 if j == i else 1 for j in range(k)])
-                              for i, a in enumerate(axes)], spec, tol)
+                              for i, a in enumerate(axes)], spec)
 
 
 def cantor_dim(spec: CantorSpec, n: int) -> float:

@@ -26,11 +26,15 @@ from .dimension import (build_net_hierarchy, dim_upper_estimate,
                         measure_density_check)
 from .extension import assemble, bound_report, extend, jump_test_function
 from .fields import GridField, gradient, grid_sample, seminorm_p
-from .regions import component_label, region_spec
+from .regions import (REGION_KINDS, component_label, region_membership,
+                      region_spec)
 from .whitney import (claim_count, reflect_assign, verify_whitney,
                       whitney_decompose)
 
 WORKERS_ENV = "CANTORSLIT_WORKERS"
+
+# the region kinds with a certified distance oracle (whitney.oracle_for)
+ORACLE_KINDS = ("N_lambda", "Omega_lambda")
 
 
 def parse_number(text: str) -> float:
@@ -46,8 +50,8 @@ def parse_number_list(text: str) -> list[float]:
     return [parse_number(t) for t in text.split(",") if t.strip()]
 
 
-def parse_point(text: str) -> np.ndarray:
-    return np.array([parse_number(t) for t in text.split(",")])
+def parse_point(text: str) -> list[float]:
+    return [parse_number(t) for t in text.split(",")]
 
 
 def _checked(parse, ok, what: str):
@@ -70,7 +74,13 @@ LAMBDAS = _checked(parse_number_list, lambda vs: all(0.0 < v < 0.5 for v in vs),
 DIM = _checked(int, lambda v: v >= 2, "an integer >= 2")
 MAX_GEN = _checked(int, lambda v: v >= 4, "an integer >= 4")
 K_MAX = _checked(int, lambda v: v >= 1, "an integer >= 1")
+LEVELS = _checked(int, lambda v: v >= 3, "an integer >= 3")
+SAMPLES = _checked(int, lambda v: v >= 1, "an integer >= 1")
 P = _checked(parse_number, lambda v: v > 1, "a number > 1")
+P_NORM = _checked(parse_number, lambda v: v >= 1, "a number >= 1")
+RADIUS = _checked(parse_number, lambda v: v > 0, "a number > 0")
+RADII = _checked(parse_number_list, lambda vs: vs and all(v > 0 for v in vs),
+                 "a list of numbers > 0")
 
 
 def _fmt(v) -> str:
@@ -129,16 +139,15 @@ def cmd_cantor_dist(args) -> int:
 
 
 def cmd_region_probe(args) -> int:
-    from .regions import region_membership
     spec = _region(args)
-    member = region_membership(spec, parse_point(args.point))
+    member = region_membership(spec, args.point)
     print("member" if member else "not-member")
     return 0
 
 
 def cmd_region_components(args) -> int:
     spec = _region(args)
-    cmap = component_label(spec, parse_point(args.center), args.radius,
+    cmap = component_label(spec, args.center, args.radius,
                            args.radius / 256.0)
     print(cmap.count)
     return 0
@@ -308,7 +317,7 @@ def cmd_density(args) -> int:
     spec = region_spec("Omega_lambda", lam=args.lam, n=args.n)
     out = {}
     for side in ("upper", "lower"):
-        res = measure_density_check(spec, parse_point(args.point),
+        res = measure_density_check(spec, args.point,
                                     args.radii, samples=args.samples,
                                     seed=args.seed, side=side)
         out[side] = {"c_fit": res.c_fit,
@@ -387,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cantorslit")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, region=False, lam=True, n=True):
+    def common(p, region=(), lam=True, n=True):
         if region:
-            p.add_argument("--region", default="N_lambda")
+            p.add_argument("--region", choices=region, default="N_lambda")
         if lam:
             p.add_argument("--lambda", dest="lam", type=LAMBDA, default=0.25)
         if n:
@@ -405,24 +414,24 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("region")
     rs = r.add_subparsers(dest="sub", required=True)
     rp = rs.add_parser("probe")
-    common(rp, region=True)
-    rp.add_argument("--point", required=True)
+    common(rp, region=REGION_KINDS)
+    rp.add_argument("--point", type=parse_point, required=True)
     rp.set_defaults(func_handler=cmd_region_probe)
     rc = rs.add_parser("components")
-    common(rc, region=True)
-    rc.add_argument("--center", required=True)
-    rc.add_argument("--radius", type=parse_number, default=0.25)
+    common(rc, region=REGION_KINDS)
+    rc.add_argument("--center", type=parse_point, required=True)
+    rc.add_argument("--radius", type=RADIUS, default=0.25)
     rc.set_defaults(func_handler=cmd_region_components)
 
     w = sub.add_parser("whitney")
     ws = w.add_subparsers(dest="sub", required=True)
     wb = ws.add_parser("build")
-    common(wb, region=True)
+    common(wb, region=ORACLE_KINDS)
     wb.add_argument("--max-gen", type=MAX_GEN, default=8)
     wb.add_argument("--out", required=True)
     wb.set_defaults(func_handler=cmd_whitney_build)
     wv = ws.add_parser("verify")
-    common(wv, region=True)
+    common(wv, region=ORACLE_KINDS)
     wv.add_argument("--max-gen", type=MAX_GEN, default=8)
     wv.add_argument("--out")
     wv.set_defaults(func_handler=cmd_whitney_verify)
@@ -435,10 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("field")
     f.add_argument("action", choices=("sample", "grad", "norm"))
-    common(f, region=True)
+    common(f, region=REGION_KINDS)
     f.add_argument("--func", default="const:1")
     f.add_argument("--h", type=parse_number, default=2.0 ** -8)
-    f.add_argument("--p", type=float, default=2.0)
+    f.add_argument("--p", type=P_NORM, default=2.0)
     f.add_argument("--out")
     f.set_defaults(func_handler=cmd_field)
 
@@ -464,16 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     de = dsub.add_parser("estimate")
     de.add_argument("--set", default="cantor-slit")
     de.add_argument("--lambda", dest="lam", type=LAMBDA, required=True)
-    de.add_argument("--levels", type=int, default=5)
+    de.add_argument("--levels", type=LEVELS, default=5)
     de.add_argument("--out", required=True)
     de.set_defaults(func_handler=cmd_dim_estimate)
 
     dn = sub.add_parser("density")
     common(dn)
-    dn.add_argument("--point", default="0,0")
-    dn.add_argument("--radii", type=parse_number_list,
-                    default=[0.25, 0.125, 0.0625])
-    dn.add_argument("--samples", type=int, default=10 ** 6)
+    dn.add_argument("--point", type=parse_point, default="0,0")
+    dn.add_argument("--radii", type=RADII, default=[0.25, 0.125, 0.0625])
+    dn.add_argument("--samples", type=SAMPLES, default=10 ** 6)
     dn.add_argument("--seed", type=int, default=0)
     dn.add_argument("--out")
     dn.set_defaults(func_handler=cmd_density)
@@ -487,7 +495,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for key in ("point", "center"):
+        pt = getattr(args, key, None)
+        if pt is not None and len(pt) != args.n:
+            parser.error(f"argument --{key}: {len(pt)} coordinates, but "
+                         f"--n is {args.n}")
+    if getattr(args, "region", None) == "Omega2" and args.n != 2:
+        parser.error("argument --region: Omega2 is planar, --n must be 2")
     return args.func_handler(args)
 
 

@@ -20,15 +20,12 @@ from .cantor import CantorSpec, cell_endpoints
 from .regions import RegionSpec, component_label
 
 
-def separated_net(candidates: np.ndarray, r: float,
-                  certify_probes: int = 0, seed: int = 0) -> np.ndarray:
+def separated_net(candidates: np.ndarray, r: float) -> np.ndarray:
     """Greedy maximal r-separated subset of an ordered candidate set.
 
     Candidates are visited in the given order and accepted when at least r
     from every accepted point, so the result is deterministic and maximal
-    over the candidates.  certify_probes > 0 additionally checks, by seeded
-    rejection sampling over the candidates, that no candidate is farther
-    than r from the net.
+    over the candidates: every rejected candidate lies within r of the net.
     """
     if r <= 0:
         raise ValueError("separation radius must be positive")
@@ -37,15 +34,7 @@ def separated_net(candidates: np.ndarray, r: float,
     for c in candidates:
         if all(np.linalg.norm(c - a) >= r for a in accepted):
             accepted.append(c)
-    net = np.array(accepted) if accepted else np.zeros((0, candidates.shape[1]))
-    if certify_probes > 0 and len(candidates):
-        rng = np.random.default_rng(seed)
-        probes = candidates[rng.integers(0, len(candidates), certify_probes)]
-        d = np.min(np.linalg.norm(probes[:, None, :] - net[None, :, :], axis=2),
-                   axis=1)
-        if np.any(d > r):
-            raise AssertionError("net is not maximal over the candidates")
-    return net
+    return np.array(accepted) if accepted else np.zeros((0, candidates.shape[1]))
 
 
 def cantor_candidates(spec: CantorSpec, r: float, n: int = 1) -> np.ndarray:
@@ -73,11 +62,13 @@ def cantor_candidates(spec: CantorSpec, r: float, n: int = 1) -> np.ndarray:
 
 @dataclass
 class NetHierarchy:
-    """Nets of the target set at scales lambda^i, with cross-scale counts."""
+    """Nets of the target set at scales lambda^i, with cross-scale counts.
+
+    The level-i net is 2 lambda^i-separated.
+    """
 
     cantor: CantorSpec
     n: int
-    separation: str                      # "lam" or "2lam"
     levels: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -85,8 +76,7 @@ class NetHierarchy:
         return self.cantor.lam
 
     def radius(self, i: int) -> float:
-        base = 2.0 if self.separation == "2lam" else 1.0
-        return base * self.lam ** i
+        return 2.0 * self.lam ** i
 
     def net_counts(self, i: int, k: int, j: int) -> int:
         """Number of level-(i+j) net balls meeting B(x_k^i, lambda^i)."""
@@ -99,17 +89,14 @@ class NetHierarchy:
         return int(np.count_nonzero(d <= lim))
 
 
-def build_net_hierarchy(cantor: CantorSpec, levels: int, n: int = 2,
-                        separation: str = "2lam",
-                        certify_probes: int = 0) -> NetHierarchy:
-    """Nets of C x {0} at scales lambda^1 .. lambda^levels."""
-    if separation not in ("lam", "2lam"):
-        raise ValueError("separation must be 'lam' or '2lam'")
-    h = NetHierarchy(cantor=cantor, n=n, separation=separation)
+def build_net_hierarchy(cantor: CantorSpec, levels: int,
+                        n: int = 2) -> NetHierarchy:
+    """2 lambda^i-separated nets of C x {0} at levels i = 1 .. levels."""
+    h = NetHierarchy(cantor=cantor, n=n)
     for i in range(1, levels + 1):
         r = h.radius(i)
         cand = cantor_candidates(cantor, r, n=n)
-        h.levels[i] = separated_net(cand, r, certify_probes=certify_probes)
+        h.levels[i] = separated_net(cand, r)
     return h
 
 
@@ -121,9 +108,9 @@ class DimEstimate:
     levels: int
 
 
-def dim_upper_estimate(h: NetHierarchy,
-                       s_grid: np.ndarray | None = None) -> DimEstimate:
-    """Smallest grid exponent s certified by the cross-scale counts.
+def dim_upper_estimate(h: NetHierarchy) -> DimEstimate:
+    """Smallest exponent s on the grid 0.01, 0.02, .., 1.50 certified by the
+    cross-scale counts.
 
     s is accepted when every built net point x_k^i (with at least one
     deeper level available) admits some offset j >= 1 with
@@ -143,8 +130,7 @@ def dim_upper_estimate(h: NetHierarchy,
         for k in range(len(h.levels[i])):
             counts[(i, k)] = [(l - i, h.net_counts(i, k, l - i))
                               for l in deeper]
-    if s_grid is None:
-        s_grid = np.arange(0.01, 1.51, 0.01)
+    s_grid = np.arange(0.01, 1.51, 0.01)
     for s in s_grid:
         cert: dict[tuple[int, int], tuple[int, int]] = {}
         ok = True
@@ -179,12 +165,11 @@ class DensityResult:
 
 def measure_density_check(region: RegionSpec, x, radii: list[float],
                           samples: int = 10 ** 6, seed: int = 0,
-                          side: str = "upper",
-                          map_factor: int = 256) -> DensityResult:
+                          side: str = "upper") -> DensityResult:
     """Monte Carlo density of the component of region attached to x.
 
     For each radius the component is resolved by flood fill on a grid of
-    spacing r/map_factor, attached through a witness just off the pinch
+    spacing r/256, attached through a witness just off the pinch
     plane on the requested side, and its volume inside B(x, r) is estimated
     from `samples` seeded uniform draws in the bounding box of the ball.
     c_fit is the minimum over radii of volume / r^n, with 95% confidence
@@ -192,13 +177,15 @@ def measure_density_check(region: RegionSpec, x, radii: list[float],
     """
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     x = np.asarray(x, dtype=float)
     n = region.n
     rng = np.random.default_rng(seed)
     cs, hw = [], []
     sgn = 1.0 if side == "upper" else -1.0
     for r in radii:
-        hmap = r / map_factor
+        hmap = r / 256
         cmap = component_label(region, x, r, hmap)
         witness = x.copy()
         witness[0] += hmap

@@ -60,15 +60,10 @@ def _support_slices(cube: DyadicCube, bbox: np.ndarray, h: float,
 
 
 def partition_of_unity(dec: WhitneyDecomposition, h: float,
-                       bbox: np.ndarray | None = None) -> PartitionOfUnity:
-    """Tabulate the normalising bump system of the resolved cubes."""
+                       bbox: np.ndarray) -> PartitionOfUnity:
+    """Tabulate the normalising bump system of the resolved cubes on bbox."""
     if len(dec) and h > 2.0 ** -int(dec.gen.max()) / 8.0 + 1e-15:
         raise ValueError("h must be at most the smallest cube side over 8")
-    if bbox is None:
-        n = dec.n
-        bbox = np.zeros((2, n))
-        bbox[1, :] = 1.0
-        bbox[0, n - 1], bbox[1, n - 1] = -1.0, 1.0
     bbox = np.asarray(bbox, dtype=float)
     shape = tuple(int(round((bbox[1, i] - bbox[0, i]) / h))
                   for i in range(bbox.shape[1]))
@@ -103,11 +98,10 @@ class ExtensionAssembly:
     reflect: ReflectAssignment
 
 
-def assemble(lam: float, n: int = 2, max_gen: int = 6,
-             cantor: CantorSpec | None = None) -> ExtensionAssembly:
+def assemble(lam: float, n: int = 2, max_gen: int = 6) -> ExtensionAssembly:
     """Build the Whitney data backing the extension operator."""
-    rn = region_spec("N_lambda", lam=lam, n=n, cantor=cantor)
-    ro = region_spec("Omega_lambda", lam=lam, n=n, cantor=cantor)
+    rn = region_spec("N_lambda", lam=lam, n=n)
+    ro = region_spec("Omega_lambda", lam=lam, n=n)
     w = whitney_decompose(rn, max_gen)
     wt = whitney_decompose(ro, max_gen)
     reflect = reflect_assign(w, wt)
@@ -178,24 +172,21 @@ def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
 # test functions
 
 
-def jump_test_function(x0, r: float, region: RegionSpec, witness,
-                       map_h: float | None = None):
+def jump_test_function(x0, r: float, region: RegionSpec, witness):
     """Radial cutoff times the indicator of one local component.
 
     Returns a vectorised callable u with u = 1 on the witness component
     within dist <= 2r of x0, a linear ramp on 2r <= dist <= 3r, and 0
     elsewhere (in particular on the other side of the slit).  The component
-    is identified by flood fill on a grid window of radius 3.2 r and must
-    be pinch-side sign-definite there, so the indicator can be evaluated
-    exactly as membership on the witness's side of the pinch plane.
+    is identified by flood fill of spacing r/64 on a grid window of radius
+    3.2 r and must be pinch-side sign-definite there, so the indicator can be
+    evaluated exactly as membership on the witness's side of the pinch plane.
     """
     x0 = np.asarray(x0, dtype=float)
     witness = np.asarray(witness, dtype=float)
     if r <= 0:
         raise ValueError("r must be positive")
-    if map_h is None:
-        map_h = r / 64.0
-    cmap = component_label(region, x0, 3.2 * r, map_h)
+    cmap = component_label(region, x0, 3.2 * r, r / 64.0)
     label = cmap.label_at(witness)
     if label < 0:
         raise ValueError("witness point matches no component in the window")
@@ -232,8 +223,7 @@ def jump_test_function(x0, r: float, region: RegionSpec, witness,
 
 
 def ratio_p(u_fn, lam: float, n: int, p: float, h: float,
-            max_gen: int | None = None,
-            asm: ExtensionAssembly | None = None) -> float:
+            max_gen: int | None = None) -> float:
     """Empirical extension-energy ratio for one test function.
 
     seminorm_p of the masked gradient of Eu over the covered tent cells,
@@ -242,8 +232,7 @@ def ratio_p(u_fn, lam: float, n: int, p: float, h: float,
     """
     if max_gen is None:
         max_gen = int(round(math.log2(1.0 / h))) - 3
-    if asm is None:
-        asm = assemble(lam, n=n, max_gen=max_gen)
+    asm = assemble(lam, n=n, max_gen=max_gen)
     u = grid_sample(u_fn, asm.region_omega, h)
     gu = gradient(u)
     denom = seminorm_p(gu, p)
@@ -257,13 +246,11 @@ def ratio_p(u_fn, lam: float, n: int, p: float, h: float,
     return numer / denom
 
 
-def norm_factor(lam: float, n: int, p: float,
-                cantor: CantorSpec | None = None) -> float:
+def norm_factor(lam: float, n: int, p: float) -> float:
     """Closed form 1/(1 - 2^((-n + p + dim)/p)); inf signals divergence."""
     if p <= 1:
         raise ValueError("norm_factor requires p > 1")
-    spec = cantor if cantor is not None else CantorSpec(lam=lam, ambient_codim=n - 1)
-    dim = cantor_dim(spec, n)
+    dim = cantor_dim(CantorSpec(lam=lam, ambient_codim=n - 1), n)
     if dim >= n - p:
         return math.inf
     return 1.0 / (1.0 - 2.0 ** ((-n + p + dim) / p))
@@ -276,11 +263,11 @@ def d_factor(r: float, p: float) -> float:
     return (1.0 - 2.0 ** (-r * p / (p - 1.0))) ** (1.0 - p)
 
 
-def thm_upper_curve(x: float, n: int, p: float, C: float = 1.0) -> float:
-    """Dimension upper bound n - p - C/(x^n log x) at operator norm x."""
+def thm_upper_curve(x: float, n: int, p: float) -> float:
+    """Dimension upper bound n - p - 1/(x^n log x) at operator norm x."""
     if x <= 1.0:
         return math.nan
-    return n - p - C / (x ** n * math.log(x))
+    return n - p - 1.0 / (x ** n * math.log(x))
 
 
 @dataclass
@@ -294,7 +281,7 @@ class BoundReport:
 
 
 def bound_report(n: int, p: float, lams: list[float],
-                 h: float | None = None, C: float = 1.0) -> BoundReport:
+                 h: float | None = None) -> BoundReport:
     """Closed-form norm factors and effective constants per lambda.
 
     When h is given, an empirical ratio for the jump test function at the
@@ -309,7 +296,7 @@ def bound_report(n: int, p: float, lams: list[float],
         emp = math.nan
         if h is not None:
             emp = jump_ratio(lam, n, p, h)
-        upper = thm_upper_curve(nf, n, p, C) if math.isfinite(nf) else math.nan
+        upper = thm_upper_curve(nf, n, p) if math.isfinite(nf) else math.nan
         rep.rows.append({"lambda": lam, "dim": dim, "norm_factor": nf,
                          "empirical_ratio": emp, "C_eff": c_eff,
                          "thm11_upper": upper})
@@ -317,14 +304,15 @@ def bound_report(n: int, p: float, lams: list[float],
 
 
 def jump_ratio(lam: float, n: int, p: float, h: float,
-               r: float = 1.0 / 8.0, max_gen: int | None = None) -> float:
+               max_gen: int | None = None) -> float:
     """ratio_p for the jump function at the origin pinch point.
 
-    The same base point and radius are used for every lambda.  At
+    The same base point and radius r = 1/8 are used for every lambda.  At
     max_gen <= 7 the ratios are set by which apex cones inside the jump's
     support are resolved, not by the Cantor dimension: most tent cubes
     reflect to complement cubes outside the support, where u averages 0.
     """
+    r = 1.0 / 8.0
     ro = region_spec("Omega_lambda", lam=lam, n=n)
     x0 = np.zeros(n)
     witness = x0.copy()
@@ -355,11 +343,11 @@ def _pointwise_weights(dec: WhitneyDecomposition, x: np.ndarray):
     return out
 
 
-def point_extend(x, asm: ExtensionAssembly, u_fn, quad: int = 4) -> float:
+def point_extend(x, asm: ExtensionAssembly, u_fn) -> float:
     """Eu at a single tent point, with analytic averages of u.
 
-    Cube averages use a fixed quad x quad midpoint rule on the reflected
-    cube (exact for affine u, O(side^2) otherwise).
+    Cube averages use a fixed 4 x 4 midpoint rule on the reflected cube
+    (exact for affine u, O(side^2) otherwise).
     """
     x = np.asarray(x, dtype=float)
     pairs = _pointwise_weights(asm.w, x)
@@ -373,7 +361,7 @@ def point_extend(x, asm: ExtensionAssembly, u_fn, quad: int = 4) -> float:
         if rid == Q0_ID:
             raise ValueError("reservoir averages need a grid; use extend()")
         q = asm.wt.cube(rid)
-        t = (np.arange(quad) + 0.5) / quad
+        t = (np.arange(4) + 0.5) / 4
         axes = [q.lo[i] + q.side * t for i in range(q.n)]
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -393,22 +381,21 @@ def gap_midpoints(spec: CantorSpec, depth: int) -> np.ndarray:
     return np.column_stack([(b0 + a1) / 2.0, (a1 - b0) / 2.0])
 
 
-def trace_mismatch(lam: float, hs: list[float], u_fn=None,
-                   depth: int = 3, n: int = 2) -> dict:
-    """Pointwise trace study at the tent surface over gap midpoints.
+def trace_mismatch(lam: float, hs: list[float]) -> dict:
+    """Planar pointwise trace study at the tent surface over gap midpoints.
 
-    For each grid scale h, Eu is evaluated 2h inside the tent above every
-    depth <= `depth` gap midpoint and compared with u at the surface point;
-    local window decompositions supply cubes at the matching scale.
-    Returns the per-h mean mismatches and the fitted decay order in h.
+    For each grid scale h, Eu of u(x) = x_1 + sin(3 x_2)/2 is evaluated 2h
+    inside the tent above every depth <= 3 gap midpoint and compared with u
+    at the surface point; local window decompositions supply cubes at the
+    matching scale.  Returns the per-h mean mismatches and the fitted decay
+    order in h.
     """
-    if n != 2:
-        raise ValueError("the trace study is planar")
-    if u_fn is None:
-        def u_fn(X):
-            return X[:, 0] + 0.5 * np.sin(3.0 * X[:, 1])
+    def u_fn(X):
+        return X[:, 0] + 0.5 * np.sin(3.0 * X[:, 1])
+
+    n = 2
     cspec = CantorSpec(lam=lam, ambient_codim=n - 1)
-    mids = gap_midpoints(cspec, depth)
+    mids = gap_midpoints(cspec, 3)
     rn = region_spec("N_lambda", lam=lam, n=n)
     ro = region_spec("Omega_lambda", lam=lam, n=n)
     errs = []

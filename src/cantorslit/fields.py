@@ -235,11 +235,11 @@ def _projected_intervals(F: BoxUnion, drop: int) -> list[tuple[float, float]]:
     return out
 
 
-def projection_measure(F: BoxUnion, axis: int, h: float = 2.0 ** -12) -> float:
+def projection_measure(F: BoxUnion, axis: int) -> float:
     """(n-1)-measure of the union projected along the given axis (1-based).
 
     Exact interval-union sweep in the plane; for n >= 3 the projected
-    boxes are rasterised on a grid of spacing h over their bounding
+    boxes are rasterised on a grid of spacing h = 2^-12 over their bounding
     box (over-approximation error is at most perimeter * h per member).
     """
     if not 1 <= axis <= F.n:
@@ -249,6 +249,7 @@ def projection_measure(F: BoxUnion, axis: int, h: float = 2.0 ** -12) -> float:
     drop = axis - 1
     if F.n == 2:
         return interval_union_measure(_projected_intervals(F, drop))
+    h = 2.0 ** -12
     keep = [i for i in range(F.n) if i != drop]
     lo = np.min([b[0][keep] for b in F.boxes], axis=0)
     hi = np.max([b[1][keep] for b in F.boxes], axis=0)
@@ -291,14 +292,15 @@ class EnergyHypothesisError(ValueError):
 
 
 def poincare_energy_check(Q, F: BoxUnion, f: GridField, delta: float,
-                          p: float, zero_tol: float = 1e-9) -> dict:
+                          p: float) -> dict:
     """Masked gradient energy on Q \\ F against delta^((n-p)/n) l(Q)^(n-p).
 
     Q is (lo, hi) corner arrays or any object exposing lo/hi.  Hypotheses
     checked numerically before the energy is formed: every axis projection
     of F is small relative to the projected cube face (clause
-    "projection"), and both level sets {f = 0} and {f = 1} occupy at least
-    delta l^n / 2^n of the concentric half cube (clause "level-set").
+    "projection"), and both level sets {f = 0} and {f = 1}, to within 1e-9,
+    occupy at least delta l^n / 2^n of the concentric half cube (clause
+    "level-set").
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
@@ -326,8 +328,8 @@ def poincare_energy_check(Q, F: BoxUnion, f: GridField, delta: float,
     in_half = np.all((centers >= half_lo) & (centers <= half_hi), axis=-1)
     in_half &= f.mask
     cellvol = f.h ** n
-    m_zero = float(np.count_nonzero(in_half & (np.abs(f.values) <= zero_tol))) * cellvol
-    m_one = float(np.count_nonzero(in_half & (np.abs(f.values - 1.0) <= zero_tol))) * cellvol
+    m_zero = float(np.count_nonzero(in_half & (np.abs(f.values) <= 1e-9))) * cellvol
+    m_one = float(np.count_nonzero(in_half & (np.abs(f.values - 1.0) <= 1e-9))) * cellvol
     need = delta * ell ** n / 2 ** n
     if min(m_zero, m_one) <= need:
         raise EnergyHypothesisError(

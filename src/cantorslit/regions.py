@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .cantor import (CantorSpec, DEFAULT_TOL, _product_distance,
+from .cantor import (CantorSpec, _product_distance,
                      cell_left_endpoints, fat_thin_cantor,
                      interval_union_distance)
 
@@ -35,7 +35,6 @@ class RegionSpec:
     kind: str
     n: int = 2
     cantor: CantorSpec | None = None
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
@@ -80,8 +79,9 @@ def _check_dim(spec: RegionSpec, x: np.ndarray):
 
 
 def _tent_height(spec: RegionSpec, coords) -> np.ndarray:
-    """dist(x', C(lam)) from the arrays of the first n-1 coordinates."""
-    return _product_distance(coords, spec.cantor, spec.tol)
+    """dist(x', C(lam)) within 2^-40 from the arrays of the first n-1
+    coordinates."""
+    return _product_distance(coords, spec.cantor)
 
 
 def _in_region(spec: RegionSpec, coords) -> np.ndarray:
@@ -91,8 +91,9 @@ def _in_region(spec: RegionSpec, coords) -> np.ndarray:
     axis shaped along its own dimension, so a grid's tent heights are
     per-axis descents and no (cells, n) point array is built.  D, Omega and
     Q0_tilde are open, N is closed; points within the distance tolerance of
-    the tent graph are classified by the <= inequality on the tol-resolved
-    height.  Omega_2 uses its variable-ratio set at the spec's full depth.
+    the tent graph are classified by the <= inequality on the height
+    resolved to 2^-40.  Omega_2 uses its variable-ratio set at the spec's
+    full depth.
     """
     n = spec.n
     a, b = coords[n - 2], coords[n - 1]
@@ -217,12 +218,13 @@ class TwoSidedSample:
     failures: list[str] = field(default_factory=list)
 
 
-def two_sided_sample(spec: RegionSpec, depth: int, h_factor: int = 64) -> TwoSidedSample:
+def two_sided_sample(spec: RegionSpec, depth: int) -> TwoSidedSample:
     """All depth-level lower-left Cantor cell corners, lifted to x_n = 0.
 
-    Each point is checked for two-sidedness with flood fills at radii
-    lam^depth and lam^depth / 2: both windows must show an upper and a lower
-    component, and the small-radius components must nest into the large ones.
+    Each point is checked for two-sidedness with flood fills of spacing
+    radius/64 at radii lam^depth and lam^depth / 2: both windows must show an
+    upper and a lower component, and the small-radius components must nest
+    into the large ones.
     """
     if spec.kind != "Omega_lambda":
         raise ValueError("two_sided_sample expects an Omega_lambda spec")
@@ -241,7 +243,7 @@ def two_sided_sample(spec: RegionSpec, depth: int, h_factor: int = 64) -> TwoSid
         ok = True
         msg = []
         for rad in (r, r / 2):
-            cm = component_label(spec, p, rad, rad / h_factor)
+            cm = component_label(spec, p, rad, rad / 64)
             h = cm.h
             # witnesses nudged off the pinch plane and off the lateral faces
             up = p + np.concatenate([np.full(n - 1, h), [4 * h]])

@@ -13,7 +13,8 @@ so l_j <= 5 l_i, which forces l_j <= 4 l_i dyadically (W4).
 
 The tent region N = {|x_n| <= dist(x', C)} is an intersection of 45-degree
 double-cone exteriors with apexes on C x {0}, which yields distance brackets
-with ratio 1 + O(tol) away from cone ridges: the lower bound |g - |x_n||/sqrt2
+with ratio 1 + O(tol) away from cone ridges, where tol = 2^-40 is the
+oracles' one descent tolerance: the lower bound |g - |x_n||/sqrt2
 is exact on each cone, and sliding toward/away from the nearest apex produces
 a boundary witness realizing it.
 """
@@ -74,16 +75,18 @@ class _RegionOracle:
 
 
 class TentOracle(_RegionOracle):
-    """Certified brackets on dist(x, boundary of N_lambda); membership in N."""
+    """Certified brackets on dist(x, boundary of N_lambda); membership in N.
 
-    def __init__(self, cantor: CantorSpec, n: int = 2, tol: float = DEFAULT_TOL):
+    Brackets hold to the descent tolerance 2^-40.
+    """
+
+    def __init__(self, cantor: CantorSpec, n: int = 2):
         if n < 2:
             raise ValueError("ambient dimension must be >= 2")
         self.cantor = cantor
         self.n = n
-        self.tol = tol
-        self._per_tol = tol / math.sqrt(n - 1)
-        self._region = RegionSpec(kind="N_lambda", n=n, cantor=cantor, tol=tol)
+        self._per_tol = DEFAULT_TOL / math.sqrt(n - 1)
+        self._region = RegionSpec(kind="N_lambda", n=n, cantor=cantor)
         # half of the first-level gap bounds the 1-D distance function on [0,1]
         self._max_k = (1.0 - 2.0 * cantor.ratio_at(0)) / 2.0
 
@@ -91,7 +94,7 @@ class TentOracle(_RegionOracle):
         return _tent_height(self._region, list(XP.T))
 
     def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n, tol = self.n, self.tol
+        n, tol = self.n, DEFAULT_TOL
         XP, xn = X[:, :-1], X[:, -1]
         # height, nearest Cantor point and gap midpoint from one descent
         d, near, mids = _descend(XP, self.cantor, self._per_tol, full=True)
@@ -150,16 +153,15 @@ class SlitOracle(_RegionOracle):
     """Certified brackets on dist(x, boundary of Omega_lambda); membership.
 
     The boundary splits into the rectilinear boundary of D (exact in the
-    plane) and the tent boundary handled by TentOracle.
+    plane) and the tent boundary handled by TentOracle; brackets hold to the
+    descent tolerance 2^-40.
     """
 
-    def __init__(self, cantor: CantorSpec, n: int = 2, tol: float = DEFAULT_TOL):
+    def __init__(self, cantor: CantorSpec, n: int = 2):
         self.cantor = cantor
         self.n = n
-        self.tol = tol
-        self.tent = TentOracle(cantor, n, tol)
-        self._region = RegionSpec(kind="Omega_lambda", n=n, cantor=cantor,
-                                  tol=tol)
+        self.tent = TentOracle(cantor, n)
+        self._region = RegionSpec(kind="Omega_lambda", n=n, cantor=cantor)
 
     def _d_boundary(self, X: np.ndarray) -> np.ndarray:
         n = self.n
@@ -173,7 +175,7 @@ class SlitOracle(_RegionOracle):
         d_d = self._d_boundary(X)
         lo = np.minimum(lo_t, d_d)
         if self.n == 2:
-            hi = np.minimum(hi_t, d_d + self.tol)
+            hi = np.minimum(hi_t, d_d + DEFAULT_TOL)
         else:
             # the min formula can underestimate the distance to the boundary
             # of D from outside, and notch faces may dip into the tent; keep
@@ -182,11 +184,11 @@ class SlitOracle(_RegionOracle):
         return lo, hi
 
 
-def oracle_for(region: RegionSpec, tol: float = DEFAULT_TOL):
+def oracle_for(region: RegionSpec):
     if region.kind == "N_lambda":
-        return TentOracle(region.cantor, region.n, tol)
+        return TentOracle(region.cantor, region.n)
     if region.kind == "Omega_lambda":
-        return SlitOracle(region.cantor, region.n, tol)
+        return SlitOracle(region.cantor, region.n)
     raise ValueError(f"no certified distance oracle for kind {region.kind!r}")
 
 
@@ -261,18 +263,17 @@ def _bracket_cubes(oracle, gen, idx: np.ndarray):
     return lo_q, hi_q, mem
 
 
-def whitney_decompose(region, max_gen: int, window=None,
-                      tol: float = DEFAULT_TOL) -> WhitneyDecomposition:
-    """Certified truncated Whitney decomposition of a region.
+def whitney_decompose(region: RegionSpec, max_gen: int,
+                      window=None) -> WhitneyDecomposition:
+    """Certified truncated Whitney decomposition of N_lambda or Omega_lambda.
 
-    region: a RegionSpec (N_lambda / Omega_lambda) or any object with the
-    oracle protocol (roots, member_many, bracket_many).  window, when given,
-    prunes cubes whose closure misses the box (lo, hi); the result is then a
-    local decomposition and tiling checks do not apply.
+    Brackets come from oracle_for(region), to the descent tolerance 2^-40.
+    window, when given, prunes cubes whose closure misses the box (lo, hi);
+    the result is then a local decomposition and tiling checks do not apply.
     """
     if max_gen < 4:
         raise ValueError("max_gen must be >= 4")
-    oracle = oracle_for(region, tol) if isinstance(region, RegionSpec) else region
+    oracle = oracle_for(region)
     n = oracle.n
     sqrtn = math.sqrt(n)
     if window is not None:
@@ -532,64 +533,49 @@ def q0_adjacent(gen, idx: np.ndarray) -> np.ndarray:
 @dataclass
 class Chain:
     ids: list[int]
-    constraint: str
     found: bool
 
 
-def chain(wt: WhitneyDecomposition, a: int, b: int,
-          constraint: str = "none") -> Chain:
-    """Minimal chain between nodes of the complement graph plus reservoir.
+def chain(wt: WhitneyDecomposition, a: int) -> Chain:
+    """Minimal projection-monotone chain from complement cube a to Q0_ID.
 
     Nodes are complement cube ids and Q0_ID; edges are intersections of
     closures (cube-cube touching, cube-reservoir via q0_adjacent), so
-    consecutive chain cubes always meet.  BFS with ascending
-    (generation, index) neighbor order gives a deterministic minimal path.
-    constraint="projection-monotone" restricts intermediate cubes to those
-    whose drop-axis projection contains the source cube's projection.
+    consecutive chain cubes always meet.  Intermediate cubes are restricted
+    to those whose drop-axis projection contains the source cube's
+    projection.  BFS with ascending (generation, index) neighbor order gives
+    a deterministic minimal path.
     """
-    if constraint not in ("none", "projection-monotone"):
-        raise ValueError(f"unknown constraint {constraint!r}")
-    if constraint == "projection-monotone" and b != Q0_ID:
-        raise ValueError("projection-monotone chains must target the reservoir")
-    if a == b:
-        return Chain(ids=[a], constraint=constraint, found=True)
-    n, rows, allowed = wt.n, np.arange(len(wt)), None
-    if constraint == "projection-monotone":
-        # cubes no finer than the source whose horizontal index is the
-        # source's shifted to their generation; the search never leaves
-        # them, and ends on reaching the reservoir
-        shift = int(wt.gen[a - 1]) - wt.gen
-        ok = shift >= 0
-        anc = wt.idx[a - 1, : n - 1] >> np.where(ok, shift, 0)[:, None]
-        rows = np.flatnonzero(ok & np.all(wt.idx[:, : n - 1] == anc, axis=1))
-        allowed = set((rows + 1).tolist()) | {Q0_ID}
+    n = wt.n
+    # cubes no finer than the source whose horizontal index is the source's
+    # shifted to their generation; the search never leaves them, and ends on
+    # reaching the reservoir
+    shift = int(wt.gen[a - 1]) - wt.gen
+    ok = shift >= 0
+    anc = wt.idx[a - 1, : n - 1] >> np.where(ok, shift, 0)[:, None]
+    rows = np.flatnonzero(ok & np.all(wt.idx[:, : n - 1] == anc, axis=1))
+    allowed = set((rows + 1).tolist()) | {Q0_ID}
     adj = wt.adjacency()
-    q0_ids = (rows[q0_adjacent(wt.gen[rows], wt.idx[rows])] + 1).tolist()
-    q0_set = set(q0_ids)
-
-    def neighbors(nid: int):
-        if nid == Q0_ID:
-            return q0_ids
-        out = [m for m, _ in adj[nid]]
-        if nid in q0_set:
-            out = [Q0_ID] + out
-        return out
+    q0_set = set((rows[q0_adjacent(wt.gen[rows], wt.idx[rows])] + 1).tolist())
 
     prev = {a: None}
     dq = deque([a])
     while dq:
         cur = dq.popleft()
-        if cur == b:
+        if cur == Q0_ID:
             ids = []
             while cur is not None:
                 ids.append(cur)
                 cur = prev[cur]
-            return Chain(ids=ids[::-1], constraint=constraint, found=True)
-        for nxt in neighbors(cur):
-            if nxt not in prev and (allowed is None or nxt in allowed):
+            return Chain(ids=ids[::-1], found=True)
+        out = [m for m, _ in adj[cur]]
+        if cur in q0_set:
+            out = [Q0_ID] + out
+        for nxt in out:
+            if nxt not in prev and nxt in allowed:
                 prev[nxt] = cur
                 dq.append(nxt)
-    return Chain(ids=[], constraint=constraint, found=False)
+    return Chain(ids=[], found=False)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +623,7 @@ def claim_count(w: WhitneyDecomposition, wt: WhitneyDecomposition,
         if rid is None or rid == Q0_ID:
             continue
         sources += 1
-        ch = chain(wt, rid, Q0_ID, constraint="projection-monotone")
+        ch = chain(wt, rid)
         if not ch.found:
             unreachable += 1
             continue

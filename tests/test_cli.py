@@ -83,6 +83,19 @@ def test_claim_count_manifest_reports_sources(tmp_path):
     (["whitney", "claim-count", "--k-max", "-1"], "--k-max"),
     (["whitney", "build", "--n", "1"], "--n"),
     (["sweep", "--lambdas", "1/8,1/2"], "--lambdas"),
+    (["field", "norm", "--p", "0.5"], "--p"),
+    (["field", "sample", "--region", "Foo"], "--region"),
+    (["field", "sample", "--region", "Omega2", "--n", "3"], "--region"),
+    (["whitney", "build", "--region", "D"], "--region"),
+    (["whitney", "verify", "--region", "Q0_tilde"], "--region"),
+    (["region", "probe", "--point", "0,x"], "--point"),
+    (["region", "components", "--center", "0,y"], "--center"),
+    (["region", "components", "--center", "0,0", "--radius", "0"],
+     "--radius"),
+    (["density", "--point", "0,0,0", "--n", "2"], "--point"),
+    (["density", "--samples", "0"], "--samples"),
+    (["density", "--radii", "1/4,0"], "--radii"),
+    (["dim", "estimate", "--lambda", "1/4", "--levels", "2"], "--levels"),
 ])
 def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
                                             monkeypatch):
@@ -90,8 +103,10 @@ def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
 
     def no_work(*a, **kw):
         raise AssertionError("work started on a bad argument")
-    monkeypatch.setattr(cli, "whitney_decompose", no_work)
-    monkeypatch.setattr(cli, "bound_report", no_work)
+    for name in ("whitney_decompose", "bound_report", "grid_sample",
+                 "region_membership", "component_label",
+                 "measure_density_check", "build_net_hierarchy"):
+        monkeypatch.setattr(cli, name, no_work)
     with pytest.raises(SystemExit) as exc:
         run_cli(args + ["--out", str(tmp_path / "x")])
     assert exc.value.code == 2
@@ -263,7 +278,14 @@ def test_run_config_matches_command_line(tmp_path):
 
 
 def test_console_script_installed():
+    import cantorslit
+
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cantorslit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "cantorslit.cli",
                            "cantor", "dist", "--lambda", "1/4", "--x", "0"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0

@@ -90,3 +90,9 @@ def test_density_rejects_bad_side():
     ro = region_spec("Omega_lambda", lam=0.25)
     with pytest.raises(ValueError):
         measure_density_check(ro, (0.0, 0.0), [0.25], samples=100, side="middle")
+
+
+def test_density_rejects_no_samples():
+    ro = region_spec("Omega_lambda", lam=0.25)
+    with pytest.raises(ValueError, match="samples"):
+        measure_density_check(ro, (0.0, 0.0), [0.25], samples=0)

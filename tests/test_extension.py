@@ -34,7 +34,7 @@ def asm():
 
 @pytest.fixture(scope="module")
 def pou(asm):
-    return partition_of_unity(asm.w, H)
+    return partition_of_unity(asm.w, H, asm.region_n.bbox)
 
 
 def test_pou_sums_to_one(asm, pou):
@@ -55,7 +55,7 @@ def test_pou_sums_to_one(asm, pou):
 
 def test_pou_rejects_coarse_grid(asm):
     with pytest.raises(ValueError):
-        partition_of_unity(asm.w, 2.0 ** -5)
+        partition_of_unity(asm.w, 2.0 ** -5, asm.region_n.bbox)
 
 
 def test_cube_average_constant(asm):

@@ -76,19 +76,41 @@ def test_q0_profile():
     assert region_membership(q0, [0.5, 1.2])
 
 
-def test_boundary_distance_bracket():
-    nl = region_spec("N_lambda", lam=0.25)
-    X = np.random.default_rng(5).uniform([0.0, -0.5], [1.0, 0.5], size=(50, 2))
+@pytest.mark.parametrize("n, lam, step, box, size, seed", [
+    (2, 0.25, 2.0 ** -14, ([0.0, -0.5], [1.0, 0.5]), 50, 5),
+    (3, 0.25, 2.0 ** -8, ([-0.2, -0.2, -0.4], [1.2, 1.2, 0.4]), 60, 5),
+    (3, 0.125, 2.0 ** -8, ([-0.2, -0.2, -0.4], [1.2, 1.2, 0.4]), 60, 5),
+], ids=["n2-lam0.25", "n3-lam0.25", "n3-lam0.125"])
+def test_boundary_distance_bracket(n, lam, step, box, size, seed):
+    nl = region_spec("N_lambda", lam=lam, n=n)
+    X = np.random.default_rng(seed).uniform(*box, size=(size, n))
     lo, hi = oracle_for(nl).bracket_many(X)
     assert np.all((0.0 <= lo) & (lo <= hi))
-    # brute force: at n=2 the tent boundary is the graph {|x_2| = g(x_1)}
-    step = 2.0 ** -14
+    # brute force over the tent boundary: the graph {|x_n| = g(x')} sampled
+    # on [0,1]^(n-1), and the lateral faces x_i in {0,1}, |x_n| <= g, as
+    # vertical segments over their sampled edges (single points at n=2)
     s = np.arange(0.0, 1.0 + step, step)
-    g = k_distance_many(s, nl.cantor)
-    brute = np.array([np.sqrt((x[0] - s) ** 2 + (abs(x[1]) - g) ** 2).min()
-                      for x in X])
+    graph = np.stack([a.ravel() for a in
+                      np.meshgrid(*[s] * (n - 1), indexing="ij")], axis=1)
+    edges = []
+    for i in range(n - 1):
+        for c in (0.0, 1.0):
+            edge = graph[graph[:, i] == 0.0].copy()
+            edge[:, i] = c
+            edges.append(edge)
+    edges = np.concatenate(edges)
+
+    def height(P):
+        return np.sqrt(sum(k_distance_many(c, nl.cantor) ** 2 for c in P.T))
+
+    g, ge = height(graph), height(edges)
+    brute = np.array([min(
+        np.sqrt(np.sum((x[:-1] - graph) ** 2, axis=1)
+                + (abs(x[-1]) - g) ** 2).min(),
+        np.sqrt(np.sum((x[:-1] - edges) ** 2, axis=1)
+                + np.maximum(abs(x[-1]) - ge, 0.0) ** 2).min()) for x in X])
     assert np.all(lo <= brute + 2.0 ** -30)
-    assert np.all(brute <= hi + step)
+    assert np.all(brute <= hi + (n - 1) * step)
 
 
 def test_component_label_splits_pinch():

@@ -250,37 +250,24 @@ def test_q0_adjacency():
     assert q0_adjacent(gen, idx).tolist() == [True, False]
 
 
-def test_chain_reaches_reservoir(decs):
-    _, wt = decs
-    ra_ids = list(range(1, min(len(wt), 40) + 1))
-    q0 = q0_adjacent(wt.gen, wt.idx)
-    found = 0
-    for rid in ra_ids:
-        ch = chain(wt, rid, Q0_ID)
-        if ch.found:
-            found += 1
-            assert ch.ids[0] == rid and ch.ids[-1] == Q0_ID
-            # consecutive members touch (or end at the reservoir)
-            for a, b in zip(ch.ids[:-1], ch.ids[1:]):
-                if b == Q0_ID:
-                    assert q0[a - 1]
-                else:
-                    assert cubes_touch(wt.cube(a), wt.cube(b))
-    assert found == len(ra_ids)
-
-
 def test_chain_projection_monotone(decs):
     _, wt = decs
+    q0 = q0_adjacent(wt.gen, wt.idx)
     checked = 0
     for rid in range(1, len(wt) + 1):
-        ch = chain(wt, rid, Q0_ID, constraint="projection-monotone")
+        ch = chain(wt, rid)
         if not ch.found:
             continue
         checked += 1
+        assert ch.ids[0] == rid and ch.ids[-1] == Q0_ID
+        # consecutive members touch (or end at the reservoir)
+        for a, b in zip(ch.ids[:-1], ch.ids[1:]):
+            if b == Q0_ID:
+                assert q0[a - 1]
+            else:
+                assert cubes_touch(wt.cube(a), wt.cube(b))
         src = wt.cube(rid)
-        for nid in ch.ids:
-            if nid == Q0_ID:
-                break
+        for nid in ch.ids[:-1]:
             c = wt.cube(nid)
             assert c.gen <= src.gen
             assert projection_contains(c, src, drop_axis=wt.n - 1)
@@ -334,8 +321,7 @@ def test_claim_count_k1_configuration(decs):
         assert any(nid in v for nid, _ in adj[cid])
         rid = ra.mapping[cid]
         assert rid not in (None, Q0_ID)
-        assert hub in chain(wt, rid, Q0_ID,
-                            constraint="projection-monotone").ids
+        assert hub in chain(wt, rid).ids
         reflected[idx] = wt.cube(rid)
     # three distinct sources on a load of 3: these are all of them
     assert reflected[(23, -2)] == reflected[(23, -3)] == DyadicCube(6, (23, -12))
