@@ -24,12 +24,12 @@ from . import __version__
 from .cantor import CantorSpec, cantor_dim, k_distance
 from .dimension import (build_net_hierarchy, dim_upper_estimate,
                         measure_density_check)
-from .extension import assemble, bound_report, extend, jump_test_function
+from .extension import (assemble, bound_report, extend, finest_gen,
+                        origin_jump)
 from .fields import GridField, gradient, grid_sample, seminorm_p
 from .regions import (REGION_KINDS, component_label, region_membership,
                       region_spec)
-from .whitney import (claim_count, reflect_assign, verify_whitney,
-                      whitney_decompose)
+from .whitney import claim_count, verify_whitney, whitney_decompose
 
 WORKERS_ENV = "CANTORSLIT_WORKERS"
 
@@ -78,7 +78,7 @@ LEVELS = _checked(int, lambda v: v >= 3, "an integer >= 3")
 SAMPLES = _checked(int, lambda v: v >= 1, "an integer >= 1")
 P = _checked(parse_number, lambda v: v > 1, "a number > 1")
 P_NORM = _checked(parse_number, lambda v: v >= 1, "a number >= 1")
-RADIUS = _checked(parse_number, lambda v: v > 0, "a number > 0")
+POSITIVE = _checked(parse_number, lambda v: v > 0, "a number > 0")
 RADII = _checked(parse_number_list, lambda vs: vs and all(v > 0 for v in vs),
                  "a list of numbers > 0")
 
@@ -199,12 +199,8 @@ def cmd_whitney_verify(args) -> int:
 
 def cmd_whitney_claim_count(args) -> int:
     t0 = time.time()
-    w = whitney_decompose(region_spec("N_lambda", lam=args.lam, n=args.n),
-                          args.max_gen)
-    wt = whitney_decompose(region_spec("Omega_lambda", lam=args.lam,
-                                       n=args.n), args.max_gen)
-    reflect = reflect_assign(w, wt)
-    res = claim_count(w, wt, reflect, k_max=args.k_max)
+    asm = assemble(args.lam, args.n, args.max_gen)
+    res = claim_count(asm.w, asm.wt, asm.reflect, k_max=args.k_max)
     expo = res.fitted_exponent(args.k_max)
     rows = [[k, res.counts.get(k, 0), expo] for k in range(args.k_max + 1)]
     write_csv(args.out, ["k", "max_count", "fitted_exponent"], rows)
@@ -216,25 +212,30 @@ def cmd_whitney_claim_count(args) -> int:
 
 
 def _parse_func(text: str, lam: float, n: int):
-    """Test-function specs: const:<v>, coord:<axis>, jump:depth=<d>[,r=<r>]."""
+    """Test-function specs: const:<v>, coord:<axis>, jump:depth=<d>[,r=<r>].
+
+    Returns a zero-argument builder of the function, so main rejects a bad
+    spec (ValueError) before any work.
+    """
     kind, _, rest = text.partition(":")
     if kind == "const":
         v = parse_number(rest or "1")
-        return lambda P: np.full(P.shape[0], v)
+        return lambda: lambda P: np.full(P.shape[0], v)
     if kind == "coord":
         axis = int(rest or "1") - 1
-        return lambda P: P[:, axis]
+        if not 0 <= axis < n:
+            raise ValueError(f"coord axis must be 1..{n} at --n {n}")
+        return lambda: lambda P: P[:, axis]
     if kind == "jump":
-        opts = dict(kv.split("=") for kv in rest.split(",") if kv)
+        opts = dict(kv.partition("=")[::2] for kv in rest.split(",") if kv)
+        if set(opts) - {"depth", "r"}:
+            raise ValueError("jump takes only depth=<int> and r=<number>")
         depth = int(opts.get("depth", "1"))
         r = parse_number(opts["r"]) if "r" in opts else lam ** depth
-        ro = region_spec("Omega_lambda", lam=lam, n=n)
-        x0 = np.zeros(n)
-        wit = x0.copy()
-        wit[0] += r / 8.0
-        wit[n - 1] += r / 2.0
-        return jump_test_function(x0, r, ro, wit)
-    raise ValueError(f"unknown test function spec {text!r}")
+        if depth < 1 or r <= 0:
+            raise ValueError("jump needs depth >= 1 and r > 0")
+        return lambda: origin_jump(lam, n, r)
+    raise ValueError(f"unknown kind {kind!r}; use const, coord or jump")
 
 
 def _dump_grid(path: str, f: GridField) -> None:
@@ -251,9 +252,7 @@ def _dump_grid(path: str, f: GridField) -> None:
 
 def cmd_field(args) -> int:
     t0 = time.time()
-    spec = _region(args)
-    fn = _parse_func(args.func, args.lam, args.n)
-    u = grid_sample(fn, spec, args.h)
+    u = grid_sample(args.make_func(), _region(args), args.h)
     if args.action == "sample":
         out_field = u
     else:
@@ -272,10 +271,9 @@ def cmd_extend(args) -> int:
     t0 = time.time()
     max_gen = args.max_gen
     if max_gen is None:
-        max_gen = max(4, int(round(math.log2(1.0 / args.grid))) - 3)
-    asm = assemble(args.lam, n=args.n, max_gen=max_gen)
-    fn = _parse_func(args.u, args.lam, args.n)
-    u = grid_sample(fn, asm.region_omega, args.grid)
+        max_gen = max(4, finest_gen(args.grid))
+    asm = assemble(args.lam, args.n, max_gen)
+    u = grid_sample(args.make_func(), asm.region_omega, args.grid)
     eu = extend(u, asm)
     _dump_grid(args.out, eu)
     write_manifest(args.out, "extend", vars_of(args), None, time.time() - t0)
@@ -420,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc = rs.add_parser("components")
     common(rc, region=REGION_KINDS)
     rc.add_argument("--center", type=parse_point, required=True)
-    rc.add_argument("--radius", type=RADIUS, default=0.25)
+    rc.add_argument("--radius", type=POSITIVE, default=0.25)
     rc.set_defaults(func_handler=cmd_region_components)
 
     w = sub.add_parser("whitney")
@@ -446,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("action", choices=("sample", "grad", "norm"))
     common(f, region=REGION_KINDS)
     f.add_argument("--func", default="const:1")
-    f.add_argument("--h", type=parse_number, default=2.0 ** -8)
+    f.add_argument("--h", type=POSITIVE, default=2.0 ** -8)
     f.add_argument("--p", type=P_NORM, default=2.0)
     f.add_argument("--out")
     f.set_defaults(func_handler=cmd_field)
@@ -454,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("extend")
     common(e)
     e.add_argument("--u", default="jump:depth=1")
-    e.add_argument("--grid", type=parse_number, default=2.0 ** -9)
+    e.add_argument("--grid", type=POSITIVE, default=2.0 ** -9)
     e.add_argument("--max-gen", type=MAX_GEN, default=None)
     e.add_argument("--out", required=True)
     e.set_defaults(func_handler=cmd_extend)
@@ -463,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=DIM, default=2)
     s.add_argument("--p", type=P, default=1.5)
     s.add_argument("--lambdas", type=LAMBDAS, required=True)
-    s.add_argument("--grid", type=parse_number, default=None)
+    s.add_argument("--grid", type=POSITIVE, default=None)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func_handler=cmd_sweep)
@@ -504,6 +502,14 @@ def main(argv: list[str] | None = None) -> int:
                          f"--n is {args.n}")
     if getattr(args, "region", None) == "Omega2" and args.n != 2:
         parser.error("argument --region: Omega2 is planar, --n must be 2")
+    for key in ("func", "u"):
+        text = getattr(args, key, None)
+        if text is not None:
+            try:
+                args.make_func = _parse_func(text, args.lam, args.n)
+            except (ValueError, ZeroDivisionError) as e:
+                parser.error(f"argument --{key}: {text!r} is not a test "
+                             f"function spec ({e})")
     return args.func_handler(args)
 
 

@@ -18,8 +18,7 @@ from itertools import product
 import numpy as np
 
 from .cantor import CantorSpec, cantor_dim, cell_endpoints
-from .dyadic import DyadicCube
-from .fields import GridField, grid_sample, gradient, seminorm_p
+from .fields import GridField, _grid_axes, grid_sample, gradient, seminorm_p
 from .regions import (RegionSpec, component_label, membership_grid,
                       region_membership_many, region_spec)
 from .whitney import (Q0_ID, ReflectAssignment, WhitneyDecomposition,
@@ -34,63 +33,61 @@ def _bump_profile(x, center, side: float) -> np.ndarray:
 
 @dataclass
 class PartitionOfUnity:
-    """Per-cube bump weights tabulated on a regular grid.
+    """Bump weights of the resolved cubes on a regular grid, as a flat table.
 
-    contributions maps cube id to (index slices, raw bump values phi_i on
-    that sub-grid); total is the grid-wide sum of all phi, and covered marks
-    cells with positive total.  Normalised weights are phi_i / total.
+    Entry e is the raw bump phi[e] of cube row rows[e] (id rows[e] + 1) at
+    the C-order cell cells[e]; entries run in (gen, idx) cube order.  total
+    is the grid-shaped sum of phi per cell, so covered cells are those with
+    total > 0 and the normalised weights are phi / total.ravel()[cells].
     """
 
-    dec: WhitneyDecomposition
-    bbox: np.ndarray
-    h: float
-    contributions: dict[int, tuple[tuple[slice, ...], np.ndarray]]
+    cells: np.ndarray
+    phi: np.ndarray
+    rows: np.ndarray
     total: np.ndarray
-    covered: np.ndarray
-
-
-def _support_slices(cube: DyadicCube, bbox: np.ndarray, h: float,
-                    shape: tuple[int, ...]) -> tuple[tuple[slice, ...], list[np.ndarray]]:
-    pad = cube.side / 16.0
-    a = np.maximum(0, np.floor((cube.lo - pad - bbox[0]) / h).astype(int))
-    b = np.minimum(shape, np.ceil((cube.hi + pad - bbox[0]) / h).astype(int))
-    sls = tuple(slice(i, j) for i, j in zip(a.tolist(), b.tolist()))
-    return sls, [bbox[0, i] + (np.arange(s.start, s.stop) + 0.5) * h
-                 for i, s in enumerate(sls)]
 
 
 def partition_of_unity(dec: WhitneyDecomposition, h: float,
                        bbox: np.ndarray) -> PartitionOfUnity:
-    """Tabulate the normalising bump system of the resolved cubes on bbox."""
+    """Tabulate the bumps of the resolved cubes on the cell centers of bbox.
+
+    A bump is the product of one _bump_profile per axis, so each generation
+    is one array pass: per cube and axis, the profile over the grid indices
+    its (9/8)-support meets, then the outer product over the axes.
+    """
     if len(dec) and h > 2.0 ** -int(dec.gen.max()) / 8.0 + 1e-15:
         raise ValueError("h must be at most the smallest cube side over 8")
     bbox = np.asarray(bbox, dtype=float)
-    shape = tuple(int(round((bbox[1, i] - bbox[0, i]) / h))
-                  for i in range(bbox.shape[1]))
-    total = np.zeros(shape)
-    contributions: dict[int, tuple[tuple[slice, ...], np.ndarray]] = {}
-    for i, cube in enumerate(dec.cubes):
-        sls, axes = _support_slices(cube, bbox, h, shape)
-        if any(s.stop <= s.start for s in sls):
-            continue
-        phi = np.ones(())
-        for ax, coords in enumerate(axes):
-            phi = np.multiply.outer(phi, _bump_profile(coords, cube.center[ax],
-                                                       cube.side))
-        contributions[i + 1] = (sls, phi)
-        total[sls] += phi
-    return PartitionOfUnity(dec=dec, bbox=bbox, h=h,
-                            contributions=contributions, total=total,
-                            covered=total > 0.0)
+    axes = _grid_axes(bbox, h)
+    shape = tuple(len(x) for x in axes)
+    parts = [(np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64))]
+    for g, (start, stop) in dec.index.blocks.items():
+        side = 2.0 ** -g
+        idx = dec.idx[start:stop]
+        # support cells [a, b) per cube and axis, clipped to the grid
+        a = np.floor((idx * side - side / 16.0 - bbox[0]) / h).astype(int)
+        b = np.ceil(((idx + 1.0) * side + side / 16.0 - bbox[0]) / h).astype(int)
+        a, b = np.maximum(0, a), np.minimum(shape, b)
+        bump, key, ok = 1.0, 0, True
+        row = np.arange(start, stop).reshape((-1,) + (1,) * dec.n)
+        for ax in range(dec.n):
+            j = a[:, ax, None] + np.arange(max(0, int((b - a)[:, ax].max())))
+            prof = _bump_profile(axes[ax][np.minimum(j, shape[ax] - 1)],
+                                 (idx[:, ax, None] + 0.5) * side, side)
+            dims = (len(idx),) + (1,) * ax + (-1,) + (1,) * (dec.n - ax - 1)
+            bump = bump * prof.reshape(dims)
+            key = key * shape[ax] + j.reshape(dims)
+            ok = ok & (j < b[:, ax, None]).reshape(dims)
+        parts.append((key[ok], bump[ok], np.broadcast_to(row, ok.shape)[ok]))
+    cells, phi, rows = (np.concatenate(c) for c in zip(*parts))
+    total = np.bincount(cells, phi, minlength=math.prod(shape)).reshape(shape)
+    return PartitionOfUnity(cells=cells, phi=phi, rows=rows, total=total)
 
 
 @dataclass
 class ExtensionAssembly:
     """Everything needed to extend functions from the slit domain."""
 
-    lam: float
-    n: int
-    max_gen: int
     region_n: RegionSpec
     region_omega: RegionSpec
     w: WhitneyDecomposition
@@ -98,15 +95,19 @@ class ExtensionAssembly:
     reflect: ReflectAssignment
 
 
-def assemble(lam: float, n: int = 2, max_gen: int = 6) -> ExtensionAssembly:
-    """Build the Whitney data backing the extension operator."""
+def assemble(lam: float, n: int, max_gen: int,
+             window=None) -> ExtensionAssembly:
+    """Build the Whitney data backing the extension operator.
+
+    window, a box (lo, hi), restricts both decompositions to the cubes
+    meeting it (see whitney_decompose).
+    """
     rn = region_spec("N_lambda", lam=lam, n=n)
     ro = region_spec("Omega_lambda", lam=lam, n=n)
-    w = whitney_decompose(rn, max_gen)
-    wt = whitney_decompose(ro, max_gen)
-    reflect = reflect_assign(w, wt)
-    return ExtensionAssembly(lam=lam, n=n, max_gen=max_gen, region_n=rn,
-                             region_omega=ro, w=w, wt=wt, reflect=reflect)
+    w = whitney_decompose(rn, max_gen, window=window)
+    wt = whitney_decompose(ro, max_gen, window=window)
+    return ExtensionAssembly(region_n=rn, region_omega=ro, w=w, wt=wt,
+                             reflect=reflect_assign(w, wt))
 
 
 def _cells_in_cube(u: GridField, lo: np.ndarray, hi: np.ndarray) -> tuple[slice, ...]:
@@ -118,13 +119,11 @@ def _cells_in_cube(u: GridField, lo: np.ndarray, hi: np.ndarray) -> tuple[slice,
 
 
 def cube_average(u: GridField, Q) -> float:
-    """Mean of u over the masked-in cells of a cube (or of the reservoir).
+    """Mean of u over the masked-in cells of cube Q (anything with lo, hi).
 
-    Q is a DyadicCube, or the reservoir sentinel Q0_ID / None, in which case
-    the average runs over the masked-in cells of the reservoir region (the
-    box minus the enlarged notch).
+    Q None means the reservoir region (the box minus the enlarged notch).
     """
-    if Q is None or (isinstance(Q, int) and Q == Q0_ID):
+    if Q is None:
         q0 = membership_grid(RegionSpec(kind="Q0_tilde", n=u.n), u.axes())
         vals = u.values[u.mask & q0]
     else:
@@ -141,28 +140,30 @@ def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
     Eu equals u on slit-domain cells, the partition-of-unity blend of
     reflected-cube averages on tent cells covered by resolved cubes, and 0
     on the remaining (boundary-shell or frontier-gap) cells; the uncovered
-    tent cells are flagged.
+    tent cells are flagged.  Each reflected cube is averaged once.
     """
-    pou = partition_of_unity(asm.w, u.h, bbox=u.bbox)
+    pou = partition_of_unity(asm.w, u.h, u.bbox)
     n_mask = membership_grid(asm.region_n, u.axes())
-    num = np.zeros(u.grid_shape)
-    q0_avg: float | None = None
-    for cid, (sls, phi) in pou.contributions.items():
-        rid = asm.reflect.mapping.get(cid)
-        if rid is None:
-            raise ValueError(f"unassigned tent cube id {cid} inside the support")
-        if rid == Q0_ID:
-            if q0_avg is None:
-                q0_avg = cube_average(u, None)
-            a = q0_avg
-        else:
-            a = cube_average(u, asm.wt.cube(rid))
-        num[sls] += a * phi
+    # the tent cubes whose support meets the grid, and their reflected cubes
+    tent = np.unique(pou.rows)
+    rid = [asm.reflect.mapping.get(cid) for cid in (tent + 1).tolist()]
+    if None in rid:
+        raise ValueError(f"unassigned tent cube id {tent[rid.index(None)] + 1}"
+                         " inside the support")
+    targets, which = np.unique(np.array(rid, dtype=np.int64),
+                               return_inverse=True)
+    avg = np.array([cube_average(u, None if t == Q0_ID else asm.wt.cube(t))
+                    for t in targets.tolist()])
+    a = np.zeros(len(asm.w))
+    a[tent] = avg[which]
+    num = np.bincount(pou.cells, a[pou.rows] * pou.phi,
+                      minlength=pou.total.size).reshape(u.grid_shape)
+    covered = pou.total > 0.0
     vals = np.zeros(u.grid_shape)
     vals[u.mask] = u.values[u.mask]
-    blend = n_mask & pou.covered & ~u.mask
+    blend = n_mask & covered & ~u.mask
     vals[blend] = num[blend] / pou.total[blend]
-    flags = n_mask & ~pou.covered & ~u.mask
+    flags = n_mask & ~covered & ~u.mask
     out_mask = u.mask | blend
     return GridField(bbox=u.bbox.copy(), h=u.h, values=vals, mask=out_mask,
                      kind="scalar", flags=flags)
@@ -218,8 +219,25 @@ def jump_test_function(x0, r: float, region: RegionSpec, witness):
     return u
 
 
+def origin_jump(lam: float, n: int, r: float):
+    """The jump test function of radius r at the origin pinch point.
+
+    Its witness, r/8 along x_1 and r/2 above the slit, picks the component
+    over the pinch plane.
+    """
+    witness = np.zeros(n)
+    witness[0], witness[n - 1] = r / 8.0, r / 2.0
+    return jump_test_function(np.zeros(n), r,
+                              region_spec("Omega_lambda", lam=lam, n=n), witness)
+
+
 # ---------------------------------------------------------------------------
 # operator-norm ratios and closed-form bounds
+
+
+def finest_gen(h: float) -> int:
+    """Finest generation partition_of_unity accepts at spacing h (h <= side/8)."""
+    return int(round(math.log2(1.0 / h))) - 3
 
 
 def ratio_p(u_fn, lam: float, n: int, p: float, h: float,
@@ -230,9 +248,7 @@ def ratio_p(u_fn, lam: float, n: int, p: float, h: float,
     divided by the seminorm of the gradient of u over the slit domain.
     A lower-bound witness for the restricted operator norm.
     """
-    if max_gen is None:
-        max_gen = int(round(math.log2(1.0 / h))) - 3
-    asm = assemble(lam, n=n, max_gen=max_gen)
+    asm = assemble(lam, n, finest_gen(h) if max_gen is None else max_gen)
     u = grid_sample(u_fn, asm.region_omega, h)
     gu = gradient(u)
     denom = seminorm_p(gu, p)
@@ -312,14 +328,8 @@ def jump_ratio(lam: float, n: int, p: float, h: float,
     support are resolved, not by the Cantor dimension: most tent cubes
     reflect to complement cubes outside the support, where u averages 0.
     """
-    r = 1.0 / 8.0
-    ro = region_spec("Omega_lambda", lam=lam, n=n)
-    x0 = np.zeros(n)
-    witness = x0.copy()
-    witness[n - 2] += r / 8.0
-    witness[n - 1] += r / 2.0
-    u = jump_test_function(x0, r, ro, witness)
-    return ratio_p(u, lam, n, p, h, max_gen=max_gen)
+    return ratio_p(origin_jump(lam, n, 1.0 / 8.0), lam, n, p, h,
+                   max_gen=max_gen)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +404,7 @@ def trace_mismatch(lam: float, hs: list[float]) -> dict:
         return X[:, 0] + 0.5 * np.sin(3.0 * X[:, 1])
 
     n = 2
-    cspec = CantorSpec(lam=lam, ambient_codim=n - 1)
-    mids = gap_midpoints(cspec, 3)
-    rn = region_spec("N_lambda", lam=lam, n=n)
-    ro = region_spec("Omega_lambda", lam=lam, n=n)
+    mids = gap_midpoints(CantorSpec(lam=lam, ambient_codim=n - 1), 3)
     errs = []
     for h in hs:
         max_gen = int(round(math.log2(1.0 / h))) + 3
@@ -406,14 +413,8 @@ def trace_mismatch(lam: float, hs: list[float]) -> dict:
             if g <= 8.0 * h:
                 continue
             pad = 16.0 * h
-            wlo = (m - pad, g - pad)
-            whi = (m + pad, g + pad)
-            w = whitney_decompose(rn, max_gen, window=(wlo, whi))
-            wt = whitney_decompose(ro, max_gen, window=(wlo, whi))
-            reflect = reflect_assign(w, wt)
-            asm = ExtensionAssembly(lam=lam, n=n, max_gen=max_gen,
-                                    region_n=rn, region_omega=ro,
-                                    w=w, wt=wt, reflect=reflect)
+            asm = assemble(lam, n, max_gen,
+                           window=((m - pad, g - pad), (m + pad, g + pad)))
             q_in = np.array([m, g - 2.0 * h])
             target = float(u_fn(np.array([[m, g]]))[0])
             vals.append(abs(point_extend(q_in, asm, u_fn) - target))

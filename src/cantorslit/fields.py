@@ -70,26 +70,18 @@ def _grid_axes(bbox: np.ndarray, h: float) -> list[np.ndarray]:
     return axes
 
 
-def grid_sample(f, region: RegionSpec | None, h: float,
+def grid_sample(f, region: RegionSpec, h: float,
                 bbox: np.ndarray | None = None) -> GridField:
     """Sample a function at cell centers, masked by region membership.
 
     f takes an (m, n) array of points and returns m values; scalars are
     broadcast.  Non-finite samples on masked-in cells are rejected.
-    region None means an unmasked field over an explicit bbox.
     """
     if h <= 0:
         raise ValueError("spacing must be positive")
-    if region is None:
-        if bbox is None:
-            raise ValueError("an explicit bbox is required without a region")
-        bbox = np.asarray(bbox, dtype=float)
-        axes = _grid_axes(bbox, h)
-        mask = np.ones(tuple(len(a) for a in axes), dtype=bool)
-    else:
-        bbox = np.asarray(region.bbox if bbox is None else bbox, dtype=float)
-        axes = _grid_axes(bbox, h)
-        mask = membership_grid(region, axes)
+    bbox = np.asarray(region.bbox if bbox is None else bbox, dtype=float)
+    axes = _grid_axes(bbox, h)
+    mask = membership_grid(region, axes)
     shape = mask.shape
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)

@@ -5,9 +5,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cantorslit.cli import main, parse_number, parse_number_list, parse_point
+from cantorslit.fields import grid_sample
+from cantorslit.regions import region_spec
 
 
 def run_cli(args, **kw):
@@ -60,7 +63,6 @@ def test_whitney_build_and_verify(tmp_path):
 
 
 def test_claim_count_manifest_reports_sources(tmp_path):
-    from cantorslit.regions import region_spec
     from cantorslit.whitney import claim_count, reflect_assign, whitney_decompose
 
     out = tmp_path / "counts.csv"
@@ -96,6 +98,16 @@ def test_claim_count_manifest_reports_sources(tmp_path):
     (["density", "--samples", "0"], "--samples"),
     (["density", "--radii", "1/4,0"], "--radii"),
     (["dim", "estimate", "--lambda", "1/4", "--levels", "2"], "--levels"),
+    (["field", "sample", "--h", "0"], "--h"),
+    (["extend", "--grid", "0"], "--grid"),
+    (["sweep", "--lambdas", "1/8", "--grid", "0"], "--grid"),
+    (["field", "norm", "--func", "bogus:1"], "--func"),
+    (["field", "sample", "--func", "coord:5"], "--func"),
+    (["field", "sample", "--func", "const:1/0"], "--func"),
+    (["extend", "--u", "coord:3"], "--u"),
+    (["extend", "--u", "jump:depth=0"], "--u"),
+    (["extend", "--u", "jump:r=-1/8"], "--u"),
+    (["extend", "--u", "jump:radius=1/8"], "--u"),
 ])
 def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
                                             monkeypatch):
@@ -103,9 +115,10 @@ def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
 
     def no_work(*a, **kw):
         raise AssertionError("work started on a bad argument")
-    for name in ("whitney_decompose", "bound_report", "grid_sample",
-                 "region_membership", "component_label",
-                 "measure_density_check", "build_net_hierarchy"):
+    for name in ("whitney_decompose", "assemble", "bound_report",
+                 "grid_sample", "origin_jump", "region_membership",
+                 "component_label", "measure_density_check",
+                 "build_net_hierarchy"):
         monkeypatch.setattr(cli, name, no_work)
     with pytest.raises(SystemExit) as exc:
         run_cli(args + ["--out", str(tmp_path / "x")])
@@ -157,6 +170,24 @@ def test_field_norm(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert any(ch.isdigit() for ch in out)
+
+
+def test_extend_command(tmp_path):
+    out = tmp_path / "eu.csv"
+    rc = run_cli(["extend", "--lambda", "1/4", "--u", "coord:1",
+                  "--grid", "2^-8", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().split("\n")
+    assert lines[1] == "value,mask" and lines[-1] == ""
+    mask = np.array([int(line[-1]) for line in lines[2:-1]])
+    assert mask.size == 768 * 768
+    # the extension adds tent cells to the slit domain's mask
+    omega = grid_sample(lambda X: X[:, 0],
+                        region_spec("Omega_lambda", lam=0.25), 2.0 ** -8)
+    assert mask.sum() > omega.mask.sum()
+    manifest = json.loads((tmp_path / "eu.csv.manifest.json").read_text())
+    assert manifest["params"]["u"] == "coord:1"
+    assert manifest["params"]["max_gen"] is None
 
 
 def test_run_config_valid(tmp_path):

@@ -1,13 +1,16 @@
 """Tests for the reflection extension operator and its closed-form factors."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cantorslit.extension as extension
 from cantorslit.cantor import CantorSpec
 from cantorslit.dyadic import DyadicCube
 from cantorslit.extension import (
+    _bump_profile,
     assemble,
     bound_report,
     cube_average,
@@ -22,6 +25,7 @@ from cantorslit.extension import (
 )
 from cantorslit.fields import GridField, grid_sample
 from cantorslit.regions import region_membership_many, region_spec
+from cantorslit.whitney import whitney_decompose
 
 LAM = 0.25
 H = 2.0 ** -9
@@ -32,25 +36,50 @@ def asm():
     return assemble(LAM, n=2, max_gen=6)
 
 
-@pytest.fixture(scope="module")
-def pou(asm):
-    return partition_of_unity(asm.w, H, asm.region_n.bbox)
+def _pou_reference(dec, h, bbox):
+    """The per-cube loop: each bump added on its clipped support slices."""
+    shape = tuple(int(round((bbox[1, i] - bbox[0, i]) / h)) for i in range(dec.n))
+    total = np.zeros(shape)
+    for cube in dec.cubes:
+        pad = cube.side / 16.0
+        a = np.maximum(0, np.floor((cube.lo - pad - bbox[0]) / h).astype(int))
+        b = np.minimum(shape, np.ceil((cube.hi + pad - bbox[0]) / h).astype(int))
+        if np.any(b <= a):
+            continue
+        phi = np.ones(())
+        for ax in range(dec.n):
+            coords = bbox[0, ax] + (np.arange(a[ax], b[ax]) + 0.5) * h
+            phi = np.multiply.outer(phi, _bump_profile(coords, cube.center[ax],
+                                                       cube.side))
+        total[tuple(slice(i, j) for i, j in zip(a, b))] += phi
+    return total
 
 
-def test_pou_sums_to_one(asm, pou):
-    total = np.zeros_like(pou.total)
-    for sls, phi in pou.contributions.values():
-        total[sls] += phi
-    assert np.allclose(total[pou.covered], pou.total[pou.covered])
-    # normalised weights sum to 1 wherever covered
-    norm = np.zeros_like(pou.total)
-    for sls, phi in pou.contributions.values():
-        sub = pou.total[sls]
-        w = np.zeros_like(phi)
-        cov = sub > 0.0
-        w[cov] = phi[cov] / sub[cov]
-        norm[sls] += w
-    assert np.allclose(norm[pou.covered], 1.0, atol=1e-12)
+def test_pou_matches_reference(asm):
+    win3 = np.array([[0.0, 0.0, -0.25], [0.5, 0.5, 0.25]])
+    w3 = whitney_decompose(region_spec("N_lambda", lam=LAM, n=3), 5,
+                           window=win3)
+    cases = [
+        (asm.w, H, asm.region_n.bbox),      # tent bbox: edge cubes clipped
+        (asm.w, H, asm.region_omega.bbox),
+        (asm.w, H, np.array([[0.1, -0.2], [0.6, 0.3]])),  # off the cube grid
+        (w3, 2.0 ** -8, win3),
+    ]
+    for dec, h, bbox in cases:
+        pou = partition_of_unity(dec, h, bbox)
+        ref = _pou_reference(dec, h, bbox)
+        assert pou.total.shape == ref.shape
+        assert pou.total.tobytes() == ref.tobytes()
+        assert np.all(np.diff(pou.rows) >= 0)     # (gen, idx) cube order
+        # normalised weights sum to 1 wherever the grid is covered
+        total = pou.total.ravel()
+        covered = total > 0.0
+        keep = covered[pou.cells]
+        norm = np.bincount(pou.cells[keep],
+                           pou.phi[keep] / total[pou.cells[keep]],
+                           minlength=total.size)
+        assert covered.any()
+        assert np.allclose(norm[covered], 1.0, atol=1e-12)
 
 
 def test_pou_rejects_coarse_grid(asm):
@@ -85,6 +114,29 @@ def test_cube_average_constant(asm):
     # a cube inside the tent has no masked-in cells
     with pytest.raises(ValueError):
         cube_average(r, DyadicCube(4, (8, 0)))
+
+
+def test_extend_averages_each_reflected_cube_once(asm, monkeypatch):
+    u = grid_sample(lambda X: X[:, 0], asm.region_omega, H)
+    want = extend(u, asm)
+    seen = []
+
+    def counted(v, Q):
+        seen.append(None if Q is None else (Q.gen, Q.idx))
+        return cube_average(v, Q)
+    monkeypatch.setattr(extension, "cube_average", counted)
+    got = extend(u, asm)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert len(seen) == len(set(seen)) < len(asm.w)
+
+
+def test_extend_names_unassigned_tent_cube(asm):
+    u = grid_sample(lambda X: np.ones(X.shape[0]), asm.region_omega, H,
+                    bbox=asm.region_n.bbox)
+    cid = 7
+    reflect = replace(asm.reflect, mapping={**asm.reflect.mapping, cid: None})
+    with pytest.raises(ValueError, match=f"unassigned tent cube id {cid} "):
+        extend(u, replace(asm, reflect=reflect))
 
 
 def test_extend_constant_exact(asm):

@@ -21,8 +21,13 @@ from cantorslit.regions import region_spec
 
 
 def box_field(f, h=1.0 / 64.0, lo=(0.0, 0.0), hi=(1.0, 1.0)):
+    """Unmasked field of f at the cell centers of the box [lo, hi]."""
     bbox = np.array([lo, hi], dtype=float)
-    return grid_sample(f, None, h, bbox=bbox)
+    shape = tuple(int(round(m)) for m in (bbox[1] - bbox[0]) / h)
+    u = GridField(bbox=bbox, h=h, values=np.zeros(shape),
+                  mask=np.ones(shape, dtype=bool))
+    u.values = f(u.centers()).reshape(shape)
+    return u
 
 
 def test_grid_sample_shape_and_values():
