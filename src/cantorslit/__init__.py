@@ -8,8 +8,8 @@ dimension estimators, and Monte Carlo measure-density checks.
 
 __version__ = "0.1.0"
 
-from .cantor import (CantorSpec, c_distance, cantor_dim, fat_thin_cantor,
-                     k_distance, k_distance_many)
+from .cantor import (CantorSpec, cantor_dim, fat_thin_cantor, k_distance,
+                     k_distance_many)
 from .regions import RegionSpec, component_label, region_membership, region_spec
 from .dyadic import DyadicCube
 from .whitney import (WhitneyDecomposition, chain, claim_count, reflect_assign,
@@ -24,8 +24,8 @@ from .dimension import (build_net_hierarchy, dim_upper_estimate,
 __all__ = [
     "CantorSpec", "RegionSpec", "DyadicCube", "GridField", "BoxUnion",
     "WhitneyDecomposition", "__version__", "assemble", "bound_report",
-    "build_net_hierarchy", "c_distance", "cantor_dim", "chain",
-    "claim_count", "component_label", "dim_upper_estimate", "extend",
+    "build_net_hierarchy", "cantor_dim", "chain", "claim_count",
+    "component_label", "dim_upper_estimate", "extend",
     "fat_thin_cantor", "gradient", "grid_sample", "jump_test_function",
     "k_distance", "k_distance_many", "measure_density_check", "norm_factor",
     "poincare_energy_check", "projection_measure", "ratio_p",

@@ -30,20 +30,16 @@ class CantorSpec:
     ratios        : per-step ratios in (0, 1/2], variable kind only.
     ambient_codim : number of product factors (the set lives in
                     R^ambient_codim).
-    max_depth     : recursion cutoff for membership / interval queries.
     """
 
     kind: str = "fixed"
     lam: float | None = None
     ratios: tuple[float, ...] = field(default_factory=tuple)
     ambient_codim: int = 1
-    max_depth: int = 60
 
     def __post_init__(self):
         if self.kind not in ("fixed", "variable"):
             raise ValueError(f"unknown Cantor kind {self.kind!r}")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
         if self.ambient_codim < 1:
             raise ValueError("ambient_codim must be >= 1")
         if self.kind == "fixed":
@@ -52,22 +48,14 @@ class CantorSpec:
         else:
             if not self.ratios:
                 raise ValueError("variable-ratio spec needs a ratio sequence")
-            for r in self.ratios:
-                if not (0.0 < r <= 0.5):
-                    raise ValueError("variable ratios must lie in (0, 1/2]")
-            # retained length 2^d * prod(ratios) must be non-increasing
-            prev = 1.0
-            retained = 1.0
-            for r in self.ratios:
-                retained *= 2.0 * r
-                if retained > prev + 1e-15:
-                    raise ValueError("retained length must be non-increasing")
-                prev = retained
+            # each factor 2r <= 1, so the retained length never grows
+            if not all(0.0 < r <= 0.5 for r in self.ratios):
+                raise ValueError("variable ratios must lie in (0, 1/2]")
 
     @property
     def depth(self) -> int:
-        """Number of construction steps with an explicit ratio."""
-        return self.max_depth if self.kind == "fixed" else len(self.ratios)
+        """Construction steps resolved: the ratio count, or 60 for fixed."""
+        return 60 if self.kind == "fixed" else len(self.ratios)
 
     def ratio_at(self, level: int) -> float:
         if self.kind == "fixed":
@@ -184,19 +172,9 @@ def _product_distance(coords, spec: CantorSpec) -> np.ndarray:
     return np.sqrt(sum(k_distance_many(c, spec, per_tol) ** 2 for c in coords))
 
 
-def c_distance(x, spec: CantorSpec) -> float:
-    """Euclidean distance to the product set prod K in R^(ambient_codim),
-    within 2^-40."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.ambient_codim,):
-        raise ValueError(
-            f"point has dimension {x.shape}, expected ({spec.ambient_codim},)"
-        )
-    return float(_product_distance(list(x), spec))
-
-
 def c_distance_grid(axes: list[np.ndarray], spec: CantorSpec) -> np.ndarray:
-    """c_distance on a tensor grid given the per-axis coordinates."""
+    """Distance, within 2^-40, to the product set prod K in R^(ambient_codim)
+    on a tensor grid given the per-axis coordinates."""
     if len(axes) != spec.ambient_codim:
         raise ValueError("axis count must equal ambient_codim")
     k = len(axes)
@@ -223,15 +201,7 @@ def fat_thin_cantor(depth: int) -> CantorSpec:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ratios = tuple((1.0 - 1.0 / (k + 2)) / 2.0 for k in range(1, depth + 1))
-    return CantorSpec(kind="variable", ratios=ratios, max_depth=depth)
-
-
-def retained_measure(spec: CantorSpec, depth: int) -> float:
-    """Total length of the depth-level construction intervals."""
-    m = 1.0
-    for k in range(depth):
-        m *= 2.0 * spec.ratio_at(k)
-    return m
+    return CantorSpec(kind="variable", ratios=ratios)
 
 
 def construction_intervals(spec: CantorSpec, depth: int) -> np.ndarray:
@@ -258,28 +228,6 @@ def cell_endpoints(spec: CantorSpec, depth: int) -> np.ndarray:
     """Sorted distinct endpoints of the depth-level construction intervals."""
     iv = construction_intervals(spec, depth)
     return np.unique(iv.ravel())
-
-
-def membership(spec: CantorSpec, x: float, depth: int | None = None) -> bool:
-    """Whether x lies in the depth-level approximation of the set.
-
-    Descends the single construction cell containing x, so the cost is
-    linear in the depth rather than in the 2^depth cell count.
-    """
-    depth = spec.depth if depth is None else min(depth, spec.depth)
-    a, b = 0.0, 1.0
-    if not a <= x <= b:
-        return False
-    for k in range(depth):
-        lam = spec.ratio_at(k)
-        cell = lam * (b - a)
-        if x <= a + cell:
-            b = a + cell
-        elif x >= b - cell:
-            a = b - cell
-        else:
-            return False
-    return True
 
 
 def interval_union_distance(x, spec: CantorSpec, depth: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from .dimension import (build_net_hierarchy, dim_upper_estimate,
                         measure_density_check)
 from .extension import (assemble, bound_report, extend, finest_gen,
                         origin_jump)
-from .fields import GridField, gradient, grid_sample, seminorm_p
+from .fields import GridField, _grid_shape, gradient, grid_sample, seminorm_p
 from .regions import (REGION_KINDS, component_label, region_membership,
                       region_spec)
 from .whitney import claim_count, verify_whitney, whitney_decompose
@@ -38,12 +38,18 @@ ORACLE_KINDS = ("N_lambda", "Omega_lambda")
 
 
 def parse_number(text: str) -> float:
-    """Exact parsing of fractions like 1/8 and powers like 2^-10."""
+    """Exact parsing of fractions like 1/8 and powers like 2^-10.
+
+    A zero denominator raises ValueError, which argparse turns into a usage
+    error."""
     text = text.strip()
-    if "^" in text:
-        base, _, expo = text.partition("^")
-        return float(Fraction(base) ** int(expo))
-    return float(Fraction(text))
+    try:
+        if "^" in text:
+            base, _, expo = text.partition("^")
+            return float(Fraction(base) ** int(expo))
+        return float(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_number_list(text: str) -> list[float]:
@@ -267,12 +273,18 @@ def cmd_field(args) -> int:
     return 0
 
 
+def _decomposition_gen(args) -> int:
+    """The max_gen that extend and sweep decompose at for their --grid."""
+    if args.cmd == "sweep":
+        return finest_gen(args.grid)      # jump_ratio's default
+    if args.max_gen is not None:
+        return args.max_gen
+    return max(4, finest_gen(args.grid))
+
+
 def cmd_extend(args) -> int:
     t0 = time.time()
-    max_gen = args.max_gen
-    if max_gen is None:
-        max_gen = max(4, finest_gen(args.grid))
-    asm = assemble(args.lam, args.n, max_gen)
+    asm = assemble(args.lam, args.n, _decomposition_gen(args))
     u = grid_sample(args.make_func(), asm.region_omega, args.grid)
     eu = extend(u, asm)
     _dump_grid(args.out, eu)
@@ -502,12 +514,27 @@ def main(argv: list[str] | None = None) -> int:
                          f"--n is {args.n}")
     if getattr(args, "region", None) == "Omega2" and args.n != 2:
         parser.error("argument --region: Omega2 is planar, --n must be 2")
+    # grid spacings: field samples its region's box; extend and sweep sample
+    # the slit domain's box (D's) and blend with the bumps of max_gen cubes
+    key = {"field": "h", "extend": "grid", "sweep": "grid"}.get(args.cmd)
+    h = getattr(args, key, None) if key else None
+    if h is not None:
+        region = _region(args) if key == "h" else region_spec("D", n=args.n)
+        try:
+            _grid_shape(region.bbox, h)
+        except ValueError as e:
+            parser.error(f"argument --{key}: {e}")
+        if key == "grid":
+            gen = _decomposition_gen(args)
+            if gen < 4 or h > 2.0 ** -gen / 8.0 + 1e-15:
+                parser.error(f"argument --grid: {h:g} needs max_gen >= 4 and a "
+                             f"grid <= 2^-(max_gen+3); max_gen is {gen}")
     for key in ("func", "u"):
         text = getattr(args, key, None)
         if text is not None:
             try:
                 args.make_func = _parse_func(text, args.lam, args.n)
-            except (ValueError, ZeroDivisionError) as e:
+            except ValueError as e:
                 parser.error(f"argument --{key}: {text!r} is not a test "
                              f"function spec ({e})")
     return args.func_handler(args)

@@ -46,13 +46,13 @@ def cantor_candidates(spec: CantorSpec, r: float, n: int = 1) -> np.ndarray:
     depth = 1
     size = 1.0
     while size >= r / 4.0:
-        size *= spec.ratio_at(depth - 1) if spec.kind == "variable" else spec.lam
+        size *= spec.ratio_at(depth - 1)
         depth += 1
-        if depth > spec.max_depth:
+        if depth > spec.depth:
             warnings.warn("candidate set coarser than r/4; maximality "
                           "not certified", stacklevel=2)
             break
-    xs = np.unique(cell_endpoints(spec, min(depth, spec.max_depth)).ravel())
+    xs = cell_endpoints(spec, min(depth, spec.depth))
     if n == 1:
         return xs[:, None]
     pts = np.zeros((len(xs), n))
@@ -169,8 +169,8 @@ def measure_density_check(region: RegionSpec, x, radii: list[float],
     """Monte Carlo density of the component of region attached to x.
 
     For each radius the component is resolved by flood fill on a grid of
-    spacing r/256, attached through a witness just off the pinch
-    plane on the requested side, and its volume inside B(x, r) is estimated
+    spacing r/256, attached through the witness of ComponentMap.side_labels
+    on the requested side, and its volume inside B(x, r) is estimated
     from `samples` seeded uniform draws in the bounding box of the ball.
     c_fit is the minimum over radii of volume / r^n, with 95% confidence
     half-widths reported per radius.
@@ -183,24 +183,15 @@ def measure_density_check(region: RegionSpec, x, radii: list[float],
     n = region.n
     rng = np.random.default_rng(seed)
     cs, hw = [], []
-    sgn = 1.0 if side == "upper" else -1.0
     for r in radii:
-        hmap = r / 256
-        cmap = component_label(region, x, r, hmap)
-        witness = x.copy()
-        witness[0] += hmap
-        witness[n - 1] += sgn * 4.0 * hmap
-        label = cmap.label_at(witness)
+        cmap = component_label(region, x, r, r / 256)
+        label = cmap.side_labels(x)[0 if side == "upper" else 1]
         if label < 0:
             warnings.warn(f"no component at radius {r}; skipped", stacklevel=2)
             continue
         pts = x + rng.uniform(-r, r, size=(samples, n))
         inside = np.sum((pts - x) ** 2, axis=1) <= r * r
-        idx = np.floor((pts - cmap.origin) / cmap.h).astype(int)
-        shape = np.array(cmap.labels.shape)
-        ok = inside & np.all((idx >= 0) & (idx < shape), axis=1)
-        hits = np.zeros(samples, dtype=bool)
-        hits[ok] = cmap.labels[tuple(idx[ok].T)] == label
+        hits = inside & (cmap.label_at(pts) == label)
         phat = float(np.count_nonzero(hits)) / samples
         boxvol = (2.0 * r) ** n
         vol = phat * boxvol

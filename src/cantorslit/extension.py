@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -336,35 +335,23 @@ def jump_ratio(lam: float, n: int, p: float, h: float,
 # pointwise evaluation and the trace refinement study
 
 
-def _pointwise_weights(dec: WhitneyDecomposition, x: np.ndarray):
-    """(cube id, raw bump value) pairs with positive bump at x.
-
-    A cube's bump vanishes outside (9/8) of it, so only the 3^n cubes of
-    generation g around floor(x 2^g) can reach x.
-    """
-    out = []
-    offs = np.array(list(product((-1, 0, 1), repeat=dec.n)), dtype=np.int64)
-    for g in dec.index.blocks:
-        rows = dec.index.find(g, np.floor(x * 2.0 ** g).astype(np.int64) + offs)
-        rows = rows[rows >= 0]
-        side = 2.0 ** -g
-        vals = np.prod(_bump_profile(x, (dec.idx[rows] + 0.5) * side, side), axis=1)
-        out += [(r + 1, v) for r, v in zip(rows.tolist(), vals.tolist()) if v > 0.0]
-    return out
-
-
 def point_extend(x, asm: ExtensionAssembly, u_fn) -> float:
     """Eu at a single tent point, with analytic averages of u.
 
-    Cube averages use a fixed 4 x 4 midpoint rule on the reflected cube
-    (exact for affine u, O(side^2) otherwise).
+    The weights at x are the partition_of_unity table of a one-cell grid
+    centred at x, at the coarsest spacing the decomposition accepts.  Cube
+    averages use a fixed 4 x 4 midpoint rule on the reflected cube (exact
+    for affine u, O(side^2) otherwise).
     """
     x = np.asarray(x, dtype=float)
-    pairs = _pointwise_weights(asm.w, x)
-    if not pairs:
+    h = 2.0 ** -(int(asm.w.gen.max(initial=0)) + 3)
+    pou = partition_of_unity(asm.w, h, np.stack([x - h / 2.0, x + h / 2.0]))
+    live = pou.phi > 0.0            # the table also lists support-edge zeros
+    if not live.any():
         raise ValueError(f"no resolved tent cube covers {x}")
     num = den = 0.0
-    for cid, phi in pairs:
+    for row, phi in zip(pou.rows[live].tolist(), pou.phi[live].tolist()):
+        cid = row + 1
         rid = asm.reflect.mapping.get(cid)
         if rid is None:
             raise ValueError(f"unassigned tent cube id {cid} at {x}")

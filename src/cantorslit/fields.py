@@ -4,8 +4,9 @@ Scalar and vector quantities live on regular cell-centered grids with a
 boolean membership mask.  Finite differences never couple cells across the
 mask, so the two sides of a slit stay numerically independent.  The module
 also measures axis projections of unions of boxes (exactly via interval
-unions in the plane) and runs the cube-level energy check that
-compares masked gradient energy against the scale delta^((n-p)/n) l^(n-p).
+unions in the plane, by pixel count above it) and runs the cube-level
+energy check that compares masked gradient energy against the scale
+delta^((n-p)/n) l^(n-p).
 """
 
 from __future__ import annotations
@@ -58,16 +59,21 @@ class GridField:
 
 
 
-def _grid_axes(bbox: np.ndarray, h: float) -> list[np.ndarray]:
-    axes = []
-    for i in range(bbox.shape[1]):
-        span = bbox[1, i] - bbox[0, i]
+def _grid_shape(bbox: np.ndarray, h: float) -> list[int]:
+    """Cells per axis of the spacing-h grid on bbox; h must divide each side."""
+    shape = []
+    for span in bbox[1] - bbox[0]:
         m = span / h
         mi = round(m)
         if abs(m - mi) > 1e-9 * max(1.0, abs(m)):
             raise ValueError(f"h={h} does not divide the bbox side {span}")
-        axes.append(bbox[0, i] + (np.arange(mi) + 0.5) * h)
-    return axes
+        shape.append(mi)
+    return shape
+
+
+def _grid_axes(bbox: np.ndarray, h: float) -> list[np.ndarray]:
+    return [lo + (np.arange(m) + 0.5) * h
+            for lo, m in zip(bbox[0], _grid_shape(bbox, h))]
 
 
 def grid_sample(f, region: RegionSpec, h: float,
@@ -219,56 +225,43 @@ def interval_union_measure(intervals: list[tuple[float, float]]) -> float:
     return total
 
 
-def _projected_intervals(F: BoxUnion, drop: int) -> list[tuple[float, float]]:
-    out = []
-    keep = 1 - drop
-    for lo, hi in F.boxes:
-        out.append((lo[keep], hi[keep]))
-    return out
-
-
 def projection_measure(F: BoxUnion, axis: int) -> float:
     """(n-1)-measure of the union projected along the given axis (1-based).
 
-    Exact interval-union sweep in the plane; for n >= 3 the projected
-    boxes are rasterised on a grid of spacing h = 2^-12 over their bounding
-    box (over-approximation error is at most perimeter * h per member).
+    Exact interval-union sweep in the plane; for n >= 3 the pixel count of
+    pixel_projection_measure at h = 2^-12 (over-approximation error at most
+    perimeter * h per member).
     """
+    if not 1 <= axis <= F.n:
+        raise ValueError("axis must be between 1 and n")
+    if F.n > 2:
+        return pixel_projection_measure(F, axis, 2.0 ** -12)
+    keep = 2 - axis
+    return interval_union_measure([(lo[keep], hi[keep]) for lo, hi in F.boxes])
+
+
+def pixel_projection_measure(F: BoxUnion, axis: int, h: float) -> float:
+    """Pixel count of the union projected along the given axis (1-based):
+    the cells of spacing h from the shadow's lower corner whose centers a
+    projected closed box contains, times h^(n-1)."""
     if not 1 <= axis <= F.n:
         raise ValueError("axis must be between 1 and n")
     if F.is_empty():
         return 0.0
-    drop = axis - 1
-    if F.n == 2:
-        return interval_union_measure(_projected_intervals(F, drop))
-    h = 2.0 ** -12
-    keep = [i for i in range(F.n) if i != drop]
+    keep = [i for i in range(F.n) if i != axis - 1]
     lo = np.min([b[0][keep] for b in F.boxes], axis=0)
     hi = np.max([b[1][keep] for b in F.boxes], axis=0)
-    axes = [np.arange(lo[i], hi[i] + h, h) + h / 2 for i in range(F.n - 1)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    hit = np.zeros(pts.shape[0], dtype=bool)
+    k = len(keep)
+    axes = [a + (np.arange(int(math.ceil((b - a) / h)) + 1) + 0.5) * h
+            for a, b in zip(lo, hi)]
+    hit = np.zeros([len(t) for t in axes], dtype=bool)
     for blo, bhi in F.boxes:
-        hit |= np.all((pts >= blo[keep]) & (pts <= bhi[keep]), axis=1)
-    return float(np.count_nonzero(hit)) * h ** (F.n - 1)
-
-
-def pixel_projection_measure(F: BoxUnion, axis: int, h: float) -> float:
-    """Pixel-counting oracle for the projected measure (1-D rasterisation)."""
-    if F.n != 2:
-        raise ValueError("the pixel oracle is planar")
-    ivs = _projected_intervals(F, axis - 1)
-    if not ivs:
-        return 0.0
-    lo = min(a for a, _ in ivs)
-    hi = max(b for _, b in ivs)
-    m = int(math.ceil((hi - lo) / h)) + 1
-    t = lo + (np.arange(m) + 0.5) * h
-    hit = np.zeros(m, dtype=bool)
-    for a, b in ivs:
-        hit |= (t >= a) & (t <= b)
-    return float(np.count_nonzero(hit)) * h
+        inside = True
+        for j, (i, t) in enumerate(zip(keep, axes)):
+            sh = [-1 if a == j else 1 for a in range(k)]
+            inside = inside & ((t >= blo[i]) & (t <= bhi[i])).reshape(sh)
+        hit |= inside
+    return float(np.count_nonzero(hit)) * h ** k
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +280,7 @@ def poincare_energy_check(Q, F: BoxUnion, f: GridField, delta: float,
                           p: float) -> dict:
     """Masked gradient energy on Q \\ F against delta^((n-p)/n) l(Q)^(n-p).
 
-    Q is (lo, hi) corner arrays or any object exposing lo/hi.  Hypotheses
+    Q is a (lo, hi) pair of corner arrays.  Hypotheses
     checked numerically before the energy is formed: every axis projection
     of F is small relative to the projected cube face (clause
     "projection"), and both level sets {f = 0} and {f = 1}, to within 1e-9,
@@ -296,10 +289,7 @@ def poincare_energy_check(Q, F: BoxUnion, f: GridField, delta: float,
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    if hasattr(Q, "lo"):
-        qlo, qhi = np.asarray(Q.lo, dtype=float), np.asarray(Q.hi, dtype=float)
-    else:
-        qlo, qhi = (np.asarray(v, dtype=float) for v in Q)
+    qlo, qhi = (np.asarray(v, dtype=float) for v in Q)
     n = f.n
     ell = float(qhi[0] - qlo[0])
     if not np.allclose(qhi - qlo, ell):
@@ -308,7 +298,7 @@ def poincare_energy_check(Q, F: BoxUnion, f: GridField, delta: float,
     face = ell ** (n - 1)
     budget = delta / (2 * n * 2 ** n) * face
     for axis in range(1, n + 1):
-        mu = projection_measure(F, axis) if not F.is_empty() else 0.0
+        mu = projection_measure(F, axis)
         if mu > budget:
             raise EnergyHypothesisError(
                 "projection",

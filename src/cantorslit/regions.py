@@ -78,12 +78,6 @@ def _check_dim(spec: RegionSpec, x: np.ndarray):
         raise ValueError(f"point has shape {x.shape}, expected ({spec.n},)")
 
 
-def _tent_height(spec: RegionSpec, coords) -> np.ndarray:
-    """dist(x', C(lam)) within 2^-40 from the arrays of the first n-1
-    coordinates."""
-    return _product_distance(coords, spec.cantor)
-
-
 def _in_region(spec: RegionSpec, coords) -> np.ndarray:
     """Membership from n coordinate arrays that broadcast against each other.
 
@@ -108,7 +102,7 @@ def _in_region(spec: RegionSpec, coords) -> np.ndarray:
         in_n = h <= 1.0
         for x in coords[: n - 1]:
             in_n = in_n & ((x >= 0.0) & (x <= 1.0))
-        in_n = in_n & (h <= _tent_height(spec, coords[: n - 1]))
+        in_n = in_n & (h <= _product_distance(coords[: n - 1], spec.cantor))
         if spec.kind == "N_lambda":
             return in_n
     # D and Omega keep the notch [-1,0] x [-1,1]; Q0_tilde removes [-1,1]^2
@@ -155,13 +149,24 @@ class ComponentMap:
     labels: np.ndarray          # -1 outside window/region, else component id
     count: int
 
-    def label_at(self, x) -> int:
-        """Component label of the cell containing x (-1 if none)."""
+    def label_at(self, x) -> np.ndarray:
+        """Component labels of the cells containing the points x, of shape
+        (..., n); -1 off the grid.  One point gives a numpy integer."""
         x = np.asarray(x, dtype=float)
         idx = np.floor((x - self.origin) / self.h).astype(int)
-        if np.any(idx < 0) or np.any(idx >= np.array(self.labels.shape)):
-            return -1
-        return int(self.labels[tuple(idx)])
+        on = np.all((idx >= 0) & (idx < self.labels.shape), axis=-1)
+        idx = np.where(on[..., None], idx, 0)
+        return np.where(on, self.labels[tuple(np.moveaxis(idx, -1, 0))], -1)[()]
+
+    def side_labels(self, x) -> tuple:
+        """(upper, lower) labels at the witnesses x + (h, .., h, +-4h), one
+        cell off the lateral faces and four off the pinch plane."""
+        x = np.asarray(x, dtype=float)
+        off = np.full(x.shape[-1], self.h)
+        off[-1] = 4.0 * self.h
+        upper = self.label_at(x + off)
+        off[-1] = -off[-1]
+        return upper, self.label_at(x + off)
 
     def cells_of(self, label: int) -> np.ndarray:
         """(m, n) array of centers of the cells carrying the given label."""
@@ -190,21 +195,28 @@ def component_label(spec: RegionSpec, center, radius: float, h: float) -> Compon
     origin = center - (half + 0.5) * h
     axes = [origin[i] + (np.arange(m) + 0.5) * h for i in range(n)]
     mask = membership_grid(spec, axes)
-    rr = np.zeros([m] * n)
-    for i in range(n):
-        sh = [1] * n
-        sh[i] = m
-        rr = rr + (axes[i] - center[i]).reshape(sh) ** 2
-    mask &= rr <= radius ** 2
+    # the ball, one axis-0 slab at a time: ((d_0^2 + d_1^2) + ...) <= r^2
+    sq = [(a - c) ** 2 for a, c in zip(axes, center)]
+    rest = [d.reshape([-1 if j == i else 1 for j in range(n - 1)])
+            for i, d in enumerate(sq[1:])]
+    for k in range(m):
+        mask[k] &= sum(rest, sq[0][k]) <= radius ** 2
     structure = ndimage.generate_binary_structure(n, 1)  # faces only
     raw, count = ndimage.label(mask, structure=structure)
-    # relabel components by first appearance in C-order scan
-    vals, first = np.unique(raw, return_index=True)
-    vals, first = vals[vals > 0], first[vals > 0]
-    lut = np.full(count + 1, -1)
-    lut[vals[np.argsort(first)]] = np.arange(len(vals))
+    # relabel components by first appearance in C-order scan; a component's
+    # first cell lies in the first axis-0 slab of its bounding box
+    slab = np.array([sl[0].start for sl in ndimage.find_objects(raw)], dtype=int)
+    first = np.zeros(count, dtype=np.int64)
+    for s in np.unique(slab).tolist():
+        vals, pos = np.unique(raw[s], return_index=True)
+        keep = (vals > 0) & (slab[vals - 1] == s)
+        first[vals[keep] - 1] = s * raw[s].size + pos[keep]
+    lut = np.full(count + 1, -1, dtype=raw.dtype)
+    lut[1 + np.argsort(first)] = np.arange(count)
+    for k in range(m):                  # in place, a slab at a time
+        raw[k] = lut[raw[k]]
     return ComponentMap(center=center, radius=radius, h=h, origin=origin,
-                        labels=lut[raw], count=len(vals))
+                        labels=raw, count=count)
 
 
 @dataclass
@@ -244,11 +256,7 @@ def two_sided_sample(spec: RegionSpec, depth: int) -> TwoSidedSample:
         msg = []
         for rad in (r, r / 2):
             cm = component_label(spec, p, rad, rad / 64)
-            h = cm.h
-            # witnesses nudged off the pinch plane and off the lateral faces
-            up = p + np.concatenate([np.full(n - 1, h), [4 * h]])
-            dn = p + np.concatenate([np.full(n - 1, h), [-4 * h]])
-            lu, ld = cm.label_at(up), cm.label_at(dn)
+            lu, ld = (int(v) for v in cm.side_labels(p))
             if lu < 0 or ld < 0 or lu == ld:
                 ok = False
                 msg.append(f"r={rad:g}: witnesses not in distinct components")
@@ -257,8 +265,7 @@ def two_sided_sample(spec: RegionSpec, depth: int) -> TwoSidedSample:
             cm_s, lu_s, ld_s = maps[r / 2]
             cm_l, lu_l, ld_l = maps[r]
             for lab_s, lab_l, side in ((lu_s, lu_l, "upper"), (ld_s, ld_l, "lower")):
-                cells = cm_s.cells_of(lab_s)
-                big = np.array([cm_l.label_at(c) for c in cells])
+                big = cm_l.label_at(cm_s.cells_of(lab_s))
                 # cells whose coarse container is masked out (tent boundary
                 # misclassification at the coarser h) carry no information
                 big = big[big >= 0]

@@ -28,10 +28,11 @@ from itertools import product
 
 import numpy as np
 
-from .cantor import CantorSpec, DEFAULT_TOL, _descend
+from .cantor import (CantorSpec, DEFAULT_TOL, _descend,
+                     _product_distance)
 from .dyadic import (CubeIndex, CubeView, DyadicCube, meets_window, order,
                      radix_strides, sides, subdivide)
-from .regions import RegionSpec, _in_region, _tent_height
+from .regions import RegionSpec, _in_region
 
 Q0_ID = 0  # sentinel id for the reservoir region in reflect maps and chains
 
@@ -90,9 +91,6 @@ class TentOracle(_RegionOracle):
         # half of the first-level gap bounds the 1-D distance function on [0,1]
         self._max_k = (1.0 - 2.0 * cantor.ratio_at(0)) / 2.0
 
-    def _height(self, XP: np.ndarray) -> np.ndarray:
-        return _tent_height(self._region, list(XP.T))
-
     def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n, tol = self.n, DEFAULT_TOL
         XP, xn = X[:, :-1], X[:, -1]
@@ -140,11 +138,12 @@ class TentOracle(_RegionOracle):
         cp = np.clip(XP, 0.0, 1.0)
         gc, out = g.copy(), np.any(cp != XP, axis=1)
         if out.any():
-            gc[out] = self._height(cp[out])
+            gc[out] = _product_distance(list(cp[out].T), self.cantor)
         hi = np.sqrt(np.sum((XP - cp) ** 2, axis=1) + (xn - sgn * gc) ** 2)
         for cp in cands:
             cp = np.clip(cp, 0.0, 1.0)
-            d2 = np.sum((XP - cp) ** 2, axis=1) + (xn - sgn * self._height(cp)) ** 2
+            gp = _product_distance(list(cp.T), self.cantor)
+            d2 = np.sum((XP - cp) ** 2, axis=1) + (xn - sgn * gp) ** 2
             hi = np.minimum(hi, np.sqrt(d2))
         return lo, hi + tol
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cantorslit.cantor import (
     CantorSpec,
     box_dimension_estimate,
-    c_distance,
+    c_distance_grid,
     cantor_dim,
     cell_endpoints,
     cell_left_endpoints,
@@ -21,8 +21,6 @@ from cantorslit.cantor import (
     k_distance_many,
     k_gap_mid_many,
     k_nearest_many,
-    membership,
-    retained_measure,
 )
 
 
@@ -35,6 +33,9 @@ def test_spec_validation():
         CantorSpec(kind="variable", ratios=())
     with pytest.raises(ValueError):
         CantorSpec(kind="nope", lam=0.25)
+    for bad in (0.6, 0.0):
+        with pytest.raises(ValueError):
+            CantorSpec(kind="variable", ratios=(0.25, bad))
 
 
 def test_k_distance_known_points():
@@ -100,11 +101,12 @@ def test_gap_midpoints_bracket_points():
 
 def test_c_distance_product():
     spec = CantorSpec(lam=0.25, ambient_codim=2)
+    d = c_distance_grid([np.array([0.5, 0.25]), np.array([0.5, 0.75])], spec)
+    assert d.shape == (2, 2)
     # distance in the plane to K x K from (1/2, 1/2) is 0.25 * sqrt(2)
-    d = c_distance(np.array([0.5, 0.5]), spec)
-    assert d == pytest.approx(0.25 * math.sqrt(2.0), abs=1e-9)
+    assert d[0, 0] == pytest.approx(0.25 * math.sqrt(2.0), abs=1e-9)
     # on the product set
-    assert c_distance(np.array([0.25, 0.75]), spec) <= 1e-9
+    assert d[1, 1] <= 1e-9
 
 
 def test_cantor_dim_formula():
@@ -119,19 +121,11 @@ def test_construction_intervals_and_measure():
     assert iv.shape == (8, 2)
     widths = iv[:, 1] - iv[:, 0]
     assert np.allclose(widths, 0.25 ** 3)
-    assert retained_measure(spec, 3) == pytest.approx(0.5 ** 3)
+    assert widths.sum() == pytest.approx(0.5 ** 3)
     lefts = cell_left_endpoints(spec, 2)
     assert lefts.shape == (4,)
     ends = cell_endpoints(spec, 1)
     assert np.allclose(np.sort(ends), [0.0, 0.25, 0.75, 1.0])
-
-
-def test_membership():
-    spec = CantorSpec(lam=0.25)
-    assert membership(spec, 0.25)
-    assert membership(spec, 1.0)
-    assert not membership(spec, 0.5)
-    assert not membership(spec, -0.01)
 
 
 def test_fat_thin_ratios():
@@ -141,7 +135,9 @@ def test_fat_thin_ratios():
     # ratios increase toward 1/2 (box dimension 1) while the retained
     # length decreases to zero (sum of the removed proportions diverges)
     assert all(a < b < 0.5 for a, b in zip(spec.ratios, spec.ratios[1:]))
-    assert retained_measure(spec, 8) < retained_measure(spec, 4)
+    retained = [np.diff(construction_intervals(spec, d), axis=1).sum()
+                for d in (4, 8)]
+    assert retained[1] < retained[0]
 
 
 def test_box_dimension_estimate():

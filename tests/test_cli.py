@@ -108,6 +108,12 @@ def test_claim_count_manifest_reports_sources(tmp_path):
     (["extend", "--u", "jump:depth=0"], "--u"),
     (["extend", "--u", "jump:r=-1/8"], "--u"),
     (["extend", "--u", "jump:radius=1/8"], "--u"),
+    (["field", "sample", "--h", "0.3"], "--h"),
+    (["sweep", "--lambdas", "1/8", "--grid", "1/8"], "--grid"),
+    (["extend", "--grid", "2^-8", "--max-gen", "9"], "--grid"),
+    (["extend", "--grid", "1/8"], "--grid"),
+    (["cantor", "dist", "--lambda", "1/0", "--x", "0.5"], "--lambda"),
+    (["cantor", "dist", "--lambda", "1/4", "--x", "1/0"], "--x"),
 ])
 def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
                                             monkeypatch):

@@ -78,6 +78,16 @@ def test_density_quick_both_sides():
         assert all(hw > 0.0 for hw in res.halfwidth)
 
 
+def test_density_n3_at_origin_both_sides():
+    # the witnesses (h, h, +-4h) sit over the pinch, clear of D's notch
+    ro = region_spec("Omega_lambda", lam=0.25, n=3)
+    for side in ("upper", "lower"):
+        res = measure_density_check(ro, (0.0, 0.0, 0.0), [0.25],
+                                    samples=20000, seed=3, side=side)
+        assert len(res.c_per_radius) == 1
+        assert 0.3 < res.c_fit < 0.5
+
+
 def test_density_full_ball_interior():
     # a ball fully inside the domain: density approaches the ball volume pi
     ro = region_spec("Omega_lambda", lam=0.25)

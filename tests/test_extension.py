@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from cantorslit.extension import (
 )
 from cantorslit.fields import GridField, grid_sample
 from cantorslit.regions import region_membership_many, region_spec
-from cantorslit.whitney import whitney_decompose
+from cantorslit.whitney import Q0_ID, whitney_decompose
 
 LAM = 0.25
 H = 2.0 ** -9
@@ -270,6 +271,68 @@ def test_gap_midpoints():
     assert mids[0, 1] == pytest.approx(0.25)
     mids2 = gap_midpoints(CantorSpec(lam=LAM), 2)
     assert mids2.shape == (3, 2)
+
+
+def _pointwise_reference(x, asm, u_fn):
+    """point_extend's old loop: the 3^n cubes of each generation around x."""
+    dec = asm.w
+    pairs = []
+    offs = np.array(list(product((-1, 0, 1), repeat=dec.n)), dtype=np.int64)
+    for g in dec.index.blocks:
+        rows = dec.index.find(g, np.floor(x * 2.0 ** g).astype(np.int64) + offs)
+        rows = rows[rows >= 0]
+        side = 2.0 ** -g
+        vals = np.prod(_bump_profile(x, (dec.idx[rows] + 0.5) * side, side),
+                       axis=1)
+        pairs += [(r + 1, v) for r, v in zip(rows.tolist(), vals.tolist())
+                  if v > 0.0]
+    if not pairs:
+        raise ValueError(f"no resolved tent cube covers {x}")
+    num = den = 0.0
+    for cid, phi in pairs:
+        rid = asm.reflect.mapping.get(cid)
+        if rid is None:
+            raise ValueError(f"unassigned tent cube id {cid} at {x}")
+        if rid == Q0_ID:
+            raise ValueError("reservoir averages need a grid; use extend()")
+        q = asm.wt.cube(rid)
+        t = (np.arange(4) + 0.5) / 4
+        grids = np.meshgrid(*[q.lo[i] + q.side * t for i in range(q.n)],
+                            indexing="ij")
+        a = float(np.mean(u_fn(np.stack([g.ravel() for g in grids], axis=-1))))
+        num += a * phi
+        den += phi
+    return num / den
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def test_point_extend_matches_reference():
+    asm7 = assemble(LAM, n=2, max_gen=7)
+
+    def u_fn(X):
+        return X[:, 0] + 0.5 * np.sin(3.0 * X[:, 1])
+
+    rng = np.random.default_rng(41)
+    X = rng.uniform([0.0, -0.25], [1.0, 0.25], (3000, 2))
+    X = X[region_membership_many(asm7.region_n, X)][:400]
+    # points within 2^-12 of the slit plane, and one outside the tent
+    X = np.concatenate([X, X[:20] * [1.0, 2.0 ** -12], [[0.5, 0.9]]])
+    got = [_outcome(point_extend, x, asm7, u_fn) for x in X]
+    assert got == [_outcome(_pointwise_reference, x, asm7, u_fn) for x in X]
+    kinds = {g.split(" ")[1] if g.startswith("V") else "value" for g in got}
+    assert kinds == {"value", "no", "reservoir"}
+    # with no cube assigned, both name the same first cube at every point
+    bad = replace(asm7, reflect=replace(asm7.reflect, mapping={}))
+    got = [_outcome(point_extend, x, bad, u_fn) for x in X[:100]]
+    assert got == [_outcome(_pointwise_reference, x, bad, u_fn)
+                   for x in X[:100]]
+    assert any("unassigned tent cube id" in g for g in got)
 
 
 def test_point_extend_matches_grid_for_affine(asm):

@@ -88,6 +88,14 @@ def test_box_union_and_projection():
     assert abs(pix - exact) <= 0.01 * max(exact, 1e-12)
     pts = np.array([[0.1, 0.5], [0.4, 0.5], [0.6, 0.5]])
     assert list(F.contains_many(pts)) == [True, False, True]
+    # n = 3: dyadic corners, so the 2^-12 pixel count is exact
+    G = BoxUnion(n=3)
+    G.add_box([0.0, 0.0, 0.0], [0.5, 0.5, 0.25])
+    G.add_box([0.25, 0.25, 0.25], [0.5, 0.75, 0.75])
+    assert projection_measure(G, 3) == 0.3125
+    assert projection_measure(G, 1) == 0.375
+    assert pixel_projection_measure(G, 3, h=2.0 ** -6) == 0.3125
+    assert projection_measure(BoxUnion(n=3), 2) == 0.0
 
 
 def test_energy_check_passes_on_transition():

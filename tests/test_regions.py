@@ -121,6 +121,38 @@ def test_component_label_splits_pinch():
     assert up >= 0 and dn >= 0
     assert up != dn
     assert cm.count >= 2
+    assert cm.side_labels((0.0, 0.0)) == (up, dn)
+
+
+def test_label_at_many_matches_points():
+    cm = component_label(spec_omega(n=3), (0.0, 0.0, 0.0), 0.25, 0.25 / 32)
+    rng = np.random.default_rng(4)
+    # about three quarters of the points fall outside the window's grid
+    X = rng.uniform(-0.4, 0.4, (300, 3))
+    got = cm.label_at(X)
+    want = []
+    for x in X:
+        idx = np.floor((x - cm.origin) / cm.h).astype(int)
+        on = np.all((idx >= 0) & (idx < cm.labels.shape))
+        want.append(cm.labels[tuple(idx)] if on else -1)
+    assert got.shape == (300,)
+    assert got.tolist() == want
+    assert [cm.label_at(x) for x in X] == want
+    assert (got == -1).any() and (got >= 0).any()
+    assert cm.label_at(X.reshape(10, 30, 3)).tolist() == \
+        np.reshape(want, (10, 30)).tolist()
+
+
+@pytest.mark.parametrize("center, radius, n", [
+    ((0.5, 0.0), 0.3, 2), ((0.0, 0.0, 0.0), 0.25, 3)])
+def test_component_label_numbers_by_first_appearance(center, radius, n):
+    cm = component_label(spec_omega(lam=0.125, n=n), center, radius,
+                         radius / 32)
+    flat = cm.labels.ravel()
+    _, first = np.unique(flat, return_index=True)
+    order = flat[np.sort(first)]
+    assert cm.count >= 2
+    assert order[order >= 0].tolist() == list(range(cm.count))
 
 
 def test_component_label_connected_away_from_slit():
