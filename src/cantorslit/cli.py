@@ -67,10 +67,13 @@ def _checked(parse, ok, what: str):
     message before any command runs.
     """
     def conv(text: str):
-        v = parse(text)
-        if not ok(v):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
-        return v
+        try:
+            v = parse(text)
+            if ok(v):
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
     return conv
 
 

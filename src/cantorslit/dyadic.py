@@ -4,8 +4,8 @@ A dyadic cube of generation k and index j in Z^n is Prod_i [j_i 2^-k,
 (j_i+1) 2^-k].  Sets of cubes are int64 arrays gen (m,) and idx (m, n),
 sorted by (gen, idx); DyadicCube is a read-only view of one row.  Corners
 j 2^-k are exact binary floats, so float comparisons on them are exact.
-The scalar predicates (overlap_lengths, cubes_touch, face_adjacent,
-projection_contains) are the independent reference for the array code.
+The scalar predicates (overlap_lengths, cubes_touch, projection_contains)
+are the independent reference for the array code.
 """
 
 from __future__ import annotations
@@ -69,14 +69,6 @@ def overlap_lengths(a: DyadicCube, b: DyadicCube) -> tuple[int, ...] | None:
 
 def cubes_touch(a: DyadicCube, b: DyadicCube) -> bool:
     return overlap_lengths(a, b) is not None
-
-
-def face_adjacent(a: DyadicCube, b: DyadicCube) -> bool:
-    """Closures meet in an (n-1)-dimensional set (a common face portion)."""
-    ov = overlap_lengths(a, b)
-    if ov is None:
-        return False
-    return sum(1 for w in ov if w == 0) == 1
 
 
 def projection_contains(a: DyadicCube, b: DyadicCube, drop_axis: int) -> bool:

@@ -20,8 +20,8 @@ from .cantor import CantorSpec, cantor_dim, cell_endpoints
 from .fields import GridField, _grid_axes, grid_sample, gradient, seminorm_p
 from .regions import (RegionSpec, component_label, membership_grid,
                       region_membership_many, region_spec)
-from .whitney import (Q0_ID, ReflectAssignment, WhitneyDecomposition,
-                      reflect_assign, whitney_decompose)
+from .whitney import (Q0_ID, UNASSIGNED, ReflectAssignment,
+                      WhitneyDecomposition, reflect_assign, whitney_decompose)
 
 
 def _bump_profile(x, center, side: float) -> np.ndarray:
@@ -34,10 +34,10 @@ def _bump_profile(x, center, side: float) -> np.ndarray:
 class PartitionOfUnity:
     """Bump weights of the resolved cubes on a regular grid, as a flat table.
 
-    Entry e is the raw bump phi[e] of cube row rows[e] (id rows[e] + 1) at
-    the C-order cell cells[e]; entries run in (gen, idx) cube order.  total
-    is the grid-shaped sum of phi per cell, so covered cells are those with
-    total > 0 and the normalised weights are phi / total.ravel()[cells].
+    Entry e is the raw bump phi[e] of cube row rows[e] at the C-order cell
+    cells[e]; entries run in (gen, idx) cube order.  total is the
+    grid-shaped sum of phi per cell, so covered cells are those with total >
+    0 and the normalised weights are phi / total.ravel()[cells].
     """
 
     cells: np.ndarray
@@ -145,13 +145,13 @@ def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
     n_mask = membership_grid(asm.region_n, u.axes())
     # the tent cubes whose support meets the grid, and their reflected cubes
     tent = np.unique(pou.rows)
-    rid = [asm.reflect.mapping.get(cid) for cid in (tent + 1).tolist()]
-    if None in rid:
-        raise ValueError(f"unassigned tent cube id {tent[rid.index(None)] + 1}"
+    rid = asm.reflect.target[tent]
+    missing = tent[rid == UNASSIGNED]
+    if len(missing):
+        raise ValueError(f"unassigned tent cube {asm.w.cubes[missing[0]]}"
                          " inside the support")
-    targets, which = np.unique(np.array(rid, dtype=np.int64),
-                               return_inverse=True)
-    avg = np.array([cube_average(u, None if t == Q0_ID else asm.wt.cube(t))
+    targets, which = np.unique(rid, return_inverse=True)
+    avg = np.array([cube_average(u, None if t == Q0_ID else asm.wt.cubes[t])
                     for t in targets.tolist()])
     a = np.zeros(len(asm.w))
     a[tent] = avg[which]
@@ -351,13 +351,12 @@ def point_extend(x, asm: ExtensionAssembly, u_fn) -> float:
         raise ValueError(f"no resolved tent cube covers {x}")
     num = den = 0.0
     for row, phi in zip(pou.rows[live].tolist(), pou.phi[live].tolist()):
-        cid = row + 1
-        rid = asm.reflect.mapping.get(cid)
-        if rid is None:
-            raise ValueError(f"unassigned tent cube id {cid} at {x}")
+        rid = int(asm.reflect.target[row])
+        if rid == UNASSIGNED:
+            raise ValueError(f"unassigned tent cube {asm.w.cubes[row]} at {x}")
         if rid == Q0_ID:
             raise ValueError("reservoir averages need a grid; use extend()")
-        q = asm.wt.cube(rid)
+        q = asm.wt.cubes[rid]
         t = (np.arange(4) + 0.5) / 4
         axes = [q.lo[i] + q.side * t for i in range(q.n)]
         grids = np.meshgrid(*axes, indexing="ij")

@@ -24,17 +24,21 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
 from .cantor import (CantorSpec, DEFAULT_TOL, _descend,
                      _product_distance)
-from .dyadic import (CubeIndex, CubeView, DyadicCube, meets_window, order,
-                     radix_strides, sides, subdivide)
+from .dyadic import (CubeIndex, CubeView, meets_window, order, radix_strides,
+                     sides, subdivide)
 from .regions import RegionSpec, _in_region
 
-Q0_ID = 0  # sentinel id for the reservoir region in reflect maps and chains
+# negative sentinels among cube rows: a reflection target or chain node
+# that is the reservoir region, and a cube with no reflection candidate
+Q0_ID = -1
+UNASSIGNED = -2
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +46,11 @@ Q0_ID = 0  # sentinel id for the reservoir region in reflect maps and chains
 
 
 def _box_boundary_dist(X: np.ndarray, lo, hi) -> np.ndarray:
-    """|signed distance| to the boundary of the box [lo, hi], vectorised."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    """|signed distance| to the boundary of the box [lo, hi], per row of X."""
     q = np.maximum(lo - X, X - hi)
-    outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-    inside = -np.max(q, axis=-1)
-    return np.where(np.all(q <= 0.0, axis=-1), inside, outside)
+    # column by column: np.max over a short last axis is ~40x slower
+    top = reduce(np.maximum, q.T)
+    return np.where(top <= 0.0, -top, np.linalg.norm(np.maximum(q, 0.0), axis=1))
 
 
 def _profile_boundary_dist(P: np.ndarray) -> np.ndarray:
@@ -105,12 +107,10 @@ class TentOracle(_RegionOracle):
         gamma = math.sqrt(max(n - 2, 0)) * self._max_k
         for i in range(n - 1):
             for c in (0.0, 1.0):
-                blo = np.zeros(n)
-                bhi = np.ones(n)
+                blo, bhi = np.zeros(n), np.ones(n)
                 blo[i] = bhi[i] = c
                 blo[n - 1], bhi[n - 1] = -gamma, gamma
-                q = np.maximum(blo - X, X - bhi)
-                lo = np.minimum(lo, np.linalg.norm(np.maximum(q, 0.0), axis=1))
+                lo = np.minimum(lo, _box_boundary_dist(X, blo, bhi))
 
         # witnesses: graph points over candidate horizontal positions
         diff = XP - near
@@ -199,7 +199,7 @@ def oracle_for(region: RegionSpec):
 class WhitneyDecomposition:
     """Resolved and frontier cubes as (gen, idx) arrays sorted by (gen, idx).
 
-    Resolved cube ids are 1-based rows; cube(), cubes and frontier are views.
+    A resolved cube is named by its row; cubes and frontier are views.
     """
 
     oracle: object
@@ -228,11 +228,8 @@ class WhitneyDecomposition:
     def frontier(self) -> CubeView:
         return CubeView(self.frontier_gen, self.frontier_idx)
 
-    def cube(self, cid: int) -> DyadicCube:
-        return self.cubes[cid - 1]
-
-    def adjacency(self) -> dict[int, list[tuple[int, bool]]]:
-        """id -> sorted [(neighbor id, face_adjacent)]; 1-based ids."""
+    def adjacency(self) -> dict[int, list[int]]:
+        """row -> sorted rows of the cubes whose closures touch it."""
         if self._adj is None:
             self._adj = _build_adjacency(self.idx, self.index)
         return self._adj
@@ -307,20 +304,17 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
                                 frontier_idx=active[fperm], window=window)
 
 
-def _build_adjacency(idx: np.ndarray,
-                     index: CubeIndex) -> dict[int, list[tuple[int, bool]]]:
-    """Touching graph over cubes with exact face/corner classification.
+def _build_adjacency(idx: np.ndarray, index: CubeIndex) -> dict[int, list[int]]:
+    """Touching graph over cubes, exact.
 
     Neighbors are found from the finer side, one (finer, coarser) generation
     pair at a time: s levels coarser, index j touches ceil(j/2^s) - 1 ..
     floor((j+1)/2^s), within (j >> s) + {-1, 0, 1}.  Same-generation pairs
-    are found once, from the smaller cube.  A pair is facial when exactly
-    one axis has zero integer overlap.
+    are found once, from the smaller cube.
     """
     m, n = idx.shape
     offs = np.array(list(product((-1, 0, 1), repeat=n)), dtype=np.int64)
     src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    facial = [np.zeros(0, dtype=bool)]
     for gf, (a, b) in index.blocks.items():
         fine, rows = idx[a:b], np.arange(a, b)
         for gc in index.blocks:
@@ -333,19 +327,12 @@ def _build_adjacency(idx: np.ndarray,
                 cand = (fine >> s) + off
                 ok = np.all((cand >= lo) & (cand <= hi), axis=1)
                 hit = index.find(gc, cand[ok])
-                found = hit >= 0
-                f, c = fine[ok][found], cand[ok][found]
-                w = np.minimum(f + 1, (c + 1) << s) - np.maximum(f, c << s)
-                src.append(rows[ok][found])
-                dst.append(hit[found])
-                facial.append(np.sum(w == 0, axis=1) == 1)
-    u = np.concatenate(src + dst) + 1
-    v = np.concatenate(dst + src) + 1
-    fac = np.concatenate(facial + facial)
-    perm = np.lexsort((v, u))
-    pairs = list(zip(v[perm].tolist(), fac[perm].tolist()))
-    ends = np.cumsum(np.bincount(u, minlength=m + 1)).tolist()
-    return {cid: pairs[ends[cid - 1]:ends[cid]] for cid in range(1, m + 1)}
+                src.append(rows[ok][hit >= 0])
+                dst.append(hit[hit >= 0])
+    u, v = np.concatenate(src + dst), np.concatenate(dst + src)
+    nbrs = v[np.lexsort((v, u))].tolist()
+    ends = [0] + np.cumsum(np.bincount(u, minlength=m)).tolist()
+    return {r: nbrs[ends[r]:ends[r + 1]] for r in range(m)}
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +346,6 @@ class WhitneyReport:
     w3_violations: int
     w4_violations: int
     boundary_crossings: int
-    frontier_fraction: float
     coverage_checked: int
     coverage_misses: int
 
@@ -379,7 +365,7 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
     frontier (skipped for windowed decompositions).
     """
     if not len(dec):
-        return WhitneyReport(0, 0, 0, 0, 0, dec.frontier_fraction, 0, 0)
+        return WhitneyReport(0, 0, 0, 0, 0, 0, 0)
     n, side = dec.n, sides(dec.gen)
     sqrtn = math.sqrt(n)
     lo_q, hi_q, mem = _bracket_cubes(dec.oracle, dec.gen, dec.idx)
@@ -403,8 +389,8 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
 
     # W4 over the touching graph: side ratio > 4
     gl = dec.gen.tolist()
-    w4 = sum(1 for cid, nbrs in dec.adjacency().items() for nid, _ in nbrs
-             if nid > cid and abs(gl[cid - 1] - gl[nid - 1]) > 2)
+    w4 = sum(1 for r, nbrs in dec.adjacency().items() for s in nbrs
+             if s > r and abs(gl[r] - gl[s]) > 2)
 
     # exact check: interiors never cross the slab boundary hyperplanes
     # x_i = 0, 1 (i < n-1) and x_n = -1, 1; corners are exact floats, and
@@ -427,7 +413,6 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
         checked, misses = len(pts), int(np.sum(hits != 1))
     return WhitneyReport(w1_violations=w1, w2_violations=w2, w3_violations=w3,
                          w4_violations=w4, boundary_crossings=crossings,
-                         frontier_fraction=dec.frontier_fraction,
                          coverage_checked=checked, coverage_misses=misses)
 
 
@@ -435,36 +420,31 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
 # central family, reflected cubes, chains
 
 
-def _central_mask(dec: WhitneyDecomposition) -> np.ndarray:
-    """Resolved cubes whose closure meets [0,1]^{n-1} x {0}."""
+def central_mask(dec: WhitneyDecomposition) -> np.ndarray:
+    """Central family: resolved cubes whose closure meets [0,1]^{n-1} x {0}."""
     h = dec.idx[:, :-1]
     scale = np.left_shift(np.int64(1), dec.gen)[:, None]
     return (np.isin(dec.idx[:, -1], (-1, 0))
             & np.all((h + 1 >= 0) & (h <= scale), axis=1))
 
 
-def central_family(dec: WhitneyDecomposition) -> list[int]:
-    """Ids of resolved cubes whose closure meets [0,1]^{n-1} x {0}."""
-    return (np.flatnonzero(_central_mask(dec)) + 1).tolist()
-
-
 @dataclass
 class ReflectAssignment:
-    mapping: dict[int, int | None]     # W id -> Q0_ID | W-tilde id | None
-    v_ids: list[int]
-    unassigned: list[int]
+    target: np.ndarray      # per W row: W-tilde row, Q0_ID or UNASSIGNED
 
     @property
     def unassigned_fraction(self) -> float:
-        nonv = len(self.mapping) - len(self.v_ids)
-        return len(self.unassigned) / nonv if nonv else 0.0
+        """Share of the cubes outside the central family with no target."""
+        nonv = np.count_nonzero(self.target != Q0_ID)
+        bad = np.count_nonzero(self.target == UNASSIGNED)
+        return bad / nonv if nonv else 0.0
 
 
 def reflect_assign(w: WhitneyDecomposition,
                    wt: WhitneyDecomposition) -> ReflectAssignment:
     """Assign to each W-cube its reflected complement cube.
 
-    Cubes meeting the central patch map to the reservoir (Q0_ID).  Others map
+    The central family maps to the reservoir (Q0_ID).  Others map
     to the closest complement cube, center to center, among those in the same
     closed half-space whose drop-axis projection contains the cube's and
     whose side is at most twice the cube's; ties go to the smaller
@@ -472,9 +452,9 @@ def reflect_assign(w: WhitneyDecomposition,
     {gen-1, gen}, so candidates are two vertical stacks.  A generation block
     of wt is sorted with the horizontal axes most significant, so each
     half-stack is one run of rows, found by searchsorted on the key
-    (horizontal index, x_n >= 0).
+    (horizontal index, x_n >= 0).  Cubes with no candidate get UNASSIGNED.
     """
-    central = _central_mask(w)
+    central = central_mask(w)
     cen_w = (w.idx + 0.5) * sides(w.gen)[:, None]
     cen_t = (wt.idx + 0.5) * sides(wt.gen)[:, None]
     up_w, up_t = w.idx[:, -1:] >= 0, wt.idx[:, -1:] >= 0
@@ -508,13 +488,10 @@ def reflect_assign(w: WhitneyDecomposition,
     perm = np.lexsort((pt, d, pw))
     pw, pt = pw[perm], pt[perm]
     first = np.unique(pw, return_index=True)[1]
-    target = np.full(len(w), -1, dtype=np.int64)
-    target[pw[first]] = pt[first] + 1
+    target = np.full(len(w), UNASSIGNED, dtype=np.int64)
+    target[pw[first]] = pt[first]
     target[central] = Q0_ID
-    mapping = {cid: (t if t >= 0 else None)
-               for cid, t in enumerate(target.tolist(), 1)}
-    return ReflectAssignment(mapping=mapping, v_ids=central_family(w),
-                             unassigned=(np.flatnonzero(target < 0) + 1).tolist())
+    return ReflectAssignment(target=target)
 
 
 def q0_adjacent(gen, idx: np.ndarray) -> np.ndarray:
@@ -531,14 +508,14 @@ def q0_adjacent(gen, idx: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Chain:
-    ids: list[int]
+    rows: list[int]         # complement cube rows, then Q0_ID; [] if not found
     found: bool
 
 
 def chain(wt: WhitneyDecomposition, a: int) -> Chain:
-    """Minimal projection-monotone chain from complement cube a to Q0_ID.
+    """Minimal projection-monotone chain from complement cube row a to Q0_ID.
 
-    Nodes are complement cube ids and Q0_ID; edges are intersections of
+    Nodes are complement cube rows and Q0_ID; edges are intersections of
     closures (cube-cube touching, cube-reservoir via q0_adjacent), so
     consecutive chain cubes always meet.  Intermediate cubes are restricted
     to those whose drop-axis projection contains the source cube's
@@ -549,32 +526,32 @@ def chain(wt: WhitneyDecomposition, a: int) -> Chain:
     # cubes no finer than the source whose horizontal index is the source's
     # shifted to their generation; the search never leaves them, and ends on
     # reaching the reservoir
-    shift = int(wt.gen[a - 1]) - wt.gen
+    shift = int(wt.gen[a]) - wt.gen
     ok = shift >= 0
-    anc = wt.idx[a - 1, : n - 1] >> np.where(ok, shift, 0)[:, None]
+    anc = wt.idx[a, : n - 1] >> np.where(ok, shift, 0)[:, None]
     rows = np.flatnonzero(ok & np.all(wt.idx[:, : n - 1] == anc, axis=1))
-    allowed = set((rows + 1).tolist()) | {Q0_ID}
+    allowed = set(rows.tolist()) | {Q0_ID}
     adj = wt.adjacency()
-    q0_set = set((rows[q0_adjacent(wt.gen[rows], wt.idx[rows])] + 1).tolist())
+    q0_set = set(rows[q0_adjacent(wt.gen[rows], wt.idx[rows])].tolist())
 
     prev = {a: None}
     dq = deque([a])
     while dq:
         cur = dq.popleft()
         if cur == Q0_ID:
-            ids = []
+            path = []
             while cur is not None:
-                ids.append(cur)
+                path.append(cur)
                 cur = prev[cur]
-            return Chain(ids=ids[::-1], found=True)
-        out = [m for m, _ in adj[cur]]
+            return Chain(rows=path[::-1], found=True)
+        out = adj[cur]
         if cur in q0_set:
             out = [Q0_ID] + out
         for nxt in out:
             if nxt not in prev and nxt in allowed:
                 prev[nxt] = cur
                 dq.append(nxt)
-    return Chain(ids=[], found=False)
+    return Chain(rows=[], found=False)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +561,7 @@ def chain(wt: WhitneyDecomposition, a: int) -> Chain:
 @dataclass
 class ClaimCountResult:
     counts: dict[int, int]             # k -> max over complement cubes
-    per_cube: dict[tuple[int, int], int]   # (wt id, k) -> count
+    per_cube: dict[tuple[int, int], int]   # (wt row, k) -> count
     sources: int
     unreachable: int
 
@@ -608,32 +585,26 @@ def claim_count(w: WhitneyDecomposition, wt: WhitneyDecomposition,
     growth in k the construction bounds by A 2^{k (n-1) log 2 / |log lambda|},
     with a constant A that the construction leaves unquantified.
     """
-    v_set = set(reflect.v_ids)
+    central = central_mask(w).tolist()
     adj = w.adjacency()
     per_cube: dict[tuple[int, int], int] = {}
     sources = unreachable = 0
     w_gen, wt_gen = w.gen.tolist(), wt.gen.tolist()
-    for cid in range(1, len(w) + 1):
-        if cid in v_set:
-            continue
-        if not any(nid in v_set for nid, _ in adj[cid]):
-            continue
-        rid = reflect.mapping.get(cid)
-        if rid is None or rid == Q0_ID:
+    for r, t in enumerate(reflect.target.tolist()):
+        # t < 0: the central family (Q0_ID) or no reflected cube
+        if t < 0 or not any(central[s] for s in adj[r]):
             continue
         sources += 1
-        ch = chain(wt, rid)
+        ch = chain(wt, t)
         if not ch.found:
             unreachable += 1
             continue
-        for nid in ch.ids:
-            if nid == Q0_ID:
-                continue
-            k = w_gen[cid - 1] - wt_gen[nid - 1]
+        for s in ch.rows[:-1]:          # the last node is Q0_ID
+            k = w_gen[r] - wt_gen[s]
             if 0 <= k <= k_max:
-                per_cube[(nid, k)] = per_cube.get((nid, k), 0) + 1
+                per_cube[(s, k)] = per_cube.get((s, k), 0) + 1
     counts = {k: 0 for k in range(k_max + 1)}
-    for (nid, k), c in per_cube.items():
+    for (s, k), c in per_cube.items():
         counts[k] = max(counts[k], c)
     return ClaimCountResult(counts=counts, per_cube=per_cube,
                             sources=sources, unreachable=unreachable)

@@ -42,7 +42,6 @@ from cantorslit.fields import (
 )
 from cantorslit.regions import region_spec
 from cantorslit.whitney import (
-    Q0_ID,
     claim_count,
     reflect_assign,
     verify_whitney,
@@ -116,15 +115,14 @@ def test_criterion_03_whitney_soundness(capsys, gen8):
 def test_criterion_04_reflect_map(capsys, gen8):
     w, wt = gen8
     ra = reflect_assign(w, wt)
-    v = set(ra.v_ids)
     bad = 0
     assigned = 0
-    for cid, rid in ra.mapping.items():
-        if cid in v or rid is None or rid == Q0_ID:
+    for r, t in enumerate(ra.target.tolist()):
+        if t < 0:                   # central family (Q0_ID) or unassigned
             continue
         assigned += 1
-        q = w.cube(cid)
-        qt = wt.cube(rid)
+        q = w.cubes[r]
+        qt = wt.cubes[t]
         if qt.gen < q.gen - 1:
             bad += 1
         elif not projection_contains(qt, q, drop_axis=q.n - 1):

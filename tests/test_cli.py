@@ -114,6 +114,11 @@ def test_claim_count_manifest_reports_sources(tmp_path):
     (["extend", "--grid", "1/8"], "--grid"),
     (["cantor", "dist", "--lambda", "1/0", "--x", "0.5"], "--lambda"),
     (["cantor", "dist", "--lambda", "1/4", "--x", "1/0"], "--x"),
+    # values their parser cannot read: the message names the domain
+    (["cantor", "dist", "--lambda", "1/0", "--x", "0.5"],
+     "--lambda: '1/0' is not in (0, 1/2)"),
+    (["whitney", "verify", "--max-gen", "x"],
+     "--max-gen: 'x' is not an integer >= 4"),
 ])
 def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
                                             monkeypatch):
@@ -131,6 +136,7 @@ def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and f"argument {flag}" in err
+    assert "conv" not in err
     assert not list(tmp_path.iterdir())
 
 

@@ -8,7 +8,6 @@ from cantorslit.dyadic import (
     CubeView,
     DyadicCube,
     cubes_touch,
-    face_adjacent,
     meets_window,
     order,
     overlap_lengths,
@@ -45,12 +44,13 @@ def test_touching_and_faces():
     b = DyadicCube(gen=2, idx=(1, 0))   # shares a face
     d = DyadicCube(gen=2, idx=(1, 1))   # shares a corner
     e = DyadicCube(gen=2, idx=(2, 0))   # disjoint
-    assert cubes_touch(a, b) and face_adjacent(a, b)
-    assert cubes_touch(a, d) and not face_adjacent(a, d)
-    assert not cubes_touch(a, e)
+    # a face meets in one zero-length axis, a corner in all of them
+    assert cubes_touch(a, b) and overlap_lengths(a, b).count(0) == 1
+    assert cubes_touch(a, d) and overlap_lengths(a, d).count(0) == 2
+    assert not cubes_touch(a, e) and overlap_lengths(a, e) is None
     # cross-generation face contact
     f = DyadicCube(gen=3, idx=(2, 0))
-    assert cubes_touch(a, f) and face_adjacent(a, f)
+    assert cubes_touch(a, f) and overlap_lengths(a, f).count(0) == 1
     ov = overlap_lengths(a, b)
     assert ov is not None and ov[0] == 0 and ov[1] > 0
 

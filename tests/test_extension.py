@@ -1,6 +1,7 @@
 """Tests for the reflection extension operator and its closed-form factors."""
 
 import math
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -26,7 +27,7 @@ from cantorslit.extension import (
 )
 from cantorslit.fields import GridField, grid_sample
 from cantorslit.regions import region_membership_many, region_spec
-from cantorslit.whitney import Q0_ID, whitney_decompose
+from cantorslit.whitney import Q0_ID, UNASSIGNED, whitney_decompose
 
 LAM = 0.25
 H = 2.0 ** -9
@@ -90,7 +91,7 @@ def test_pou_rejects_coarse_grid(asm):
 
 def test_cube_average_constant(asm):
     u = grid_sample(lambda X: np.full(X.shape[0], 3.5), asm.region_omega, H)
-    q = asm.wt.cube(1)
+    q = asm.wt.cubes[0]
     assert cube_average(u, q) == pytest.approx(3.5, abs=1e-12)
     # the reservoir average (Q = None) is the same constant
     assert cube_average(u, None) == pytest.approx(3.5, abs=1e-12)
@@ -110,7 +111,7 @@ def test_cube_average_constant(asm):
     # the first resolved cubes, and [0,1] x [1,2], clipped by the grid edge
     clipped = DyadicCube(0, (0, 1))
     assert clipped.hi[1] > u.bbox[1, 1]
-    for cube in [asm.wt.cube(cid) for cid in range(1, 21)] + [clipped]:
+    for cube in [asm.wt.cubes[r] for r in range(20)] + [clipped]:
         assert cube_average(r, cube) == brute(cube)
     # a cube inside the tent has no masked-in cells
     with pytest.raises(ValueError):
@@ -134,9 +135,11 @@ def test_extend_averages_each_reflected_cube_once(asm, monkeypatch):
 def test_extend_names_unassigned_tent_cube(asm):
     u = grid_sample(lambda X: np.ones(X.shape[0]), asm.region_omega, H,
                     bbox=asm.region_n.bbox)
-    cid = 7
-    reflect = replace(asm.reflect, mapping={**asm.reflect.mapping, cid: None})
-    with pytest.raises(ValueError, match=f"unassigned tent cube id {cid} "):
+    target = asm.reflect.target.copy()
+    target[6] = UNASSIGNED
+    reflect = replace(asm.reflect, target=target)
+    name = re.escape(f"unassigned tent cube {asm.w.cubes[6]} inside")
+    with pytest.raises(ValueError, match=name):
         extend(u, replace(asm, reflect=reflect))
 
 
@@ -284,18 +287,18 @@ def _pointwise_reference(x, asm, u_fn):
         side = 2.0 ** -g
         vals = np.prod(_bump_profile(x, (dec.idx[rows] + 0.5) * side, side),
                        axis=1)
-        pairs += [(r + 1, v) for r, v in zip(rows.tolist(), vals.tolist())
+        pairs += [(r, v) for r, v in zip(rows.tolist(), vals.tolist())
                   if v > 0.0]
     if not pairs:
         raise ValueError(f"no resolved tent cube covers {x}")
     num = den = 0.0
-    for cid, phi in pairs:
-        rid = asm.reflect.mapping.get(cid)
-        if rid is None:
-            raise ValueError(f"unassigned tent cube id {cid} at {x}")
+    for row, phi in pairs:
+        rid = asm.reflect.target[row]
+        if rid == UNASSIGNED:
+            raise ValueError(f"unassigned tent cube {dec.cubes[row]} at {x}")
         if rid == Q0_ID:
             raise ValueError("reservoir averages need a grid; use extend()")
-        q = asm.wt.cube(rid)
+        q = asm.wt.cubes[rid]
         t = (np.arange(4) + 0.5) / 4
         grids = np.meshgrid(*[q.lo[i] + q.side * t for i in range(q.n)],
                             indexing="ij")
@@ -328,11 +331,12 @@ def test_point_extend_matches_reference():
     kinds = {g.split(" ")[1] if g.startswith("V") else "value" for g in got}
     assert kinds == {"value", "no", "reservoir"}
     # with no cube assigned, both name the same first cube at every point
-    bad = replace(asm7, reflect=replace(asm7.reflect, mapping={}))
+    none = np.full(len(asm7.w), UNASSIGNED)
+    bad = replace(asm7, reflect=replace(asm7.reflect, target=none))
     got = [_outcome(point_extend, x, bad, u_fn) for x in X[:100]]
     assert got == [_outcome(_pointwise_reference, x, bad, u_fn)
                    for x in X[:100]]
-    assert any("unassigned tent cube id" in g for g in got)
+    assert any("unassigned tent cube DyadicCube(gen=" in g for g in got)
 
 
 def test_point_extend_matches_grid_for_affine(asm):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import cantorslit
 import cantorslit.whitney
+from cantorslit.regions import region_spec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -24,10 +25,15 @@ def _package_attrs():
             if isinstance(mod, types.ModuleType)}
 
 
-def test_tracer_installs_and_uninstalls():
+def _spans_module():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_installs_and_uninstalls():
+    spans = _spans_module()
     before = _package_attrs()
     adjacency = cantorslit.whitney.WhitneyDecomposition.adjacency
     tracer = spans.Tracer("tier-1")
@@ -42,6 +48,31 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert _package_attrs() == before
     assert cantorslit.whitney.WhitneyDecomposition.adjacency is adjacency
+
+
+def test_traced_claim_count_counters():
+    """The chain and adjacency counters match what claim_count did.
+
+    One chain span per source, and the edges of both touching graphs (w's,
+    built by claim_count, and wt's, built by the first chain).
+    """
+    spans = _spans_module()
+    whitney = cantorslit.whitney
+    w = whitney.whitney_decompose(region_spec("N_lambda", lam=0.25), 6)
+    wt = whitney.whitney_decompose(region_spec("Omega_lambda", lam=0.25), 6)
+    reflect = whitney.reflect_assign(w, wt)
+    tracer = spans.Tracer("tier-1")
+    tracer.install()
+    try:
+        res = whitney.claim_count(w, wt, reflect, k_max=4)
+    finally:
+        tracer.uninstall()
+    m = spans.layer_metrics(tracer.spans)
+    assert res.sources > 0
+    assert m["whitney.chain_calls"] == res.sources
+    edges = sum(len(v) for dec in (w, wt) for v in dec.adjacency().values())
+    assert edges > 0
+    assert m["whitney.adjacency_edges"] == edges // 2
 
 
 def test_benchmark_selftest_passes():

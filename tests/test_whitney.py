@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from cantorslit.dyadic import (DyadicCube, cubes_touch, face_adjacent, order,
+from cantorslit.dyadic import (DyadicCube, cubes_touch, order,
                                projection_contains)
 from cantorslit.regions import region_spec
 from cantorslit.whitney import (
     Q0_ID,
+    UNASSIGNED,
     WhitneyDecomposition,
-    central_family,
+    central_mask,
     chain,
     claim_count,
     q0_adjacent,
@@ -29,6 +30,9 @@ FIXTURE_SHA = {
     "w": "cc12035dd67cbd7816795b979c78b00732a087be52fd0df535eda8c77eacd21e",
     "wt": "11fbe9ff250bdb09ffcc1c8f1eadf06c203d4c26315835df3faec5f33ffbc1a6",
 }
+# sha256 of the sorted (gen, idx, k, load) of claim_count's per_cube on the
+# fixture at k_max=4, keyed by complement cube rather than by row
+PER_CUBE_SHA = "51189f60561b63f1dd9aa11d22bf74a9521279978e0e989d5ef2fc9cefb0104f"
 
 
 @pytest.fixture(scope="module")
@@ -90,22 +94,17 @@ def _small_decompositions():
 
 
 def test_adjacency_matches_brute_force():
-    """adjacency() is the all-pairs touching graph, with exact face flags."""
+    """adjacency() is the all-pairs touching graph, in sorted rows."""
     for dec in _small_decompositions():
         cubes = list(dec.cubes)
         assert len(set(dec.gen.tolist())) >= 3
-        want = {cid: [] for cid in range(1, len(cubes) + 1)}
+        want = {r: [] for r in range(len(cubes))}
         for i, a in enumerate(cubes):
             for j in range(i + 1, len(cubes)):
                 if cubes_touch(a, cubes[j]):
-                    want[i + 1].append(j + 1)
-                    want[j + 1].append(i + 1)
-        adj = dec.adjacency()
-        assert {cid: [nid for nid, _ in nbrs] for cid, nbrs in adj.items()} \
-            == {cid: sorted(v) for cid, v in want.items()}
-        for cid, nbrs in adj.items():
-            for nid, facial in nbrs:
-                assert facial == face_adjacent(cubes[cid - 1], cubes[nid - 1])
+                    want[i].append(j)
+                    want[j].append(i)
+        assert dec.adjacency() == want
 
 
 def test_whitney_bracket_consistency(decs):
@@ -121,18 +120,18 @@ def test_whitney_bracket_consistency(decs):
 def test_adjacency_symmetric_and_touching(decs):
     w, _ = decs
     adj = w.adjacency()
-    for cid, nbrs in adj.items():
-        for nid, facial in nbrs:
-            assert cubes_touch(w.cube(cid), w.cube(nid))
-            assert any(m == cid for m, _ in adj[nid])
+    for r, nbrs in adj.items():
+        for s in nbrs:
+            assert cubes_touch(w.cubes[r], w.cubes[s])
+            assert r in adj[s]
 
 
-def test_central_family_on_plane(decs):
+def test_central_mask_on_plane(decs):
     w, _ = decs
-    v = central_family(w)
+    v = np.flatnonzero(central_mask(w))
     assert len(v) > 0
-    for cid in v:
-        c = w.cube(cid)
+    for r in v:
+        c = w.cubes[r]
         assert c.idx[-1] in (-1, 0)
         assert c.lo[0] <= 1.0 and c.hi[0] >= 0.0
 
@@ -140,17 +139,15 @@ def test_central_family_on_plane(decs):
 def test_reflect_properties(decs):
     w, wt = decs
     ra = reflect_assign(w, wt)
-    v = set(ra.v_ids)
+    assert ra.target.dtype == np.int64 and ra.target.shape == (len(w),)
+    assert np.array_equal(ra.target == Q0_ID, central_mask(w))
     assigned = 0
-    for cid, rid in ra.mapping.items():
-        if cid in v:
-            assert rid == Q0_ID
-            continue
-        if rid is None or rid == Q0_ID:
+    for r, t in enumerate(ra.target.tolist()):
+        if t < 0:
             continue
         assigned += 1
-        q = w.cube(cid)
-        qt = wt.cube(rid)
+        q = w.cubes[r]
+        qt = wt.cubes[t]
         # side at most doubled
         assert qt.gen >= q.gen - 1
         # drop-axis projection containment
@@ -162,9 +159,13 @@ def test_reflect_properties(decs):
 
 
 def _reflect_reference(w, wt):
-    """The per-cube loop over both candidate stacks, keyed (d, gen, idx)."""
+    """The per-cube loop over both candidate stacks, keyed (d, gen, idx).
+
+    Cubes are 1-based ids here, 0 the reservoir and None no candidate; the
+    ids are independent of the rows reflect_assign works in.
+    """
     n = w.n
-    central = set(central_family(w))
+    central = set((np.flatnonzero(central_mask(w)) + 1).tolist())
     cen_w = (w.idx + 0.5) * 2.0 ** -w.gen[:, None].astype(float)
     cen_t = (wt.idx + 0.5) * 2.0 ** -wt.gen[:, None].astype(float)
     t_idx = wt.idx.tolist()
@@ -174,7 +175,7 @@ def _reflect_reference(w, wt):
     mapping, unassigned = {}, []
     for cid, (g, row) in enumerate(zip(w.gen.tolist(), w.idx.tolist()), 1):
         if cid in central:
-            mapping[cid] = Q0_ID
+            mapping[cid] = 0
             continue
         positive = row[n - 1] >= 0
         best = None
@@ -196,10 +197,14 @@ def _reflect_reference(w, wt):
 
 def _assert_reflect_matches_reference(w, wt):
     ra = reflect_assign(w, wt)
-    mapping, v_ids, unassigned = _reflect_reference(w, wt)
-    assert list(ra.mapping.items()) == list(mapping.items())
-    assert ra.v_ids == v_ids
-    assert ra.unassigned == unassigned
+    mapping, central_ids, unassigned = _reflect_reference(w, wt)
+    # ids to rows: the reservoir id 0 is Q0_ID, no candidate is UNASSIGNED
+    want = [Q0_ID if t == 0 else UNASSIGNED if t is None else t - 1
+            for t in mapping.values()]
+    assert list(mapping) == list(range(1, len(w) + 1))
+    assert ra.target.tolist() == want
+    assert (np.flatnonzero(ra.target == Q0_ID) + 1).tolist() == central_ids
+    assert (np.flatnonzero(ra.target == UNASSIGNED) + 1).tolist() == unassigned
     return ra
 
 
@@ -239,8 +244,8 @@ def test_reflect_tie_goes_to_smaller_gen_idx():
     w = dec([[1, -3], [1, 2], [3, 2]])
     wt = dec([[1, -4], [1, -2], [1, 0], [1, 1], [1, 3]])
     ra = _assert_reflect_matches_reference(w, wt)
-    assert [wt.cube(ra.mapping[cid]).idx for cid in (1, 2)] == [(1, -4), (1, 1)]
-    assert ra.unassigned == [3] and ra.mapping[3] is None
+    assert [wt.cubes[t].idx for t in ra.target[:2]] == [(1, -4), (1, 1)]
+    assert ra.target[2] == UNASSIGNED
 
 
 def test_q0_adjacency():
@@ -254,21 +259,22 @@ def test_chain_projection_monotone(decs):
     _, wt = decs
     q0 = q0_adjacent(wt.gen, wt.idx)
     checked = 0
-    for rid in range(1, len(wt) + 1):
-        ch = chain(wt, rid)
+    for t in range(len(wt)):
+        ch = chain(wt, t)
         if not ch.found:
             continue
         checked += 1
-        assert ch.ids[0] == rid and ch.ids[-1] == Q0_ID
+        assert ch.rows[0] == t and ch.rows[-1] == Q0_ID
+        assert all(r >= 0 for r in ch.rows[:-1])
         # consecutive members touch (or end at the reservoir)
-        for a, b in zip(ch.ids[:-1], ch.ids[1:]):
+        for a, b in zip(ch.rows[:-1], ch.rows[1:]):
             if b == Q0_ID:
-                assert q0[a - 1]
+                assert q0[a]
             else:
-                assert cubes_touch(wt.cube(a), wt.cube(b))
-        src = wt.cube(rid)
-        for nid in ch.ids[:-1]:
-            c = wt.cube(nid)
+                assert cubes_touch(wt.cubes[a], wt.cubes[b])
+        src = wt.cubes[t]
+        for r in ch.rows[:-1]:
+            c = wt.cubes[r]
             assert c.gen <= src.gen
             assert projection_contains(c, src, drop_axis=wt.n - 1)
         if checked >= 60:
@@ -285,8 +291,18 @@ def test_claim_count_runs(decs):
     assert res.counts[0] >= 1
     # counts are maxima of per-cube loads
     for k in res.counts:
-        loads = [v for (nid, kk), v in res.per_cube.items() if kk == k]
+        loads = [v for (r, kk), v in res.per_cube.items() if kk == k]
         assert res.counts[k] == (max(loads) if loads else 0)
+
+
+def test_claim_count_per_cube_pinned(decs):
+    """The chain load of every (complement cube, k), not only the maxima."""
+    w, wt = decs
+    res = claim_count(w, wt, reflect_assign(w, wt), k_max=4)
+    loads = sorted((wt.cubes[r].gen, wt.cubes[r].idx, k, v)
+                   for (r, k), v in res.per_cube.items())
+    assert len(loads) == 736
+    assert hashlib.sha256(repr(loads).encode()).hexdigest() == PER_CUBE_SHA
 
 
 def test_window_decomposition():
@@ -308,21 +324,21 @@ def test_claim_count_k1_configuration(decs):
     w, wt = decs
     ra = reflect_assign(w, wt)
     res = claim_count(w, wt, ra, k_max=1)
-    hub = int(wt.index.find(5, np.array([[11, -8]]))[0]) + 1
+    hub = int(wt.index.find(5, np.array([[11, -8]]))[0])
     assert res.counts[1] == 3
     assert res.per_cube[(hub, 1)] == 3
-    v = set(ra.v_ids)
+    central = central_mask(w)
     adj = w.adjacency()
     reflected = {}
     for idx in ((22, -2), (23, -2), (23, -3)):
-        cid = int(w.index.find(6, np.array([idx]))[0]) + 1
+        r = int(w.index.find(6, np.array([idx]))[0])
         # a source: outside the central family, touching it, reflected
-        assert cid not in v
-        assert any(nid in v for nid, _ in adj[cid])
-        rid = ra.mapping[cid]
-        assert rid not in (None, Q0_ID)
-        assert hub in chain(wt, rid).ids
-        reflected[idx] = wt.cube(rid)
+        assert not central[r]
+        assert central[adj[r]].any()
+        t = int(ra.target[r])
+        assert t >= 0
+        assert hub in chain(wt, t).rows
+        reflected[idx] = wt.cubes[t]
     # three distinct sources on a load of 3: these are all of them
     assert reflected[(23, -2)] == reflected[(23, -3)] == DyadicCube(6, (23, -12))
     assert reflected[(22, -2)] != reflected[(23, -2)]
