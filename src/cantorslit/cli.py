@@ -10,6 +10,7 @@ versions, and timing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -17,6 +18,8 @@ import platform
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -90,6 +93,8 @@ P_NORM = _checked(parse_number, lambda v: v >= 1, "a number >= 1")
 POSITIVE = _checked(parse_number, lambda v: v > 0, "a number > 0")
 RADII = _checked(parse_number_list, lambda vs: vs and all(v > 0 for v in vs),
                  "a list of numbers > 0")
+NUMBER = _checked(parse_number, lambda v: True, "a number")
+POINT = _checked(parse_point, lambda v: True, "a list of numbers")
 
 
 def _fmt(v) -> str:
@@ -102,21 +107,31 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+def _csv(header: list[str], rows: list[list]) -> str:
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
 
 
-def write_manifest(out_path: str, command: str, params: dict,
-                   seed: int | None, elapsed: float,
-                   results: dict | None = None) -> None:
-    """Parameters, versions and timing, plus any results the output omits."""
+class Output(NamedTuple):
+    """What a command produced; main writes it and the manifest.
+
+    body is text, or a writer that streams a grid CSV to an open file.
+    results are what the manifest records beyond the body.
+    """
+    body: str | Callable[[TextIO], None]
+    results: dict | None = None
+    status: int = 0
+
+
+def write_manifest(args, elapsed: float, results: dict | None = None) -> None:
+    """Parameters, versions and timing, plus any results the output omits.
+
+    The command label is the subcommand path, e.g. "field sample".
+    """
     manifest = {
-        "command": command,
-        "params": params,
-        "seed": seed,
+        "command": " ".join(getattr(args, k) for k in ("cmd", "sub", "action")
+                            if getattr(args, k, None)),
+        "params": {k: v for k, v in vars(args).items() if not callable(v)},
+        "seed": getattr(args, "seed", None),
         "workers": os.environ.get(WORKERS_ENV, "1"),
         "versions": {
             "cantorslit": __version__,
@@ -128,7 +143,7 @@ def write_manifest(out_path: str, command: str, params: dict,
     }
     if results is not None:
         manifest["results"] = results
-    with open(out_path + ".manifest.json", "w") as f:
+    with open(args.out + ".manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -138,49 +153,38 @@ def _region(args) -> "RegionSpec":
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its Output and writes nothing
 
 
-def cmd_cantor_dist(args) -> int:
+def cmd_cantor_dist(args) -> Output:
     spec = CantorSpec(lam=args.lam, ambient_codim=1)
-    print(_fmt(k_distance(args.x, spec)))
-    return 0
+    return Output(_fmt(k_distance(args.x, spec)) + "\n")
 
 
-def cmd_region_probe(args) -> int:
-    spec = _region(args)
-    member = region_membership(spec, args.point)
-    print("member" if member else "not-member")
-    return 0
+def cmd_region_probe(args) -> Output:
+    member = region_membership(_region(args), args.point)
+    return Output(("member" if member else "not-member") + "\n")
 
 
-def cmd_region_components(args) -> int:
-    spec = _region(args)
-    cmap = component_label(spec, args.center, args.radius,
+def cmd_region_components(args) -> Output:
+    cmap = component_label(_region(args), args.center, args.radius,
                            args.radius / 256.0)
-    print(cmap.count)
-    return 0
+    return Output(f"{cmap.count}\n")
 
 
-def cmd_whitney_build(args) -> int:
-    t0 = time.time()
+def cmd_whitney_build(args) -> Output:
     dec = whitney_decompose(_region(args), args.max_gen)
     cubes = [{"gen": g, "idx": i, "status": status}
              for gen, idx, status in ((dec.gen, dec.idx, "resolved"),
                                       (dec.frontier_gen, dec.frontier_idx,
                                        "frontier"))
              for g, i in zip(gen.tolist(), idx.tolist())]
-    with open(args.out, "w") as f:
-        json.dump({"region": args.region, "lambda": args.lam, "n": args.n,
-                   "max_gen": args.max_gen, "cubes": cubes}, f)
-        f.write("\n")
-    write_manifest(args.out, "whitney build", vars_of(args), None,
-                   time.time() - t0)
-    return 0
+    return Output(json.dumps({"region": args.region, "lambda": args.lam,
+                              "n": args.n, "max_gen": args.max_gen,
+                              "cubes": cubes}) + "\n")
 
 
-def cmd_whitney_verify(args) -> int:
-    t0 = time.time()
+def cmd_whitney_verify(args) -> Output:
     dec = whitney_decompose(_region(args), args.max_gen)
     rep = verify_whitney(dec)
     payload = {
@@ -193,31 +197,20 @@ def cmd_whitney_verify(args) -> int:
         "resolved": len(dec.cubes),
         "frontier": len(dec.frontier),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-        write_manifest(args.out, "whitney verify", vars_of(args), None,
-                       time.time() - t0)
-    else:
-        sys.stdout.write(text)
     bad = (rep.w1_violations + rep.w2_violations + rep.w3_violations
            + rep.w4_violations + rep.boundary_crossings)
-    return 0 if bad == 0 else 1
+    return Output(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                  status=0 if bad == 0 else 1)
 
 
-def cmd_whitney_claim_count(args) -> int:
-    t0 = time.time()
+def cmd_whitney_claim_count(args) -> Output:
     asm = assemble(args.lam, args.n, args.max_gen)
     res = claim_count(asm.w, asm.wt, asm.reflect, k_max=args.k_max)
     expo = res.fitted_exponent(args.k_max)
     rows = [[k, res.counts.get(k, 0), expo] for k in range(args.k_max + 1)]
-    write_csv(args.out, ["k", "max_count", "fitted_exponent"], rows)
     # sources without a projection-monotone chain are left out of the counts
-    write_manifest(args.out, "whitney claim-count", vars_of(args), None,
-                   time.time() - t0, {"sources": res.sources,
-                                      "unreachable": res.unreachable})
-    return 0
+    return Output(_csv(["k", "max_count", "fitted_exponent"], rows),
+                  {"sources": res.sources, "unreachable": res.unreachable})
 
 
 def _parse_func(text: str, lam: float, n: int):
@@ -247,8 +240,9 @@ def _parse_func(text: str, lam: float, n: int):
     raise ValueError(f"unknown kind {kind!r}; use const, coord or jump")
 
 
-def _dump_grid(path: str, f: GridField) -> None:
-    with open(path, "w", newline="") as fh:
+def _dump_grid(f: GridField) -> Callable[[TextIO], None]:
+    """Writer of f's CSV: a header comment, then one value,mask line per cell."""
+    def write(fh: TextIO) -> None:
         fh.write("# bbox=" + ";".join(_fmt(float(v)) for v in f.bbox.ravel())
                  + f" h={_fmt(f.h)} n={f.n} mask-encoding=01\n")
         fh.write("value,mask\n")
@@ -257,23 +251,17 @@ def _dump_grid(path: str, f: GridField) -> None:
         flat_m = f.mask.ravel().astype(int)
         for v, m in zip(flat_v, flat_m):
             fh.write(f"{_fmt(float(v))},{m}\n")
+    return write
 
 
-def cmd_field(args) -> int:
-    t0 = time.time()
+def cmd_field(args) -> Output:
     u = grid_sample(args.make_func(), _region(args), args.h)
     if args.action == "sample":
-        out_field = u
-    else:
-        g = gradient(u)
-        if args.action == "norm":
-            print(_fmt(seminorm_p(g, args.p)))
-            return 0
-        out_field = g
-    _dump_grid(args.out, out_field)
-    write_manifest(args.out, f"field {args.action}", vars_of(args), None,
-                   time.time() - t0)
-    return 0
+        return Output(_dump_grid(u))
+    g = gradient(u)
+    if args.action == "norm":
+        return Output(_fmt(seminorm_p(g, args.p)) + "\n")
+    return Output(_dump_grid(g))
 
 
 def _decomposition_gen(args) -> int:
@@ -285,28 +273,23 @@ def _decomposition_gen(args) -> int:
     return max(4, finest_gen(args.grid))
 
 
-def cmd_extend(args) -> int:
-    t0 = time.time()
+def cmd_extend(args) -> Output:
     asm = assemble(args.lam, args.n, _decomposition_gen(args))
     u = grid_sample(args.make_func(), asm.region_omega, args.grid)
     eu = extend(u, asm)
-    _dump_grid(args.out, eu)
-    write_manifest(args.out, "extend", vars_of(args), None, time.time() - t0)
-    return 0
+    # tent cells outside the slit domain: blended in, or left uncovered
+    return Output(_dump_grid(eu),
+                  {"blended_tent_cells": int(eu.mask.sum() - u.mask.sum()),
+                   "uncovered_tent_cells": int(eu.flags.sum())})
 
 
-def cmd_sweep(args) -> int:
-    t0 = time.time()
+def cmd_sweep(args) -> Output:
     rep = bound_report(args.n, args.p, args.lambdas, h=args.grid)
-    write_csv(args.out, list(rep.COLUMNS),
-              [[row[c] for c in rep.COLUMNS] for row in rep.rows])
-    write_manifest(args.out, "sweep", vars_of(args), args.seed,
-                   time.time() - t0)
-    return 0
+    return Output(_csv(list(rep.COLUMNS),
+                       [[row[c] for c in rep.COLUMNS] for row in rep.rows]))
 
 
-def cmd_dim_estimate(args) -> int:
-    t0 = time.time()
+def cmd_dim_estimate(args) -> Output:
     spec = CantorSpec(lam=args.lam, ambient_codim=1)
     h = build_net_hierarchy(spec, args.levels, n=2)
     est = dim_upper_estimate(h)
@@ -317,16 +300,10 @@ def cmd_dim_estimate(args) -> int:
         "certificate": [{"i": i, "k": k, "j": j, "count": c}
                         for (i, k), (j, c) in sorted(est.certificate.items())],
     }
-    with open(args.out, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-    write_manifest(args.out, "dim estimate", vars_of(args), None,
-                   time.time() - t0)
-    return 0
+    return Output(json.dumps(payload, indent=2) + "\n")
 
 
-def cmd_density(args) -> int:
-    t0 = time.time()
+def cmd_density(args) -> Output:
     spec = region_spec("Omega_lambda", lam=args.lam, n=args.n)
     out = {}
     for side in ("upper", "lower"):
@@ -337,15 +314,7 @@ def cmd_density(args) -> int:
                      "per_radius": dict(zip(map(_fmt, res.radii),
                                             res.c_per_radius)),
                      "halfwidth": res.halfwidth}
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-        write_manifest(args.out, "density", vars_of(args), args.seed,
-                       time.time() - t0)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return Output(json.dumps(out, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +349,7 @@ def config_argv(cfg: dict) -> list[str]:
 def cmd_run(args) -> int:
     """Run a YAML config through the same parser as the command line."""
     import yaml
-    with open(args.config) as f:
-        cfg = yaml.safe_load(f) or {}
+    cfg = yaml.safe_load(Path(args.config).read_text()) or {}
     for override in args.set or []:
         key, _, val = override.partition("=")
         cfg.setdefault("params", {})[key] = yaml.safe_load(val)
@@ -394,11 +362,6 @@ def cmd_run(args) -> int:
     if problems:
         build_parser().error(f"config {args.config}: " + "; ".join(problems))
     return main(config_argv(cfg))
-
-
-def vars_of(args) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if k != "func_handler" and not callable(v)}
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
     cs = c.add_subparsers(dest="sub", required=True)
     cd = cs.add_parser("dist")
     cd.add_argument("--lambda", dest="lam", type=LAMBDA, required=True)
-    cd.add_argument("--x", type=parse_number, required=True)
+    cd.add_argument("--x", type=NUMBER, required=True)
     cd.set_defaults(func_handler=cmd_cantor_dist)
 
     r = sub.add_parser("region")
     rs = r.add_subparsers(dest="sub", required=True)
     rp = rs.add_parser("probe")
     common(rp, region=REGION_KINDS)
-    rp.add_argument("--point", type=parse_point, required=True)
+    rp.add_argument("--point", type=POINT, required=True)
     rp.set_defaults(func_handler=cmd_region_probe)
     rc = rs.add_parser("components")
     common(rc, region=REGION_KINDS)
-    rc.add_argument("--center", type=parse_point, required=True)
+    rc.add_argument("--center", type=POINT, required=True)
     rc.add_argument("--radius", type=POSITIVE, default=0.25)
     rc.set_defaults(func_handler=cmd_region_components)
 
@@ -492,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dn = sub.add_parser("density")
     common(dn)
-    dn.add_argument("--point", type=parse_point, default="0,0")
+    dn.add_argument("--point", type=POINT, default="0,0")
     dn.add_argument("--radii", type=RADII, default=[0.25, 0.125, 0.0625])
     dn.add_argument("--samples", type=SAMPLES, default=10 ** 6)
     dn.add_argument("--seed", type=int, default=0)
@@ -502,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     rn = sub.add_parser("run")
     rn.add_argument("--config", required=True)
     rn.add_argument("--set", action="append")
-    rn.set_defaults(func_handler=cmd_run)
 
     return ap
 
@@ -540,7 +502,20 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as e:
                 parser.error(f"argument --{key}: {text!r} is not a test "
                              f"function spec ({e})")
-    return args.func_handler(args)
+    if args.cmd == "run":           # re-enters main with the config's argv
+        return cmd_run(args)
+    t0 = time.time()
+    body, results, status = args.func_handler(args)
+    out = getattr(args, "out", None)
+    with (open(out, "w", newline="") if out
+          else contextlib.nullcontext(sys.stdout)) as f:
+        if callable(body):
+            body(f)
+        else:
+            f.write(body)
+    if out:
+        write_manifest(args, time.time() - t0, results)
+    return status
 
 
 if __name__ == "__main__":

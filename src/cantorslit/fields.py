@@ -47,15 +47,11 @@ class GridField:
 
     def axes(self) -> list[np.ndarray]:
         """Cell-center coordinates along each axis."""
-        out = []
-        for i, m in enumerate(self.grid_shape):
-            out.append(self.bbox[0, i] + (np.arange(m) + 0.5) * self.h)
-        return out
+        return _grid_axes(self.bbox, self.h)
 
     def centers(self) -> np.ndarray:
         """(prod(shape), n) array of all cell centers in C order."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return _stack_centers(self.axes())
 
 
 
@@ -76,6 +72,11 @@ def _grid_axes(bbox: np.ndarray, h: float) -> list[np.ndarray]:
             for lo, m in zip(bbox[0], _grid_shape(bbox, h))]
 
 
+def _stack_centers(axes: list[np.ndarray]) -> np.ndarray:
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def grid_sample(f, region: RegionSpec, h: float,
                 bbox: np.ndarray | None = None) -> GridField:
     """Sample a function at cell centers, masked by region membership.
@@ -89,8 +90,7 @@ def grid_sample(f, region: RegionSpec, h: float,
     axes = _grid_axes(bbox, h)
     mask = membership_grid(region, axes)
     shape = mask.shape
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = _stack_centers(axes)
     vals = np.broadcast_to(np.asarray(f(pts), dtype=float), (pts.shape[0],))
     vals = vals.reshape(shape).copy()
     if not np.all(np.isfinite(vals[mask])):

@@ -119,6 +119,10 @@ def test_claim_count_manifest_reports_sources(tmp_path):
      "--lambda: '1/0' is not in (0, 1/2)"),
     (["whitney", "verify", "--max-gen", "x"],
      "--max-gen: 'x' is not an integer >= 4"),
+    (["cantor", "dist", "--lambda", "1/4", "--x", "1/0"],
+     "--x: '1/0' is not a number"),
+    (["region", "probe", "--point", "0,x"],
+     "--point: '0,x' is not a list of numbers"),
 ])
 def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
                                             monkeypatch):
@@ -136,7 +140,7 @@ def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and f"argument {flag}" in err
-    assert "conv" not in err
+    assert "conv" not in err and "parse_" not in err
     assert not list(tmp_path.iterdir())
 
 
@@ -176,12 +180,52 @@ def test_density_command(tmp_path):
 
 
 def test_field_norm(tmp_path, capsys):
-    rc = run_cli(["field", "norm", "--region", "Omega_lambda",
-                  "--lambda", "1/4", "--func", "coord:1",
-                  "--h", "2^-7", "--p", "2"])
-    assert rc == 0
+    args = ["field", "norm", "--region", "Omega_lambda", "--lambda", "1/4",
+            "--func", "coord:1", "--h", "2^-7", "--p", "2"]
+    assert run_cli(args) == 0
     out = capsys.readouterr().out
     assert any(ch.isdigit() for ch in out)
+    # with --out the same number goes to the file, with a manifest
+    path = tmp_path / "norm.txt"
+    assert run_cli(args + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == out
+    manifest = json.loads((tmp_path / "norm.txt.manifest.json").read_text())
+    assert manifest["command"] == "field norm"
+
+
+def test_field_sample_without_out_writes_stdout(capsys):
+    assert run_cli(["field", "sample", "--h", "2^-3"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[0].startswith("# bbox=") and lines[1] == "value,mask"
+    u = grid_sample(lambda X: 1.0, region_spec("N_lambda", lam=0.25), 2.0 ** -3)
+    assert len(lines) == 2 + u.mask.size + 1 and lines[-1] == ""
+
+
+# each writing command's manifest label and seed, as the handlers once typed
+@pytest.mark.parametrize("args, command, seed", [
+    (["whitney", "build", "--max-gen", "4"], "whitney build", None),
+    (["whitney", "verify", "--max-gen", "4"], "whitney verify", None),
+    (["whitney", "claim-count", "--max-gen", "6", "--k-max", "2"],
+     "whitney claim-count", None),
+    (["field", "sample", "--h", "2^-3"], "field sample", None),
+    (["field", "grad", "--h", "2^-3"], "field grad", None),
+    (["extend", "--grid", "2^-7", "--max-gen", "4"], "extend", None),
+    (["sweep", "--lambdas", "1/8", "--grid", "2^-7", "--seed", "5"],
+     "sweep", 5),
+    (["dim", "estimate", "--lambda", "1/4", "--levels", "3"],
+     "dim estimate", None),
+    (["density", "--radii", "1/4", "--samples", "100", "--seed", "5"],
+     "density", 5),
+])
+def test_manifest_command_and_seed(args, command, seed, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["seed"] == seed
+    assert manifest["params"]["out"] == str(out)
 
 
 def test_extend_command(tmp_path):
@@ -200,6 +244,8 @@ def test_extend_command(tmp_path):
     manifest = json.loads((tmp_path / "eu.csv.manifest.json").read_text())
     assert manifest["params"]["u"] == "coord:1"
     assert manifest["params"]["max_gen"] is None
+    assert manifest["results"] == {"blended_tent_cells": 2560,
+                                   "uncovered_tent_cells": 7040}
 
 
 def test_run_config_valid(tmp_path):
