@@ -43,8 +43,8 @@ ORACLE_KINDS = ("N_lambda", "Omega_lambda")
 def parse_number(text: str) -> float:
     """Exact parsing of fractions like 1/8 and powers like 2^-10.
 
-    A zero denominator raises ValueError, which argparse turns into a usage
-    error."""
+    A zero denominator or a value beyond the float range raises ValueError,
+    which argparse turns into a usage error."""
     text = text.strip()
     try:
         if "^" in text:
@@ -53,6 +53,8 @@ def parse_number(text: str) -> float:
         return float(Fraction(text))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except OverflowError:
+        raise ValueError(f"{text!r} is too large for a float") from None
 
 
 def parse_number_list(text: str) -> list[float]:
@@ -206,11 +208,16 @@ def cmd_whitney_verify(args) -> Output:
 def cmd_whitney_claim_count(args) -> Output:
     asm = assemble(args.lam, args.n, args.max_gen)
     res = claim_count(asm.w, asm.wt, asm.reflect, k_max=args.k_max)
-    expo = res.fitted_exponent(args.k_max)
-    rows = [[k, res.counts.get(k, 0), expo] for k in range(args.k_max + 1)]
     # sources without a projection-monotone chain are left out of the counts
-    return Output(_csv(["k", "max_count", "fitted_exponent"], rows),
-                  {"sources": res.sources, "unreachable": res.unreachable})
+    results = {"sources": res.sources, "unreachable": res.unreachable}
+    try:
+        expo = res.fitted_exponent(args.k_max)
+    except ValueError:              # fewer than two populated k values
+        expo = math.nan
+        results["fitted_exponent"] = None
+    rows = [[k, res.counts.get(k, 0), expo] for k in range(args.k_max + 1)]
+    return Output(_csv(["k", "max_count", "fitted_exponent"], rows), results,
+                  status=1 if math.isnan(expo) else 0)
 
 
 def _parse_func(text: str, lam: float, n: int):

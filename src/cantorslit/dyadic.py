@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -120,8 +121,8 @@ def order(gen: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def meets_window(gen, idx: np.ndarray, lo, hi) -> np.ndarray:
     """Which closed cubes meet the closed box [lo, hi]."""
     s = sides(gen).reshape(-1, 1)
-    return np.all((idx * s <= np.asarray(hi)) & ((idx + 1) * s >= np.asarray(lo)),
-                  axis=1)
+    return reduce(np.logical_and,
+                  ((idx * s <= np.asarray(hi)) & ((idx + 1) * s >= np.asarray(lo))).T)
 
 
 def radix_strides(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -164,7 +165,8 @@ class CubeIndex:
         if g not in self.blocks:
             return np.full(len(q), -1, dtype=np.int64)
         lo, hi, strides, keys = self._keys[g]
-        inside = np.all((q >= lo) & (q <= hi), axis=1)
+        # & of the columns: np.all over a short last axis is ~15x slower
+        inside = reduce(np.logical_and, ((q >= lo) & (q <= hi)).T)
         k = (np.where(inside[:, None], q, lo) - lo) @ strides
         pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
         return np.where(inside & (keys[pos] == k), pos + self.blocks[g][0], -1)

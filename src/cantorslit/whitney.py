@@ -50,7 +50,8 @@ def _box_boundary_dist(X: np.ndarray, lo, hi) -> np.ndarray:
     q = np.maximum(lo - X, X - hi)
     # column by column: np.max over a short last axis is ~40x slower
     top = reduce(np.maximum, q.T)
-    return np.where(top <= 0.0, -top, np.linalg.norm(np.maximum(q, 0.0), axis=1))
+    p = np.maximum(q, 0.0)
+    return np.where(top <= 0.0, -top, np.sqrt(reduce(np.add, (c * c for c in p.T))))
 
 
 def _profile_boundary_dist(P: np.ndarray) -> np.ndarray:
@@ -244,18 +245,32 @@ def _bracket_cubes(oracle, gen, idx: np.ndarray):
     """Certified bracket on dist(Q, boundary) and sample membership per cube.
 
     Every point of a cube is within a quarter diagonal of one of its 3^n
-    samples (offsets {0, 1/2, 1}^n, center in the middle column); one
-    bracket_many and one member_many call cover all the cubes.
+    samples (offsets {0, 1/2, 1}^n, center in the middle column).  The
+    samples are the points Z 2^-(top+1) of one integer lattice, Z = (2 idx
+    + {0,1,2}^n) << (top - gen) with top the finest generation, so cubes of
+    any generations share their corner and edge samples: one bracket_many
+    and one member_many call on the distinct points cover all the cubes.
+    Both are row-independent and every sample is an exact dyadic, so the
+    brackets are those of sampling each cube on its own, bit for bit.
     """
     m, n = idx.shape
-    side = np.broadcast_to(sides(gen), (m,))
-    offs = np.array(list(product((0.0, 0.5, 1.0), repeat=n)))
-    X = ((idx * side[:, None])[:, None, :] + side[:, None, None] * offs).reshape(-1, n)
-    lo_s, hi_s = oracle.bracket_many(X)
-    mem = oracle.member_many(X).reshape(m, -1)
-    lo_q = np.maximum(0.0, lo_s.reshape(m, -1).min(axis=1)
-                      - math.sqrt(n) * side / 4.0)
-    hi_q = hi_s.reshape(m, -1).min(axis=1)
+    gen = np.broadcast_to(gen, (m,))
+    top = int(gen.max())
+    offs = np.array(list(product((0, 1, 2), repeat=n)), dtype=np.int64)
+    Z = (2 * idx[:, None, :] + offs) << (top - gen)[:, None, None]
+    # the first and last samples are the lower and upper corners
+    zlo, zhi = Z[:, 0].min(axis=0), Z[:, -1].max(axis=0)
+    Z = Z.reshape(-1, n)
+    _, first, inv = np.unique((Z - zlo) @ radix_strides(zlo, zhi),
+                              return_index=True, return_inverse=True)
+    X = np.ldexp(Z[first], -(top + 1))
+    lo_u, hi_u = oracle.bracket_many(X)
+    mem = oracle.member_many(X)[inv].reshape(m, -1)
+    # samples down the rows: np.min over a short last axis is ~2x slower
+    cols = inv.reshape(m, -1).T
+    lo_q = np.maximum(0.0, reduce(np.minimum, lo_u[cols])
+                      - math.sqrt(n) * sides(gen) / 4.0)
+    hi_q = reduce(np.minimum, hi_u[cols])
     return lo_q, hi_q, mem
 
 

@@ -79,6 +79,30 @@ def test_claim_count_manifest_reports_sources(tmp_path):
     assert res.sources > 0
 
 
+def test_claim_count_without_fit_exits_1(tmp_path, capsys):
+    """At max_gen 4 no k value is populated; the counts are still written.
+
+    The exponent is written as nan in the CSV and as null in the manifest,
+    and the exit status is 1.
+    """
+    out = tmp_path / "counts.csv"
+    assert run_cli(["whitney", "claim-count", "--lambda", "1/4",
+                    "--max-gen", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == ("k,max_count,fitted_exponent\n"
+                               + "".join(f"{k},0,nan\n" for k in range(5)))
+    manifest = json.loads((tmp_path / "counts.csv.manifest.json").read_text())
+    assert manifest["results"] == {"sources": 0, "unreachable": 0,
+                                   "fitted_exponent": None}
+    # with two populated k values the fit is written, as before
+    assert run_cli(["whitney", "claim-count", "--lambda", "1/4",
+                    "--max-gen", "6", "--k-max", "2", "--out", str(out)]) == 0
+    assert out.read_text() == ("k,max_count,fitted_exponent\n"
+                               "0,2,0.5000000000000004\n"
+                               "1,3,0.5000000000000004\n"
+                               "2,4,0.5000000000000004\n")
+
+
 @pytest.mark.parametrize("args, flag", [
     (["whitney", "claim-count", "--lambda", "0.7"], "--lambda"),
     (["whitney", "claim-count", "--max-gen", "3"], "--max-gen"),
@@ -123,6 +147,10 @@ def test_claim_count_manifest_reports_sources(tmp_path):
      "--x: '1/0' is not a number"),
     (["region", "probe", "--point", "0,x"],
      "--point: '0,x' is not a list of numbers"),
+    # values beyond the float range
+    (["cantor", "dist", "--lambda", "1/4", "--x", "2^5000"],
+     "--x: '2^5000' is not a number"),
+    (["field", "norm", "--func", "const:2^5000"], "--func"),
 ])
 def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
                                             monkeypatch):

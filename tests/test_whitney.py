@@ -2,15 +2,19 @@
 
 import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorslit.dyadic import (DyadicCube, cubes_touch, order,
-                               projection_contains)
+                               projection_contains, sides)
 from cantorslit.regions import region_spec
 from cantorslit.whitney import (
     Q0_ID,
+    _bracket_cubes,
     UNASSIGNED,
     WhitneyDecomposition,
     central_mask,
@@ -105,6 +109,81 @@ def test_adjacency_matches_brute_force():
                     want[i].append(j)
                     want[j].append(i)
         assert dec.adjacency() == want
+
+
+def _bracket_cubes_reference(oracle, gen, idx):
+    """3^n samples per cube, each sent to the oracle once per cube."""
+    m, n = idx.shape
+    side = np.broadcast_to(sides(gen), (m,))
+    offs = np.array(list(product((0.0, 0.5, 1.0), repeat=n)))
+    X = ((idx * side[:, None])[:, None, :]
+         + side[:, None, None] * offs).reshape(-1, n)
+    lo_s, hi_s = oracle.bracket_many(X)
+    mem = oracle.member_many(X).reshape(m, -1)
+    lo_q = np.maximum(0.0, lo_s.reshape(m, -1).min(axis=1)
+                      - math.sqrt(n) * side / 4.0)
+    hi_q = hi_s.reshape(m, -1).min(axis=1)
+    return lo_q, hi_q, mem
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind, lam, n, max_gen, window", [
+    ("N_lambda", 0.25, 2, 6, None),
+    ("Omega_lambda", 0.25, 2, 6, None),
+    ("N_lambda", 0.125, 2, 6, None),
+    ("Omega_lambda", 0.125, 2, 6, None),
+    ("N_lambda", 0.25, 3, 5, None),
+    ("Omega_lambda", 0.25, 3, 4, ((-1.0, 0.0, -1.0), (1.0, 1.0, 1.0))),
+    ("Omega_lambda", 0.25, 2, 9, ((0.2, -0.2), (0.6, 0.2))),
+])
+def test_bracket_cubes_matches_reference(kind, lam, n, max_gen, window):
+    """Sampling each distinct point once gives the per-cube brackets bitwise.
+
+    Inputs: each generation alone, as whitney_decompose passes them, and
+    the resolved cubes of all generations, as verify_whitney passes them.
+    """
+    dec = whitney_decompose(region_spec(kind, lam=lam, n=n), max_gen,
+                            window=window)
+    gen = np.concatenate([dec.gen, dec.frontier_gen])
+    idx = np.concatenate([dec.idx, dec.frontier_idx])
+    calls = [(g, idx[gen == g]) for g in np.unique(gen).tolist()]
+    calls.append((dec.gen, dec.idx))
+    assert len(calls) >= 3
+    for g, rows in calls:
+        got = _bracket_cubes(dec.oracle, g, rows)
+        want = _bracket_cubes_reference(dec.oracle, g, rows)
+        for a, b in zip(got, want):
+            assert _same_bits(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("N_lambda", "Omega_lambda")),
+       n=st.sampled_from((2, 3)), lam=st.sampled_from((0.25, 0.125)),
+       gen=st.integers(0, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_oracle_rows_independent(kind, n, lam, gen, seed):
+    """bracket_many and member_many treat each row alone, bit for bit.
+
+    _bracket_cubes rests on this: it sends each distinct sample point once
+    and gathers the results back.  A permuted batch with repeated rows must
+    give the results of the unique rows, gathered back.
+    """
+    region = region_spec(kind, lam=lam, n=n)
+    oracle = oracle_for(region)
+    rng = np.random.default_rng(seed)
+    # generation-gen lattice points over the region's box and one cell more
+    lo = np.floor(np.ldexp(region.bbox[0], gen)).astype(np.int64) - 1
+    hi = np.ceil(np.ldexp(region.bbox[1], gen)).astype(np.int64) + 1
+    points = np.ldexp(rng.integers(lo, hi + 1, size=(40, n)), -gen)
+    batch = points[rng.integers(0, len(points), size=200)]
+    uniq, inv = np.unique(batch, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    got = (*oracle.bracket_many(batch), oracle.member_many(batch))
+    want = (*oracle.bracket_many(uniq), oracle.member_many(uniq))
+    for a, b in zip(got, want):
+        assert _same_bits(a, b[inv])
 
 
 def test_whitney_bracket_consistency(decs):
