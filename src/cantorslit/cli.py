@@ -32,12 +32,10 @@ from .extension import (assemble, bound_report, extend, finest_gen,
 from .fields import GridField, _grid_shape, gradient, grid_sample, seminorm_p
 from .regions import (REGION_KINDS, component_label, region_membership,
                       region_spec)
-from .whitney import claim_count, verify_whitney, whitney_decompose
+from .whitney import (ORACLE_KINDS, claim_count, verify_whitney,
+                      whitney_decompose)
 
 WORKERS_ENV = "CANTORSLIT_WORKERS"
-
-# the region kinds with a certified distance oracle (whitney.oracle_for)
-ORACLE_KINDS = ("N_lambda", "Omega_lambda")
 
 
 def parse_number(text: str) -> float:
@@ -199,8 +197,7 @@ def cmd_whitney_verify(args) -> Output:
         "resolved": len(dec.cubes),
         "frontier": len(dec.frontier),
     }
-    bad = (rep.w1_violations + rep.w2_violations + rep.w3_violations
-           + rep.w4_violations + rep.boundary_crossings)
+    bad = rep.total_violations + rep.boundary_crossings
     return Output(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                   status=0 if bad == 0 else 1)
 

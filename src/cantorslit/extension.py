@@ -214,7 +214,6 @@ def jump_test_function(x0, r: float, region: RegionSpec, witness):
         out[near] = cut * ind
         return out
 
-    u.x0, u.r, u.component = x0, r, label
     return u
 
 

@@ -25,8 +25,8 @@ class GridField:
     """Cell-centered values over a box, with a region membership mask.
 
     values has shape grid_shape for scalars and grid_shape + (n,) for
-    vectors.  flags marks cells where a gradient component could not be
-    formed (no masked-in neighbour in some direction).
+    vectors.  flags, set by extension.extend only, marks its uncovered tent
+    cells.
     """
 
     bbox: np.ndarray            # (2, n): lower and upper corners
@@ -104,7 +104,7 @@ def gradient(u: GridField) -> GridField:
     """Masked finite-difference gradient.
 
     Central differences on cells whose two axis neighbours are masked in,
-    one-sided where only one is, zero (and flagged) where neither is.  No
+    one-sided where only one is, zero where neither is.  No
     stencil ever reaches across the mask.  When the field carries a region,
     two neighbours are additionally coupled only if the face midpoint
     between their centers is itself in the region, so slits thinner than
@@ -116,7 +116,6 @@ def gradient(u: GridField) -> GridField:
     vals, mask, h = u.values, u.mask, u.h
     axes = u.axes() if u.region is not None else None
     out = np.zeros(vals.shape + (n,))
-    flags = np.zeros(vals.shape, dtype=bool)
     for ax in range(n):
         up = np.zeros_like(vals)
         dn = np.zeros_like(vals)
@@ -138,15 +137,13 @@ def gradient(u: GridField) -> GridField:
         both = mask & m_up & m_dn
         only_up = mask & m_up & ~m_dn
         only_dn = mask & m_dn & ~m_up
-        neither = mask & ~m_up & ~m_dn
         comp = np.zeros_like(vals)
         comp[both] = (up[both] - dn[both]) / (2.0 * h)
         comp[only_up] = (up[only_up] - vals[only_up]) / h
         comp[only_dn] = (vals[only_dn] - dn[only_dn]) / h
-        flags |= neither
         out[..., ax] = comp
     return GridField(bbox=u.bbox, h=h, values=out, mask=mask.copy(),
-                     kind="vector", flags=flags, region=u.region)
+                     kind="vector", region=u.region)
 
 
 def _pairwise_sum(a: np.ndarray) -> float:

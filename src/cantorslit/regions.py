@@ -29,6 +29,13 @@ from .cantor import (CantorSpec, _product_distance,
 
 REGION_KINDS = ("D", "N_lambda", "Omega_lambda", "Q0_tilde", "Omega2")
 
+# D's profile in the last two coordinates, as (lower corner, upper corner):
+# the open box minus the closed notch; Q0_tilde removes the closed hole
+# instead of the notch
+D_BOX = ((-2.0, -1.5), (1.0, 1.5))
+D_NOTCH = ((-1.0, -1.0), (0.0, 1.0))
+Q0_HOLE = ((-1.0, -1.0), (1.0, 1.0))
+
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -56,8 +63,7 @@ class RegionSpec:
         lo = np.zeros(n)
         hi = np.ones(n)
         if self.kind in ("D", "Omega_lambda", "Q0_tilde"):
-            lo[n - 2], hi[n - 2] = -2.0, 1.0
-            lo[n - 1], hi[n - 1] = -1.5, 1.5
+            lo[n - 2:], hi[n - 2:] = D_BOX
         elif self.kind == "N_lambda":
             lo[n - 1], hi[n - 1] = -1.0, 1.0
         elif self.kind == "Omega2":
@@ -105,10 +111,10 @@ def _in_region(spec: RegionSpec, coords) -> np.ndarray:
         in_n = in_n & (h <= _product_distance(coords[: n - 1], spec.cantor))
         if spec.kind == "N_lambda":
             return in_n
-    # D and Omega keep the notch [-1,0] x [-1,1]; Q0_tilde removes [-1,1]^2
-    notch_hi = 1.0 if spec.kind == "Q0_tilde" else 0.0
-    inside = ((a > -2.0) & (a < 1.0)) & ((b > -1.5) & (b < 1.5))
-    inside = inside & ~(((a >= -1.0) & (a <= notch_hi)) & ((b >= -1.0) & (b <= 1.0)))
+    (blo, bhi), (hlo, hhi) = D_BOX, Q0_HOLE if spec.kind == "Q0_tilde" else D_NOTCH
+    inside = ((a > blo[0]) & (a < bhi[0])) & ((b > blo[1]) & (b < bhi[1]))
+    inside = inside & ~(((a >= hlo[0]) & (a <= hhi[0]))
+                        & ((b >= hlo[1]) & (b <= hhi[1])))
     for x in coords[: n - 2]:
         inside = inside & ((x > 0.0) & (x < 1.0))
     return inside if in_n is None else inside & ~in_n
@@ -142,8 +148,6 @@ def region_membership_many(spec: RegionSpec, X) -> np.ndarray:
 class ComponentMap:
     """Flood-fill labeling of region cells inside a ball window."""
 
-    center: np.ndarray
-    radius: float
     h: float
     origin: np.ndarray          # lower corner of the cell grid
     labels: np.ndarray          # -1 outside window/region, else component id
@@ -215,8 +219,7 @@ def component_label(spec: RegionSpec, center, radius: float, h: float) -> Compon
     lut[1 + np.argsort(first)] = np.arange(count)
     for k in range(m):                  # in place, a slab at a time
         raw[k] = lut[raw[k]]
-    return ComponentMap(center=center, radius=radius, h=h, origin=origin,
-                        labels=raw, count=count)
+    return ComponentMap(h=h, origin=origin, labels=raw, count=count)
 
 
 @dataclass

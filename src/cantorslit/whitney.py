@@ -14,7 +14,7 @@ so l_j <= 5 l_i, which forces l_j <= 4 l_i dyadically (W4).
 The tent region N = {|x_n| <= dist(x', C)} is an intersection of 45-degree
 double-cone exteriors with apexes on C x {0}, which yields distance brackets
 with ratio 1 + O(tol) away from cone ridges, where tol = 2^-40 is the
-oracles' one descent tolerance: the lower bound |g - |x_n||/sqrt2
+oracle's one descent tolerance: the lower bound |g - |x_n||/sqrt2
 is exact on each cone, and sliding toward/away from the nearest apex produces
 a boundary witness realizing it.
 """
@@ -29,16 +29,18 @@ from itertools import product
 
 import numpy as np
 
-from .cantor import (CantorSpec, DEFAULT_TOL, _descend,
-                     _product_distance)
+from .cantor import DEFAULT_TOL, _descend, _product_distance
 from .dyadic import (CubeIndex, CubeView, meets_window, order, radix_strides,
                      sides, subdivide)
-from .regions import RegionSpec, _in_region
+from .regions import D_BOX, D_NOTCH, RegionSpec, _in_region
 
 # negative sentinels among cube rows: a reflection target or chain node
 # that is the reservoir region, and a cube with no reflection candidate
 Q0_ID = -1
 UNASSIGNED = -2
+
+# the region kinds with a certified distance oracle
+ORACLE_KINDS = ("N_lambda", "Omega_lambda")
 
 
 # ---------------------------------------------------------------------------
@@ -54,45 +56,46 @@ def _box_boundary_dist(X: np.ndarray, lo, hi) -> np.ndarray:
     return np.where(top <= 0.0, -top, np.sqrt(reduce(np.add, (c * c for c in p.T))))
 
 
-def _profile_boundary_dist(P: np.ndarray) -> np.ndarray:
-    """Exact distance to the boundary of the 2-D profile of D.
+def _d_boundary_dist(X: np.ndarray) -> np.ndarray:
+    """Distance to the boundary of D, per row of X.
 
-    The profile is (-2,1) x (-3/2,3/2) minus the closed notch [-1,0] x [-1,1];
-    its boundary is exactly the union of the two rectangle boundaries.
+    Exact in the profile plane, whose boundary is the union of the boundaries
+    of D_BOX and D_NOTCH; the lateral faces x_i = 0, 1 (i < n-2) enter
+    through a min.
     """
-    db = _box_boundary_dist(P, (-2.0, -1.5), (1.0, 1.5))
-    dr = _box_boundary_dist(P, (-1.0, -1.0), (0.0, 1.0))
-    return np.minimum(db, dr)
+    n = X.shape[1]
+    P = X[:, n - 2:]
+    d = np.minimum(_box_boundary_dist(P, *D_BOX), _box_boundary_dist(P, *D_NOTCH))
+    for i in range(n - 2):
+        d = np.minimum(d, np.minimum(np.abs(X[:, i]), np.abs(X[:, i] - 1.0)))
+    return d
 
 
-class _RegionOracle:
-    """Root cubes and membership of an oracle's region (self._region)."""
+class RegionOracle:
+    """Certified brackets on dist(x, boundary) for N_lambda or Omega_lambda;
+    root cubes and membership.
+
+    bracket_many brackets the distance to the tent boundary; for Omega it
+    then takes in the distance to the rectilinear boundary of D.  Brackets
+    hold to the descent tolerance 2^-40.
+    """
+
+    def __init__(self, region: RegionSpec):
+        self.region = region
+        self.n = region.n
+        self.cantor = region.cantor
+        self._per_tol = DEFAULT_TOL / math.sqrt(self.n - 1)
+        # half of the first-level gap bounds the 1-D distance function on [0,1]
+        self._max_k = (1.0 - 2.0 * self.cantor.ratio_at(0)) / 2.0
 
     def roots(self) -> np.ndarray:
         """Generation-0 index rows of the unit cubes covering the bbox."""
-        lo, hi = self._region.bbox
+        lo, hi = self.region.bbox
         axes = (range(math.floor(a), math.ceil(b)) for a, b in zip(lo, hi))
         return np.array(list(product(*axes)), dtype=np.int64)
 
     def member_many(self, X: np.ndarray) -> np.ndarray:
-        return _in_region(self._region, list(X.T))
-
-
-class TentOracle(_RegionOracle):
-    """Certified brackets on dist(x, boundary of N_lambda); membership in N.
-
-    Brackets hold to the descent tolerance 2^-40.
-    """
-
-    def __init__(self, cantor: CantorSpec, n: int = 2):
-        if n < 2:
-            raise ValueError("ambient dimension must be >= 2")
-        self.cantor = cantor
-        self.n = n
-        self._per_tol = DEFAULT_TOL / math.sqrt(n - 1)
-        self._region = RegionSpec(kind="N_lambda", n=n, cantor=cantor)
-        # half of the first-level gap bounds the 1-D distance function on [0,1]
-        self._max_k = (1.0 - 2.0 * cantor.ratio_at(0)) / 2.0
+        return _in_region(self.region, list(X.T))
 
     def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n, tol = self.n, DEFAULT_TOL
@@ -135,61 +138,32 @@ class TentOracle(_RegionOracle):
                 cp[:, i] = c
                 cands.append(cp)
         sgn = np.where(xn >= 0.0, 1.0, -1.0)
-        # x' itself, clipped: its height is g wherever x' lies in the box
-        cp = np.clip(XP, 0.0, 1.0)
-        gc, out = g.copy(), np.any(cp != XP, axis=1)
-        if out.any():
-            gc[out] = _product_distance(list(cp[out].T), self.cantor)
-        hi = np.sqrt(np.sum((XP - cp) ** 2, axis=1) + (xn - sgn * gc) ** 2)
+        # the graph point over x' is at distance |x_n - sgn g| = v over the
+        # column [0,1]^{n-1}; outside it, x' clipped to the column is the
+        # face candidate that moves an out-of-range coordinate to its bound
+        column = np.all((XP >= 0.0) & (XP <= 1.0), axis=1)
+        hi = np.where(column, v, np.inf)
         for cp in cands:
             cp = np.clip(cp, 0.0, 1.0)
             gp = _product_distance(list(cp.T), self.cantor)
             d2 = np.sum((XP - cp) ** 2, axis=1) + (xn - sgn * gp) ** 2
             hi = np.minimum(hi, np.sqrt(d2))
-        return lo, hi + tol
+        hi = hi + tol
+        if self.region.kind == "N_lambda":
+            return lo, hi
+        d_d = _d_boundary_dist(X)
+        if n == 2:
+            hi = np.minimum(hi, d_d + tol)
+        # for n >= 3 the min formula can underestimate the distance to the
+        # boundary of D from outside, and notch faces may dip into the tent;
+        # keep only the always-valid tent witness for the upper bound
+        return np.minimum(lo, d_d), hi
 
 
-class SlitOracle(_RegionOracle):
-    """Certified brackets on dist(x, boundary of Omega_lambda); membership.
-
-    The boundary splits into the rectilinear boundary of D (exact in the
-    plane) and the tent boundary handled by TentOracle; brackets hold to the
-    descent tolerance 2^-40.
-    """
-
-    def __init__(self, cantor: CantorSpec, n: int = 2):
-        self.cantor = cantor
-        self.n = n
-        self.tent = TentOracle(cantor, n)
-        self._region = RegionSpec(kind="Omega_lambda", n=n, cantor=cantor)
-
-    def _d_boundary(self, X: np.ndarray) -> np.ndarray:
-        n = self.n
-        d = _profile_boundary_dist(X[:, n - 2:])
-        for i in range(n - 2):
-            d = np.minimum(d, np.minimum(np.abs(X[:, i]), np.abs(X[:, i] - 1.0)))
-        return d
-
-    def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo_t, hi_t = self.tent.bracket_many(X)
-        d_d = self._d_boundary(X)
-        lo = np.minimum(lo_t, d_d)
-        if self.n == 2:
-            hi = np.minimum(hi_t, d_d + DEFAULT_TOL)
-        else:
-            # the min formula can underestimate the distance to the boundary
-            # of D from outside, and notch faces may dip into the tent; keep
-            # only the always-valid tent witness for the upper bound
-            hi = hi_t
-        return lo, hi
-
-
-def oracle_for(region: RegionSpec):
-    if region.kind == "N_lambda":
-        return TentOracle(region.cantor, region.n)
-    if region.kind == "Omega_lambda":
-        return SlitOracle(region.cantor, region.n)
-    raise ValueError(f"no certified distance oracle for kind {region.kind!r}")
+def oracle_for(region: RegionSpec) -> RegionOracle:
+    if region.kind not in ORACLE_KINDS:
+        raise ValueError(f"no certified distance oracle for kind {region.kind!r}")
+    return RegionOracle(region)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +179,6 @@ class WhitneyDecomposition:
 
     oracle: object
     n: int
-    max_gen: int
     gen: np.ndarray                    # (m,) resolved, sorted by (gen, idx)
     idx: np.ndarray                    # (m, n)
     lo_q: np.ndarray                   # certified bracket per resolved cube
@@ -313,9 +286,9 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
     perm = order(gen, idx)
     fgen = np.full(len(active), max_gen, dtype=np.int64)
     fperm = order(fgen, active)
-    return WhitneyDecomposition(oracle=oracle, n=n, max_gen=max_gen,
-                                gen=gen[perm], idx=idx[perm], lo_q=lo_q[perm],
-                                hi_q=hi_q[perm], frontier_gen=fgen[fperm],
+    return WhitneyDecomposition(oracle=oracle, n=n, gen=gen[perm],
+                                idx=idx[perm], lo_q=lo_q[perm], hi_q=hi_q[perm],
+                                frontier_gen=fgen[fperm],
                                 frontier_idx=active[fperm], window=window)
 
 

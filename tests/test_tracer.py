@@ -3,7 +3,8 @@
 perfbench/spans.py replaces functions of the package by name; a rename or
 deletion in src/ breaks traced benchmark runs.  The first test installs the
 tracer on the imported package and takes it off again, without running a
-workload; the second runs the harness self-test on small instances.
+workload; the middle ones check traced counters and results on small
+calls; the last runs the harness self-test on small instances.
 """
 
 import importlib.util
@@ -11,6 +12,8 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+
+import numpy as np
 
 import cantorslit
 import cantorslit.whitney
@@ -73,6 +76,29 @@ def test_traced_claim_count_counters():
     edges = sum(len(v) for dec in (w, wt) for v in dec.adjacency().values())
     assert edges > 0
     assert m["whitney.adjacency_edges"] == edges // 2
+
+
+def test_traced_decompose_matches_untraced():
+    """The tracer's oracle wrapper changes no result and counts each round.
+
+    Every generation round of an unwindowed decomposition with a frontier
+    brackets cubes, so bracket_many runs max_gen + 1 times.
+    """
+    spans = _spans_module()
+    whitney = cantorslit.whitney
+    region, max_gen = region_spec("Omega_lambda", lam=0.25), 6
+    want = whitney.whitney_decompose(region, max_gen)
+    tracer = spans.Tracer("tier-1")
+    tracer.install()
+    try:
+        got = whitney.whitney_decompose(region, max_gen)
+    finally:
+        tracer.uninstall()
+    for name in ("gen", "idx", "lo_q", "hi_q", "frontier_gen", "frontier_idx"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert len(want.frontier) > 0
+    m = spans.layer_metrics(tracer.spans)
+    assert m["whitney.oracle_calls"] == max_gen + 1
 
 
 def test_benchmark_selftest_passes():

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorslit.cantor import DEFAULT_TOL, _descend, _product_distance
 from cantorslit.dyadic import (DyadicCube, cubes_touch, order,
                                projection_contains, sides)
 from cantorslit.regions import region_spec
 from cantorslit.whitney import (
     Q0_ID,
+    _box_boundary_dist,
     _bracket_cubes,
     UNASSIGNED,
     WhitneyDecomposition,
@@ -80,7 +82,7 @@ def test_verifier_flags_planted_defects():
     idx = np.array([[1, 1], [2, 2], [32, 16], [-1, 0]], dtype=np.int64)
     perm = order(gen, idx)
     dec = WhitneyDecomposition(
-        oracle=oracle_for(region_spec("N_lambda", lam=LAM)), n=2, max_gen=7,
+        oracle=oracle_for(region_spec("N_lambda", lam=LAM)), n=2,
         gen=gen[perm], idx=idx[perm], lo_q=np.zeros(4), hi_q=np.zeros(4),
         frontier_gen=np.zeros(0, dtype=np.int64),
         frontier_idx=np.zeros((0, 2), dtype=np.int64))
@@ -184,6 +186,113 @@ def test_oracle_rows_independent(kind, n, lam, gen, seed):
     want = (*oracle.bracket_many(uniq), oracle.member_many(uniq))
     for a, b in zip(got, want):
         assert _same_bits(a, b[inv])
+
+
+def _tent_bracket_reference(cantor, X):
+    """The tent bracket with its own clipped-x' witness and descent."""
+    n, tol = X.shape[1], DEFAULT_TOL
+    XP, xn = X[:, :-1], X[:, -1]
+    d, near, mids = _descend(XP, cantor, tol / math.sqrt(n - 1), full=True)
+    g = np.sqrt(np.sum(d ** 2, axis=1))
+    h = np.abs(xn)
+    v = np.abs(g - h)
+    lo = np.maximum(0.0, v - tol) / math.sqrt(2.0)
+    gamma = math.sqrt(max(n - 2, 0)) * (1.0 - 2.0 * cantor.ratio_at(0)) / 2.0
+    for i in range(n - 1):
+        for c in (0.0, 1.0):
+            blo, bhi = np.zeros(n), np.ones(n)
+            blo[i] = bhi[i] = c
+            blo[n - 1], bhi[n - 1] = -gamma, gamma
+            lo = np.minimum(lo, _box_boundary_dist(X, blo, bhi))
+    diff = XP - near
+    rho = np.linalg.norm(diff, axis=1)
+    direction = diff / np.where(rho > 0.0, rho, 1.0)[:, None]
+    inside = h <= g
+    w = XP + (np.where(inside, -1.0, 1.0) * (v / 2.0))[:, None] * direction
+    bound = np.where(inside[:, None], XP, mids)
+    bound = np.where(np.isnan(bound), w, bound)
+    w = np.clip(w, np.minimum(near, bound), np.maximum(near, bound))
+    cands = [w, np.where(np.isfinite(mids), mids, XP)]
+    for i in range(n - 1):
+        for c in (0.0, 1.0):
+            cp = XP.copy()
+            cp[:, i] = c
+            cands.append(cp)
+    sgn = np.where(xn >= 0.0, 1.0, -1.0)
+    cp = np.clip(XP, 0.0, 1.0)
+    gc, out = g.copy(), np.any(cp != XP, axis=1)
+    if out.any():
+        gc[out] = _product_distance(list(cp[out].T), cantor)
+    hi = np.sqrt(np.sum((XP - cp) ** 2, axis=1) + (xn - sgn * gc) ** 2)
+    for cp in cands:
+        cp = np.clip(cp, 0.0, 1.0)
+        gp = _product_distance(list(cp.T), cantor)
+        d2 = np.sum((XP - cp) ** 2, axis=1) + (xn - sgn * gp) ** 2
+        hi = np.minimum(hi, np.sqrt(d2))
+    return lo, hi + tol
+
+
+def _oracle_reference(region, X):
+    """Bracket and membership with D's profile written out in literals."""
+    n, cantor = region.n, region.cantor
+    lo, hi = _tent_bracket_reference(cantor, X)
+    XP, xn = X[:, :-1], X[:, -1]
+    in_n = ((np.abs(xn) <= 1.0) & np.all((XP >= 0.0) & (XP <= 1.0), axis=1)
+            & (np.abs(xn) <= _product_distance(list(XP.T), cantor)))
+    if region.kind == "N_lambda":
+        return lo, hi, in_n
+    P, lat = X[:, n - 2:], X[:, : n - 2]
+    d_d = np.minimum(_box_boundary_dist(P, (-2.0, -1.5), (1.0, 1.5)),
+                     _box_boundary_dist(P, (-1.0, -1.0), (0.0, 1.0)))
+    for i in range(n - 2):
+        d_d = np.minimum(d_d, np.minimum(np.abs(X[:, i]), np.abs(X[:, i] - 1.0)))
+    if n == 2:
+        hi = np.minimum(hi, d_d + DEFAULT_TOL)
+    a, b = P.T
+    in_d = (((a > -2.0) & (a < 1.0) & (b > -1.5) & (b < 1.5))
+            & ~((a >= -1.0) & (a <= 0.0) & (b >= -1.0) & (b <= 1.0))
+            & np.all((lat > 0.0) & (lat < 1.0), axis=1))
+    return np.minimum(lo, d_d), hi, in_d & ~in_n
+
+
+@pytest.mark.parametrize("kind", ["N_lambda", "Omega_lambda"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lam", [0.25, 0.125])
+def test_oracle_matches_reference(kind, n, lam):
+    """oracle_for's brackets and membership equal the reference bitwise.
+
+    Inputs: uniform points over Omega's box grown by 0.1, their 2^-12
+    dyadic roundings, rows with a coordinate of x' on {0, 1}, rows with x'
+    outside the column [0,1]^{n-1}, and rows on the tent graph |x_n| = g.
+    """
+    region = region_spec(kind, lam=lam, n=n)
+    rng = np.random.default_rng(11)
+    bbox = region_spec("Omega_lambda", lam=lam, n=n).bbox
+    U = rng.uniform(bbox[0] - 0.1, bbox[1] + 0.1, size=(20000, n))
+    dyadic = np.ldexp(np.round(np.ldexp(U, 12)), -12)
+    face = rng.uniform(0.0, 1.0, size=(4000, n))
+    face[:, -1] = rng.uniform(-0.6, 0.6, size=4000)
+    face[np.arange(4000), rng.integers(0, n - 1, size=4000)] = \
+        rng.integers(0, 2, size=4000)
+    outside = face.copy()
+    outside[:, 0] = np.where(face[:, 0] < 0.5, -face[:, 0] - 1e-3,
+                             face[:, 0] + 0.5)
+    graph = rng.uniform(0.0, 1.0, size=(4000, n))
+    graph[:, -1] = (np.where(graph[:, -1] < 0.5, -1.0, 1.0)
+                    * _product_distance(list(graph[:, :-1].T), region.cantor))
+    assert not np.all((outside[:, :-1] >= 0.0) & (outside[:, :-1] <= 1.0),
+                      axis=1).any()
+    oracle = oracle_for(region)
+    for X in (U, dyadic, face, outside, graph):
+        got = (*oracle.bracket_many(X), oracle.member_many(X))
+        for a, b in zip(got, _oracle_reference(region, X)):
+            assert np.array_equal(a, b)
+
+
+def test_oracle_for_rejects_other_kinds():
+    for kind in ("D", "Q0_tilde"):
+        with pytest.raises(ValueError, match="no certified distance oracle"):
+            oracle_for(region_spec(kind))
 
 
 def test_whitney_bracket_consistency(decs):
@@ -314,7 +423,7 @@ def test_reflect_tie_goes_to_smaller_gen_idx():
         idx = np.array(idx, dtype=np.int64)
         gen = np.full(len(idx), 2, dtype=np.int64)
         return WhitneyDecomposition(
-            oracle=None, n=2, max_gen=2, gen=gen, idx=idx,
+            oracle=None, n=2, gen=gen, idx=idx,
             lo_q=np.zeros(len(idx)), hi_q=np.zeros(len(idx)),
             frontier_gen=np.zeros(0, dtype=np.int64),
             frontier_idx=np.zeros((0, 2), dtype=np.int64))
