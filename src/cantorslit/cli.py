@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dn = sub.add_parser("density")
     common(dn)
-    dn.add_argument("--point", type=POINT, default="0,0")
+    dn.add_argument("--point", type=POINT, default=None)
     dn.add_argument("--radii", type=RADII, default=[0.25, 0.125, 0.0625])
     dn.add_argument("--samples", type=SAMPLES, default=10 ** 6)
     dn.add_argument("--seed", type=int, default=0)
@@ -476,6 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cmd == "density" and args.point is None:
+        args.point = [0.0] * args.n         # the origin in --n dimensions
     for key in ("point", "center"):
         pt = getattr(args, key, None)
         if pt is not None and len(pt) != args.n:

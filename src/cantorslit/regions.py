@@ -50,11 +50,13 @@ class RegionSpec:
             raise ValueError("ambient dimension must be >= 2")
         if self.kind in ("N_lambda", "Omega_lambda") and self.cantor is None:
             raise ValueError(f"{self.kind} needs a Cantor spec")
-        if self.kind == "Omega2" and self.n != 2:
-            raise ValueError("Omega2 is planar")
-        if self.cantor is not None and self.kind != "Omega2":
-            if self.cantor.ambient_codim != self.n - 1:
-                raise ValueError("cantor.ambient_codim must equal n - 1")
+        if self.kind == "Omega2":
+            if self.n != 2:
+                raise ValueError("Omega2 is planar")
+            if self.cantor is not None and self.cantor.kind != "variable":
+                raise ValueError("Omega2 needs a variable-ratio Cantor spec")
+        elif self.cantor is not None and self.cantor.ambient_codim != self.n - 1:
+            raise ValueError("cantor.ambient_codim must equal n - 1")
 
     @property
     def bbox(self) -> np.ndarray:
@@ -73,8 +75,8 @@ class RegionSpec:
 
 def region_spec(kind: str, lam: float | None = None, n: int = 2,
                 cantor: CantorSpec | None = None) -> RegionSpec:
-    """Convenience constructor; builds the Cantor spec from lam if needed."""
-    if cantor is None and lam is not None:
+    """Convenience constructor; builds the tent kinds' Cantor spec from lam."""
+    if cantor is None and lam is not None and kind in ("N_lambda", "Omega_lambda"):
         cantor = CantorSpec(lam=lam, ambient_codim=n - 1)
     return RegionSpec(kind=kind, n=n, cantor=cantor)
 

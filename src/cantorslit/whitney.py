@@ -22,7 +22,6 @@ a boundary witness realizing it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -497,49 +496,46 @@ def q0_adjacent(gen, idx: np.ndarray) -> np.ndarray:
 @dataclass
 class Chain:
     rows: list[int]         # complement cube rows, then Q0_ID; [] if not found
-    found: bool
+
+    @property
+    def found(self) -> bool:
+        return bool(self.rows)
 
 
 def chain(wt: WhitneyDecomposition, a: int) -> Chain:
     """Minimal projection-monotone chain from complement cube row a to Q0_ID.
 
-    Nodes are complement cube rows and Q0_ID; edges are intersections of
-    closures (cube-cube touching, cube-reservoir via q0_adjacent), so
-    consecutive chain cubes always meet.  Intermediate cubes are restricted
-    to those whose drop-axis projection contains the source cube's
-    projection.  BFS with ascending (generation, index) neighbor order gives
-    a deterministic minimal path.
+    Members are the cubes no finer than the source whose drop-axis
+    projection contains the source's; consecutive members' closures meet,
+    and the last meets the reservoir (q0_adjacent).  The projections are
+    nested, so the members form one column and touch exactly when their x_n
+    intervals share an endpoint: a chain runs straight up or down.  The
+    shorter run wins, ties to the smaller first step (the choice of a
+    breadth-first search with neighbours in ascending row order).
     """
-    n = wt.n
-    # cubes no finer than the source whose horizontal index is the source's
-    # shifted to their generation; the search never leaves them, and ends on
-    # reaching the reservoir
     shift = int(wt.gen[a]) - wt.gen
     ok = shift >= 0
-    anc = wt.idx[a, : n - 1] >> np.where(ok, shift, 0)[:, None]
-    rows = np.flatnonzero(ok & np.all(wt.idx[:, : n - 1] == anc, axis=1))
-    allowed = set(rows.tolist()) | {Q0_ID}
-    adj = wt.adjacency()
-    q0_set = set(rows[q0_adjacent(wt.gen[rows], wt.idx[rows])].tolist())
-
-    prev = {a: None}
-    dq = deque([a])
-    while dq:
-        cur = dq.popleft()
-        if cur == Q0_ID:
-            path = []
-            while cur is not None:
-                path.append(cur)
-                cur = prev[cur]
-            return Chain(rows=path[::-1], found=True)
-        out = adj[cur]
-        if cur in q0_set:
-            out = [Q0_ID] + out
-        for nxt in out:
-            if nxt not in prev and nxt in allowed:
-                prev[nxt] = cur
-                dq.append(nxt)
-    return Chain(rows=[], found=False)
+    anc = wt.idx[a, :-1] >> np.where(ok, shift, 0)[:, None]
+    rows = np.flatnonzero(ok & np.all(wt.idx[:, :-1] == anc, axis=1))
+    # x_n intervals in units of the source's side, bottom to top
+    s = shift[rows]
+    bot = wt.idx[rows, -1] << s
+    perm = np.argsort(bot)
+    rows, s, bot = rows[perm], s[perm], bot[perm]
+    touch = (bot[:-1] + (1 << s[:-1]) == bot[1:]).tolist()  # i meets i + 1
+    q0 = q0_adjacent(wt.gen[rows], wt.idx[rows]).tolist()
+    rows = rows.tolist()
+    i = rows.index(a)
+    runs = []
+    for step in (-1, 1):
+        j = i
+        while not q0[j] and 0 <= j + step < len(rows) and touch[min(j, j + step)]:
+            j += step
+        if q0[j]:
+            runs.append(rows[min(i, j):max(i, j) + 1][::step])
+    if not runs:
+        return Chain(rows=[])
+    return Chain(rows=min(runs, key=lambda r: (len(r), r[1:2])) + [Q0_ID])
 
 
 # ---------------------------------------------------------------------------

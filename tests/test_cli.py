@@ -2,15 +2,18 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cantorslit.cli import main, parse_number, parse_number_list, parse_point
 from cantorslit.fields import grid_sample
-from cantorslit.regions import region_spec
+from cantorslit.regions import component_label, region_membership, region_spec
+from test_regions import PROFILE
 
 
 def run_cli(args, **kw):
@@ -40,6 +43,81 @@ def test_region_probe_command(capsys):
                   "--lambda", "1/4", "--point", "0.5,0.1"])
     assert rc == 0
     assert "not-member" in capsys.readouterr().out
+
+
+def _child_env():
+    """A child's environment: it imports the same package as this process,
+    installed or not."""
+    import cantorslit
+
+    src = os.path.dirname(os.path.dirname(cantorslit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+def _limit_address_space():
+    limit = 3 << 29                     # 1.5 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+# runs each command line given as a JSON list and prints one JSON line with
+# its exit status and output
+_CLI_CHILD = """
+import contextlib, io, json, sys
+from cantorslit.cli import main
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = main(argv)
+    print(json.dumps([status, buf.getvalue()]))
+"""
+
+
+def test_omega2_commands_in_bounded_memory():
+    """Omega2 on the command line uses its own Cantor set, not --lambda's.
+
+    A fixed-ratio set made the membership resolve 60 construction steps,
+    2^60 intervals.  The child runs under a 1.5 GiB address-space limit,
+    so a regression fails fast instead of filling the host's memory.
+    """
+    points = list(PROFILE["Omega2"])
+    argvs = [["region", "probe", "--region", "Omega2",
+              f"--point={x!r},{y!r}"] for x, y in points]
+    argvs.append(["region", "components", "--region", "Omega2",
+                  "--center", "0.5,0.5"])
+    argvs.append(["field", "sample", "--region", "Omega2", "--h", "2^-4"])
+    proc = subprocess.run([sys.executable, "-c", _CLI_CHILD, json.dumps(argvs)],
+                          capture_output=True, text=True, env=_child_env(),
+                          preexec_fn=_limit_address_space, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [status for status, _ in results] == [0] * len(argvs)
+    spec = region_spec("Omega2")
+    want = ["member\n" if region_membership(spec, p) else "not-member\n"
+            for p in points]
+    assert [body for _, body in results[:len(points)]] == want
+    cmap = component_label(spec, [0.5, 0.5], 0.25, 0.25 / 256.0)
+    assert results[-2][1] == f"{cmap.count}\n"
+    u = grid_sample(lambda X: 1.0, spec, 2.0 ** -4)
+    assert results[-1][1].count(",1\n") == int(u.mask.sum())
+
+
+def test_density_point_defaults_to_origin(monkeypatch):
+    """Without --point, density runs at the origin in --n dimensions."""
+    import cantorslit.cli as cli
+
+    seen = []
+
+    def record(spec, point, radii, **kw):
+        seen.append((spec.n, list(point)))
+        return SimpleNamespace(c_fit=0.0, radii=radii, c_per_radius=[0.0],
+                               halfwidth=0.0)
+    monkeypatch.setattr(cli, "measure_density_check", record)
+    for n in (2, 3):
+        assert run_cli(["density", "--n", str(n), "--radii", "1/4"]) == 0
+    assert seen == [(2, [0.0, 0.0])] * 2 + [(3, [0.0, 0.0, 0.0])] * 2
 
 
 def test_whitney_build_and_verify(tmp_path):
@@ -395,14 +473,7 @@ def test_run_config_matches_command_line(tmp_path):
 
 
 def test_console_script_installed():
-    import cantorslit
-
-    # the child imports the same package as this process, installed or not
-    src = os.path.dirname(os.path.dirname(cantorslit.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
-                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "cantorslit.cli",
                            "cantor", "dist", "--lambda", "1/4", "--x", "0"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0

@@ -177,6 +177,10 @@ def test_region_spec_validation():
         region_spec("Omega2", n=3, cantor=CantorSpec(lam=0.25, ambient_codim=2))
     with pytest.raises(ValueError):
         region_spec("bogus", lam=0.25)
+    # Omega2 reads only a variable-ratio set, so lam builds none
+    assert region_spec("Omega2", lam=0.25).cantor is None
+    with pytest.raises(ValueError, match="variable-ratio"):
+        region_spec("Omega2", cantor=CantorSpec(lam=0.25))
 
 
 # (kind, n, lambda): every region kind, with n=3 for all but the planar Omega2

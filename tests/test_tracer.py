@@ -56,8 +56,9 @@ def test_tracer_installs_and_uninstalls():
 def test_traced_claim_count_counters():
     """The chain and adjacency counters match what claim_count did.
 
-    One chain span per source, and the edges of both touching graphs (w's,
-    built by claim_count, and wt's, built by the first chain).
+    One chain span per source, and the edges of w's touching graph, which
+    claim_count builds to find the sources.  Chains walk their column, so
+    wt's touching graph is never built.
     """
     spans = _spans_module()
     whitney = cantorslit.whitney
@@ -73,7 +74,8 @@ def test_traced_claim_count_counters():
     m = spans.layer_metrics(tracer.spans)
     assert res.sources > 0
     assert m["whitney.chain_calls"] == res.sources
-    edges = sum(len(v) for dec in (w, wt) for v in dec.adjacency().values())
+    assert wt._adj is None
+    edges = sum(len(v) for v in w.adjacency().values())
     assert edges > 0
     assert m["whitney.adjacency_edges"] == edges // 2
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -468,6 +469,97 @@ def test_chain_projection_monotone(decs):
         if checked >= 60:
             break
     assert checked >= 40
+
+
+def _chain_reference(wt, a):
+    """Breadth-first search over wt's touching graph, as (rows, found).
+
+    Nodes are complement cube rows and Q0_ID, restricted to the cubes no
+    finer than the source whose projection contains the source's;
+    neighbours in ascending row order, Q0_ID first from a q0_adjacent cube.
+    """
+    n = wt.n
+    shift = int(wt.gen[a]) - wt.gen
+    ok = shift >= 0
+    anc = wt.idx[a, : n - 1] >> np.where(ok, shift, 0)[:, None]
+    rows = np.flatnonzero(ok & np.all(wt.idx[:, : n - 1] == anc, axis=1))
+    allowed = set(rows.tolist()) | {Q0_ID}
+    adj = wt.adjacency()
+    q0_set = set(rows[q0_adjacent(wt.gen[rows], wt.idx[rows])].tolist())
+    prev = {a: None}
+    dq = deque([a])
+    while dq:
+        cur = dq.popleft()
+        if cur == Q0_ID:
+            path = []
+            while cur is not None:
+                path.append(cur)
+                cur = prev[cur]
+            return path[::-1], True
+        out = adj[cur]
+        if cur in q0_set:
+            out = [Q0_ID] + out
+        for nxt in out:
+            if nxt not in prev and nxt in allowed:
+                prev[nxt] = cur
+                dq.append(nxt)
+    return [], False
+
+
+def _assert_chains_match_reference(wt, sources):
+    for a in sources:
+        ch = chain(wt, a)
+        assert (ch.rows, ch.found) == _chain_reference(wt, a), a
+
+
+def test_chain_matches_reference(decs):
+    """The column walk equals the breadth-first search on every row."""
+    _, wt = decs
+    _assert_chains_match_reference(wt, range(len(wt)))
+    wt3 = whitney_decompose(region_spec("Omega_lambda", lam=LAM, n=3), 4)
+    _assert_chains_match_reference(wt3, range(len(wt3)))
+
+
+def _hand_built(cubes):
+    """A planar decomposition of the given (gen, idx) cubes, rows in order."""
+    gen = np.array([g for g, _ in cubes], dtype=np.int64)
+    idx = np.array([i for _, i in cubes], dtype=np.int64)
+    perm = order(gen, idx)
+    return WhitneyDecomposition(
+        oracle=None, n=2, gen=gen[perm], idx=idx[perm],
+        lo_q=np.zeros(len(gen)), hi_q=np.zeros(len(gen)),
+        frontier_gen=np.zeros(0, dtype=np.int64),
+        frontier_idx=np.zeros((0, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("cubes, source, want", [
+    # over x in [0, 1/4]: four cubes down to x_n = -1 and four up to the
+    # gen-1 cube on x_n = 1, both q0_adjacent; the first steps are both
+    # gen 2, and (0, -2) is the smaller row, so the chain goes down; the
+    # neighbour (1, -1) lies outside the column
+    ([(2, (0, -4)), (2, (0, -3)), (2, (0, -2)), (2, (0, -1)), (2, (0, 0)),
+      (2, (0, 1)), (1, (0, 1)), (2, (1, -1))], (2, (0, -1)),
+     [(2, (0, -1)), (2, (0, -2)), (2, (0, -3)), (2, (0, -4))]),
+    # a gen-3 source with four-cube runs each way: the upward first step is
+    # gen 2, a smaller row than the downward gen-3 step, so it goes up
+    ([(1, (0, -2)), (2, (0, -2)), (3, (0, -2)), (3, (0, -1)), (2, (0, 0)),
+      (2, (0, 1)), (1, (0, 1))], (3, (0, -1)),
+     [(3, (0, -1)), (2, (0, 0)), (2, (0, 1)), (1, (0, 1))]),
+    # a gap in x_n below, no q0_adjacent cube above: no chain
+    ([(2, (0, -4)), (2, (0, -2)), (2, (0, -1)), (2, (0, 0))], (2, (0, -1)),
+     None),
+])
+def test_chain_tie_goes_to_smaller_first_step(cubes, source, want):
+    """Equal runs up and down: the breadth-first search's choice."""
+    wt = _hand_built(cubes)
+    a = int(wt.index.find(source[0], np.array([source[1]]))[0])
+    _assert_chains_match_reference(wt, range(len(wt)))
+    ch = chain(wt, a)
+    if want is None:
+        assert ch.rows == [] and not ch.found
+    else:
+        assert ch.found and ch.rows[-1] == Q0_ID
+        assert [(wt.cubes[r].gen, wt.cubes[r].idx) for r in ch.rows[:-1]] == want
 
 
 def test_claim_count_runs(decs):
