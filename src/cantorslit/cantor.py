@@ -24,24 +24,19 @@ DEFAULT_TOL = 2.0 ** -40
 class CantorSpec:
     """Description of a one-dimensional Cantor set (and its product powers).
 
-    kind          : "fixed" (single contraction ratio) or "variable"
-                    (ratio sequence, one per construction step).
-    lam           : contraction ratio in (0, 1/2), fixed kind only.
-    ratios        : per-step ratios in (0, 1/2], variable kind only.
-    ambient_codim : number of product factors (the set lives in
-                    R^ambient_codim).
+    kind   : "fixed" (single contraction ratio) or "variable" (ratio
+             sequence, one per construction step).
+    lam    : contraction ratio in (0, 1/2), fixed kind only.
+    ratios : per-step ratios in (0, 1/2], variable kind only.
     """
 
     kind: str = "fixed"
     lam: float | None = None
     ratios: tuple[float, ...] = field(default_factory=tuple)
-    ambient_codim: int = 1
 
     def __post_init__(self):
         if self.kind not in ("fixed", "variable"):
             raise ValueError(f"unknown Cantor kind {self.kind!r}")
-        if self.ambient_codim < 1:
-            raise ValueError("ambient_codim must be >= 1")
         if self.kind == "fixed":
             if self.lam is None or not (0.0 < self.lam < 0.5):
                 raise ValueError("fixed-ratio spec needs lambda in (0, 1/2)")
@@ -173,10 +168,8 @@ def _product_distance(coords, spec: CantorSpec) -> np.ndarray:
 
 
 def c_distance_grid(axes: list[np.ndarray], spec: CantorSpec) -> np.ndarray:
-    """Distance, within 2^-40, to the product set prod K in R^(ambient_codim)
-    on a tensor grid given the per-axis coordinates."""
-    if len(axes) != spec.ambient_codim:
-        raise ValueError("axis count must equal ambient_codim")
+    """Distance, within 2^-40, to the product set prod K in R^len(axes) on a
+    tensor grid given the per-axis coordinates."""
     k = len(axes)
     return _product_distance([np.reshape(a, [-1 if j == i else 1 for j in range(k)])
                               for i, a in enumerate(axes)], spec)

@@ -157,7 +157,7 @@ def _region(args) -> "RegionSpec":
 
 
 def cmd_cantor_dist(args) -> Output:
-    spec = CantorSpec(lam=args.lam, ambient_codim=1)
+    spec = CantorSpec(lam=args.lam)
     return Output(_fmt(k_distance(args.x, spec)) + "\n")
 
 
@@ -294,7 +294,7 @@ def cmd_sweep(args) -> Output:
 
 
 def cmd_dim_estimate(args) -> Output:
-    spec = CantorSpec(lam=args.lam, ambient_codim=1)
+    spec = CantorSpec(lam=args.lam)
     h = build_net_hierarchy(spec, args.levels, n=2)
     est = dim_upper_estimate(h)
     payload = {
@@ -311,9 +311,13 @@ def cmd_density(args) -> Output:
     spec = region_spec("Omega_lambda", lam=args.lam, n=args.n)
     out = {}
     for side in ("upper", "lower"):
-        res = measure_density_check(spec, args.point,
-                                    args.radii, samples=args.samples,
-                                    seed=args.seed, side=side)
+        try:
+            res = measure_density_check(spec, args.point,
+                                        args.radii, samples=args.samples,
+                                        seed=args.seed, side=side)
+        except ValueError:          # no radius found a component on this side
+            raise SystemExit(f"density: no {side} component at the point "
+                             + ",".join(map(_fmt, args.point))) from None
         out[side] = {"c_fit": res.c_fit,
                      "per_radius": dict(zip(map(_fmt, res.radii),
                                             res.c_per_radius)),

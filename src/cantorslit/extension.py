@@ -220,11 +220,10 @@ def jump_test_function(x0, r: float, region: RegionSpec, witness):
 def origin_jump(lam: float, n: int, r: float):
     """The jump test function of radius r at the origin pinch point.
 
-    Its witness, r/8 along x_1 and r/2 above the slit, picks the component
-    over the pinch plane.
+    Its witness, r/8 along every horizontal axis (0 on x_{n-1} is D's notch
+    face) and r/2 above the slit, picks the component over the pinch plane.
     """
-    witness = np.zeros(n)
-    witness[0], witness[n - 1] = r / 8.0, r / 2.0
+    witness = np.append(np.full(n - 1, r / 8.0), r / 2.0)
     return jump_test_function(np.zeros(n), r,
                               region_spec("Omega_lambda", lam=lam, n=n), witness)
 
@@ -264,7 +263,7 @@ def norm_factor(lam: float, n: int, p: float) -> float:
     """Closed form 1/(1 - 2^((-n + p + dim)/p)); inf signals divergence."""
     if p <= 1:
         raise ValueError("norm_factor requires p > 1")
-    dim = cantor_dim(CantorSpec(lam=lam, ambient_codim=n - 1), n)
+    dim = cantor_dim(CantorSpec(lam=lam), n)
     if dim >= n - p:
         return math.inf
     return 1.0 / (1.0 - 2.0 ** ((-n + p + dim) / p))
@@ -303,7 +302,7 @@ def bound_report(n: int, p: float, lams: list[float],
     """
     rep = BoundReport(n=n, p=p)
     for lam in lams:
-        spec = CantorSpec(lam=lam, ambient_codim=n - 1)
+        spec = CantorSpec(lam=lam)
         dim = cantor_dim(spec, n)
         nf = norm_factor(lam, n, p)
         c_eff = (n - p - dim) * nf if math.isfinite(nf) else math.nan
@@ -389,7 +388,7 @@ def trace_mismatch(lam: float, hs: list[float]) -> dict:
         return X[:, 0] + 0.5 * np.sin(3.0 * X[:, 1])
 
     n = 2
-    mids = gap_midpoints(CantorSpec(lam=lam, ambient_codim=n - 1), 3)
+    mids = gap_midpoints(CantorSpec(lam=lam), 3)
     errs = []
     for h in hs:
         max_gen = int(round(math.log2(1.0 / h))) + 3

@@ -55,8 +55,6 @@ class RegionSpec:
                 raise ValueError("Omega2 is planar")
             if self.cantor is not None and self.cantor.kind != "variable":
                 raise ValueError("Omega2 needs a variable-ratio Cantor spec")
-        elif self.cantor is not None and self.cantor.ambient_codim != self.n - 1:
-            raise ValueError("cantor.ambient_codim must equal n - 1")
 
     @property
     def bbox(self) -> np.ndarray:
@@ -77,7 +75,7 @@ def region_spec(kind: str, lam: float | None = None, n: int = 2,
                 cantor: CantorSpec | None = None) -> RegionSpec:
     """Convenience constructor; builds the tent kinds' Cantor spec from lam."""
     if cantor is None and lam is not None and kind in ("N_lambda", "Omega_lambda"):
-        cantor = CantorSpec(lam=lam, ambient_codim=n - 1)
+        cantor = CantorSpec(lam=lam)
     return RegionSpec(kind=kind, n=n, cantor=cantor)
 
 

@@ -106,15 +106,6 @@ class RegionOracle:
         v = np.abs(g - h)
         lo = np.maximum(0.0, v - tol) / math.sqrt(2.0)
 
-        # lateral face parts of the tent boundary, enclosed in exact boxes
-        gamma = math.sqrt(max(n - 2, 0)) * self._max_k
-        for i in range(n - 1):
-            for c in (0.0, 1.0):
-                blo, bhi = np.zeros(n), np.ones(n)
-                blo[i] = bhi[i] = c
-                blo[n - 1], bhi[n - 1] = -gamma, gamma
-                lo = np.minimum(lo, _box_boundary_dist(X, blo, bhi))
-
         # witnesses: graph points over candidate horizontal positions
         diff = XP - near
         rho = np.linalg.norm(diff, axis=1)
@@ -130,23 +121,33 @@ class RegionOracle:
         bound = np.where(np.isnan(bound), w, bound)
         w = np.clip(w, np.minimum(near, bound), np.maximum(near, bound))
         peak = np.where(np.isfinite(mids), mids, XP)
-        cands = [w, peak]
-        for i in range(n - 1):
-            for c in (0.0, 1.0):
-                cp = XP.copy()
-                cp[:, i] = c
-                cands.append(cp)
         sgn = np.where(xn >= 0.0, 1.0, -1.0)
         # the graph point over x' is at distance |x_n - sgn g| = v over the
         # column [0,1]^{n-1}; outside it, x' clipped to the column is the
-        # face candidate that moves an out-of-range coordinate to its bound
-        column = np.all((XP >= 0.0) & (XP <= 1.0), axis=1)
-        hi = np.where(column, v, np.inf)
-        for cp in cands:
-            cp = np.clip(cp, 0.0, 1.0)
-            gp = _product_distance(list(cp.T), self.cantor)
-            d2 = np.sum((XP - cp) ** 2, axis=1) + (xn - sgn * gp) ** 2
-            hi = np.minimum(hi, np.sqrt(d2))
+        # face witness that moves an out-of-range coordinate to its bound
+        in_col = (XP >= 0.0) & (XP <= 1.0)
+        hi = np.where(np.all(in_col, axis=1), v, np.inf)
+        for foot in (w, peak):
+            foot = np.clip(foot, 0.0, 1.0)
+            gp = _product_distance(list(foot.T), self.cantor)
+            dist = np.sum((XP - foot) ** 2, axis=1) + (xn - sgn * gp) ** 2
+            hi = np.minimum(hi, np.sqrt(dist))
+        # lateral faces x_i = c: exact boxes enclose their part of the tent
+        # boundary.  The witness x' clipped to the column with x_i = c has
+        # heights d with axis i and out-of-column axes at +0.0 (0, 1 lie in
+        # K); a +0.0 term changes no sum of squares, so no descent is needed
+        gamma = math.sqrt(max(n - 2, 0)) * self._max_k
+        d2 = np.where(in_col, d ** 2, 0.0)
+        for i, c in product(range(n - 1), (0.0, 1.0)):
+            blo, bhi = np.zeros(n), np.ones(n)
+            blo[i] = bhi[i] = c
+            blo[n - 1], bhi[n - 1] = -gamma, gamma
+            lo = np.minimum(lo, _box_boundary_dist(X, blo, bhi))
+            foot = np.clip(XP, 0.0, 1.0)
+            foot[:, i] = c
+            gp = np.sqrt(sum(d2[:, j] for j in range(n - 1) if j != i))
+            dist = np.sum((XP - foot) ** 2, axis=1) + (xn - sgn * gp) ** 2
+            hi = np.minimum(hi, np.sqrt(dist))
         hi = hi + tol
         if self.region.kind == "N_lambda":
             return lo, hi
@@ -214,16 +215,21 @@ class WhitneyDecomposition:
 
 
 def _bracket_cubes(oracle, gen, idx: np.ndarray):
-    """Certified bracket on dist(Q, boundary) and sample membership per cube.
+    """Certified bracket on dist(Q, boundary) and center membership per cube.
 
     Every point of a cube is within a quarter diagonal of one of its 3^n
-    samples (offsets {0, 1/2, 1}^n, center in the middle column).  The
-    samples are the points Z 2^-(top+1) of one integer lattice, Z = (2 idx
-    + {0,1,2}^n) << (top - gen) with top the finest generation, so cubes of
-    any generations share their corner and edge samples: one bracket_many
-    and one member_many call on the distinct points cover all the cubes.
-    Both are row-independent and every sample is an exact dyadic, so the
-    brackets are those of sampling each cube on its own, bit for bit.
+    samples (offsets {0, 1/2, 1}^n).  The samples are the points
+    Z 2^-(top+1) of one integer lattice, Z = (2 idx + {0,1,2}^n) << (top -
+    gen) with top the finest generation, so cubes of any generations share
+    their corner and edge samples: one bracket_many call on the distinct
+    points covers all the cubes.  It is row-independent and every sample is
+    an exact dyadic, so the brackets are those of sampling each cube on its
+    own, bit for bit.
+
+    Only the center, the exact dyadic (2 idx + 1) 2^-(gen+1), is tested for
+    membership: where lo_q > 0 the closed cube misses the boundary and lies
+    wholly inside or outside the region, and every sample, a quarter
+    diagonal (far above 2^-40) from the boundary, computes the center's.
     """
     m, n = idx.shape
     gen = np.broadcast_to(gen, (m,))
@@ -235,15 +241,14 @@ def _bracket_cubes(oracle, gen, idx: np.ndarray):
     Z = Z.reshape(-1, n)
     _, first, inv = np.unique((Z - zlo) @ radix_strides(zlo, zhi),
                               return_index=True, return_inverse=True)
-    X = np.ldexp(Z[first], -(top + 1))
-    lo_u, hi_u = oracle.bracket_many(X)
-    mem = oracle.member_many(X)[inv].reshape(m, -1)
+    lo_u, hi_u = oracle.bracket_many(np.ldexp(Z[first], -(top + 1)))
     # samples down the rows: np.min over a short last axis is ~2x slower
     cols = inv.reshape(m, -1).T
     lo_q = np.maximum(0.0, reduce(np.minimum, lo_u[cols])
                       - math.sqrt(n) * sides(gen) / 4.0)
     hi_q = reduce(np.minimum, hi_u[cols])
-    return lo_q, hi_q, mem
+    center = oracle.member_many(np.ldexp(2 * idx + 1, -(gen + 1)[:, None]))
+    return lo_q, hi_q, center
 
 
 def whitney_decompose(region: RegionSpec, max_gen: int,
@@ -271,10 +276,10 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
         if not len(active):
             break
         side = sides(np.full(len(active), g))
-        lo_q, hi_q, mem = _bracket_cubes(oracle, g, active)
+        lo_q, hi_q, center = _bracket_cubes(oracle, g, active)
         accept = ((lo_q >= sqrtn * side) & (hi_q <= 4.0 * sqrtn * side)
-                  & mem[:, (3 ** n - 1) // 2])
-        drop = ~mem.any(axis=1) & (lo_q > 0.0)
+                  & center)
+        drop = ~center & (lo_q > 0.0)
         found.append((np.full(int(accept.sum()), g), active[accept],
                       lo_q[accept], hi_q[accept]))
         active = active[~accept & ~drop]
@@ -355,9 +360,9 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
         return WhitneyReport(0, 0, 0, 0, 0, 0, 0)
     n, side = dec.n, sides(dec.gen)
     sqrtn = math.sqrt(n)
-    lo_q, hi_q, mem = _bracket_cubes(dec.oracle, dec.gen, dec.idx)
+    lo_q, hi_q, center = _bracket_cubes(dec.oracle, dec.gen, dec.idx)
     # W1: center inside and no boundary within the half-diagonal
-    w1 = int(np.sum(~(mem[:, (3 ** n - 1) // 2] & (lo_q > sqrtn * side / 2.0))))
+    w1 = int(np.sum(~(center & (lo_q > sqrtn * side / 2.0))))
     # W3: bracket must intersect the admissible interval
     w3 = int(np.sum((hi_q < sqrtn * side) | (lo_q > 4.0 * sqrtn * side)))
 

@@ -100,7 +100,7 @@ def test_gap_midpoints_bracket_points():
 
 
 def test_c_distance_product():
-    spec = CantorSpec(lam=0.25, ambient_codim=2)
+    spec = CantorSpec(lam=0.25)
     d = c_distance_grid([np.array([0.5, 0.25]), np.array([0.5, 0.75])], spec)
     assert d.shape == (2, 2)
     # distance in the plane to K x K from (1/2, 1/2) is 0.25 * sqrt(2)
@@ -112,7 +112,7 @@ def test_c_distance_product():
 def test_cantor_dim_formula():
     assert cantor_dim(CantorSpec(lam=0.25), 2) == pytest.approx(0.5)
     assert cantor_dim(CantorSpec(lam=1.0 / 8.0), 2) == pytest.approx(1.0 / 3.0)
-    assert cantor_dim(CantorSpec(lam=0.25, ambient_codim=2), 3) == pytest.approx(1.0)
+    assert cantor_dim(CantorSpec(lam=0.25), 3) == pytest.approx(1.0)
 
 
 def test_construction_intervals_and_measure():

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface and its file formats."""
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -118,6 +119,21 @@ def test_density_point_defaults_to_origin(monkeypatch):
     for n in (2, 3):
         assert run_cli(["density", "--n", str(n), "--radii", "1/4"]) == 0
     assert seen == [(2, [0.0, 0.0])] * 2 + [(3, [0.0, 0.0, 0.0])] * 2
+
+
+@pytest.mark.parametrize("point", ["0.5,0", "5,5"])
+def test_density_without_component_exits_1(point, tmp_path):
+    """A point no component touches (inside the tent, far outside D) ends
+    in one line naming it, exit status 1, and no report or manifest."""
+    with pytest.raises(SystemExit) as exc, \
+            pytest.warns(UserWarning, match="no component at radius"):
+        run_cli(["density", "--point", point, "--radii", "1/4",
+                 "--samples", "100", "--out", str(tmp_path / "d.json")])
+    msg = exc.value.code
+    # a string exit code prints as one line and exits with status 1
+    assert isinstance(msg, str) and "\n" not in msg
+    assert ",".join(repr(float(v)) for v in point.split(",")) in msg
+    assert not list(tmp_path.iterdir())
 
 
 def test_whitney_build_and_verify(tmp_path):
@@ -298,6 +314,14 @@ def test_field_norm(tmp_path, capsys):
     assert path.read_text() == out
     manifest = json.loads((tmp_path / "norm.txt.manifest.json").read_text())
     assert manifest["command"] == "field norm"
+
+
+def test_field_norm_jump_at_n3(capsys):
+    """The jump test function builds at n = 3; its witness used to lie on
+    D's notch face and the command ended in a traceback."""
+    assert run_cli(["field", "norm", "--n", "3", "--region", "Omega_lambda",
+                    "--func", "jump:depth=1", "--h", "2^-4"]) == 0
+    assert math.isfinite(float(capsys.readouterr().out))
 
 
 def test_field_sample_without_out_writes_stdout(capsys):

@@ -21,6 +21,7 @@ from cantorslit.extension import (
     gap_midpoints,
     jump_test_function,
     norm_factor,
+    origin_jump,
     partition_of_unity,
     point_extend,
     thm_upper_curve,
@@ -229,6 +230,18 @@ def test_jump_function_support_box_is_exact():
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert np.all(u(sphere[:4]) == 0.0)
+
+
+def test_origin_jump_at_n3():
+    """At n = 3 the witness lies off D's notch face x_2 = 0.
+
+    A witness with x_2 = 0 lies outside the slit domain, and building the
+    function raised.  The build flood-fills 411^3 cells, so it runs once.
+    """
+    r = 1.0 / 8.0
+    u = origin_jump(0.25, 3, r)
+    w = np.array([r / 8.0, r / 8.0, r / 2.0])
+    assert u(np.stack([w, w * [1.0, 1.0, -1.0]])).tolist() == [1.0, 0.0]
 
 
 def test_jump_function_rejects_one_sided_point():

@@ -174,7 +174,7 @@ def test_region_spec_validation():
     with pytest.raises(ValueError):
         region_spec("N_lambda")            # needs a Cantor spec
     with pytest.raises(ValueError):
-        region_spec("Omega2", n=3, cantor=CantorSpec(lam=0.25, ambient_codim=2))
+        region_spec("Omega2", n=3, cantor=CantorSpec(lam=0.25))
     with pytest.raises(ValueError):
         region_spec("bogus", lam=0.25)
     # Omega2 reads only a variable-ratio set, so lam builds none

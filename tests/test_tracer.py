@@ -14,6 +14,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cantorslit
 import cantorslit.whitney
@@ -101,6 +102,44 @@ def test_traced_decompose_matches_untraced():
     assert len(want.frontier) > 0
     m = spans.layer_metrics(tracer.spans)
     assert m["whitney.oracle_calls"] == max_gen + 1
+
+
+@pytest.mark.parametrize("n, max_gen", [(2, 6), (3, 4)])
+def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
+    """Per round, one descent brackets the samples and centers decide sides.
+
+    Under each bracket_many span only the slid-cone and gap-peak witnesses
+    ask for heights, one k_distance_many per horizontal axis each: 2(n-1)
+    spans.  The lateral-face witnesses read the batch's own descent.  Under
+    each member_many span every k_distance_many sees one point per cube of
+    the round, its center.
+    """
+    spans = _spans_module()
+    whitney = cantorslit.whitney
+    cubes = []                          # cubes per round, in call order
+    bracket_cubes = whitney._bracket_cubes
+
+    def record(oracle, gen, idx):
+        cubes.append(len(idx))
+        return bracket_cubes(oracle, gen, idx)
+    monkeypatch.setattr(whitney, "_bracket_cubes", record)
+    tracer = spans.Tracer("tier-1")
+    tracer.install()
+    try:
+        whitney.whitney_decompose(region_spec("N_lambda", lam=0.25, n=n),
+                                  max_gen)
+    finally:
+        tracer.uninstall()
+
+    def descents_under(name):
+        return [[c["points"] for c in tracer.spans if c["parent"] == s["id"]
+                 and c["name"] == "cantor.k_distance_many"]
+                for s in tracer.spans if s["name"] == name]
+    brackets = descents_under("whitney.oracle.bracket_many")
+    members = descents_under("whitney.oracle.member_many")
+    assert len(brackets) == len(members) == len(cubes) == max_gen + 1
+    assert [len(b) for b in brackets] == [2 * (n - 1)] * len(cubes)
+    assert members == [[m] * (n - 1) for m in cubes]
 
 
 def test_benchmark_selftest_passes():

@@ -147,6 +147,8 @@ def test_bracket_cubes_matches_reference(kind, lam, n, max_gen, window):
 
     Inputs: each generation alone, as whitney_decompose passes them, and
     the resolved cubes of all generations, as verify_whitney passes them.
+    The center membership is the middle sample's, and where lo_q > 0 it
+    decides the drop rule as all 3^n sample memberships did.
     """
     dec = whitney_decompose(region_spec(kind, lam=lam, n=n), max_gen,
                             window=window)
@@ -154,12 +156,24 @@ def test_bracket_cubes_matches_reference(kind, lam, n, max_gen, window):
     idx = np.concatenate([dec.idx, dec.frontier_idx])
     calls = [(g, idx[gen == g]) for g in np.unique(gen).tolist()]
     calls.append((dec.gen, dec.idx))
+    # every cube of a coarse generation over the box, with the clear cubes
+    # outside the region that the drop rule removes
+    g0 = 5 - n
+    lo, hi = np.ldexp(dec.oracle.region.bbox, g0).astype(np.int64)
+    axes = np.meshgrid(*map(np.arange, lo, hi), indexing="ij")
+    calls.append((g0, np.stack(axes, axis=-1).reshape(-1, n)))
     assert len(calls) >= 3
+    dropped = 0
     for g, rows in calls:
-        got = _bracket_cubes(dec.oracle, g, rows)
-        want = _bracket_cubes_reference(dec.oracle, g, rows)
-        for a, b in zip(got, want):
+        lo_q, hi_q, center = _bracket_cubes(dec.oracle, g, rows)
+        *want, mem = _bracket_cubes_reference(dec.oracle, g, rows)
+        for a, b in zip((lo_q, hi_q), want):
             assert _same_bits(a, b)
+        assert _same_bits(center, mem[:, (3 ** n - 1) // 2])
+        clear = lo_q > 0.0
+        assert np.array_equal(~mem.any(axis=1) & clear, ~center & clear)
+        dropped += np.count_nonzero(~center & clear)
+    assert dropped > 0
 
 
 @settings(max_examples=60, deadline=None)
