@@ -203,7 +203,10 @@ def jump_test_function(x0, r: float, region: RegionSpec, witness):
         # only rows in the support box |X - x0|_inf <= 3r can be nonzero:
         # elsewhere the computed d >= |X - x0|_inf (sqrt(x*x) rounds to |x|),
         # so d / r > 3 and the cutoff is exactly +0.0
-        near = np.flatnonzero(np.all(np.abs(X - x0) / r <= 3.0, axis=1))
+        box = np.abs(X[:, 0] - x0[0]) / r <= 3.0
+        for j in range(1, n):
+            box &= np.abs(X[:, j] - x0[j]) / r <= 3.0
+        near = np.flatnonzero(box)
         Y = X[near]
         d = np.linalg.norm(Y - x0, axis=1)
         cut = np.clip(3.0 - d / r, 0.0, 1.0)

@@ -92,12 +92,25 @@ def grid_sample(f, region: RegionSpec, h: float,
     shape = mask.shape
     pts = _stack_centers(axes)
     vals = np.broadcast_to(np.asarray(f(pts), dtype=float), (pts.shape[0],))
-    vals = vals.reshape(shape).copy()
-    if not np.all(np.isfinite(vals[mask])):
+    vals = vals.reshape(shape)
+    if not np.all(np.isfinite(vals) | ~mask):
         raise ValueError("sampled values are not finite on masked-in cells")
-    vals[~mask] = 0.0
-    return GridField(bbox=bbox, h=h, values=vals, mask=mask, kind="scalar",
-                     region=region)
+    return GridField(bbox=bbox, h=h, values=np.where(mask, vals, 0.0),
+                     mask=mask, kind="scalar", region=region)
+
+
+def _support_box(nz: np.ndarray, pad: int) -> tuple[slice, ...] | None:
+    """Index box of the True cells of nz, widened by pad cells on every side
+    and clipped to the grid; None when nz has no True cell."""
+    box = []
+    for ax in range(nz.ndim):
+        others = tuple(a for a in range(nz.ndim) if a != ax)
+        hit = np.flatnonzero(np.any(nz, axis=others))
+        if hit.size == 0:
+            return None
+        box.append(slice(max(int(hit[0]) - pad, 0),
+                         min(int(hit[-1]) + pad + 1, nz.shape[ax])))
+    return tuple(box)
 
 
 def gradient(u: GridField) -> GridField:
@@ -109,40 +122,51 @@ def gradient(u: GridField) -> GridField:
     two neighbours are additionally coupled only if the face midpoint
     between their centers is itself in the region, so slits thinner than
     the grid spacing still decouple the two sides.
+
+    The stencil runs only on the index box of the masked-in cells whose
+    value is not +0.0 (-0.0 counts, so signed zeros survive), widened by
+    two cells: a cell's result reads only masked-in values one cell away,
+    so outside that box it is +0.0, and on the box's edge the cut-off
+    neighbours and the cell itself are all +0.0 either way.  Face midpoints
+    come from slices of the full grid's axes, so every bit matches the
+    whole-grid stencil.
     """
     if u.kind != "scalar":
         raise ValueError("gradient expects a scalar field")
     n = u.n
-    vals, mask, h = u.values, u.mask, u.h
-    axes = u.axes() if u.region is not None else None
-    out = np.zeros(vals.shape + (n,))
-    for ax in range(n):
-        up = np.zeros_like(vals)
-        dn = np.zeros_like(vals)
-        m_up = np.zeros_like(mask)
-        m_dn = np.zeros_like(mask)
-        sl_c = [slice(None)] * n
-        sl_p = [slice(None)] * n
-        sl_c[ax], sl_p[ax] = slice(None, -1), slice(1, None)
-        up[tuple(sl_c)] = vals[tuple(sl_p)]
-        m_up[tuple(sl_c)] = mask[tuple(sl_p)]
-        dn[tuple(sl_p)] = vals[tuple(sl_c)]
-        m_dn[tuple(sl_p)] = mask[tuple(sl_c)]
-        if axes is not None:
-            mid_axes = list(axes)
-            mid_axes[ax] = 0.5 * (axes[ax][:-1] + axes[ax][1:])
-            face_ok = membership_grid(u.region, mid_axes)
-            m_up[tuple(sl_c)] &= face_ok
-            m_dn[tuple(sl_p)] &= face_ok
-        both = mask & m_up & m_dn
-        only_up = mask & m_up & ~m_dn
-        only_dn = mask & m_dn & ~m_up
-        comp = np.zeros_like(vals)
-        comp[both] = (up[both] - dn[both]) / (2.0 * h)
-        comp[only_up] = (up[only_up] - vals[only_up]) / h
-        comp[only_dn] = (vals[only_dn] - dn[only_dn]) / h
-        out[..., ax] = comp
-    return GridField(bbox=u.bbox, h=h, values=out, mask=mask.copy(),
+    h = u.h
+    out = np.zeros(u.values.shape + (n,))
+    box = _support_box(u.mask & ((u.values != 0) | np.signbit(u.values)), 2)
+    if box is not None:
+        vals, mask = u.values[box], u.mask[box]
+        axes = ([a[s] for a, s in zip(u.axes(), box)]
+                if u.region is not None else None)
+        for ax in range(n):
+            up = np.zeros_like(vals)
+            dn = np.zeros_like(vals)
+            m_up = np.zeros_like(mask)
+            m_dn = np.zeros_like(mask)
+            sl_c = [slice(None)] * n
+            sl_p = [slice(None)] * n
+            sl_c[ax], sl_p[ax] = slice(None, -1), slice(1, None)
+            up[tuple(sl_c)] = vals[tuple(sl_p)]
+            m_up[tuple(sl_c)] = mask[tuple(sl_p)]
+            dn[tuple(sl_p)] = vals[tuple(sl_c)]
+            m_dn[tuple(sl_p)] = mask[tuple(sl_c)]
+            if axes is not None:
+                mid_axes = list(axes)
+                mid_axes[ax] = 0.5 * (axes[ax][:-1] + axes[ax][1:])
+                face_ok = membership_grid(u.region, mid_axes)
+                m_up[tuple(sl_c)] &= face_ok
+                m_dn[tuple(sl_p)] &= face_ok
+            both = mask & m_up & m_dn
+            only_up = mask & m_up & ~m_dn
+            only_dn = mask & m_dn & ~m_up
+            comp = out[box + (ax,)]
+            comp[both] = (up[both] - dn[both]) / (2.0 * h)
+            comp[only_up] = (up[only_up] - vals[only_up]) / h
+            comp[only_dn] = (vals[only_dn] - dn[only_dn]) / h
+    return GridField(bbox=u.bbox, h=h, values=out, mask=u.mask.copy(),
                      kind="vector", region=u.region)
 
 
@@ -159,19 +183,56 @@ def _pairwise_sum(a: np.ndarray) -> float:
     return float(a[0])
 
 
+def _ranks(sel: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
+    """C-order rank among the True cells of sel of each cell of sel[box].
+
+    From per-row counts along the last axis: the selected cells of all
+    earlier rows, then those of the row left of the box, then those of the
+    box's part of the row.
+    """
+    per_row = np.count_nonzero(sel, axis=-1)
+    flat = per_row.ravel()
+    before_row = (np.cumsum(flat) - flat).reshape(per_row.shape)
+    lead = box[:-1]
+    start = before_row[lead] + np.count_nonzero(
+        sel[lead + (slice(0, box[-1].start),)], axis=-1)
+    sub = sel[box]
+    return start[..., None] + np.cumsum(sub, axis=-1) - sub
+
+
 def seminorm_p(g: GridField, p: float, submask: np.ndarray | None = None) -> float:
-    """(sum |g|^p h^n)^(1/p) over masked-in cells, deterministic order."""
+    """(sum |g|^p h^n)^(1/p) over masked-in cells, deterministic order.
+
+    The terms are summed by _pairwise_sum in C order of the selected cells,
+    a tree fixed by position.  A cell whose value is zero adds +0.0, so the
+    term vector starts as zeros and only the selected cells in the index box
+    of the nonzero ones are filled in, at their C-order ranks: the vector,
+    and so the sum, are bit for bit those of every cell's own term.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     sel = g.mask if submask is None else (g.mask & submask)
-    if not np.any(sel):
+    count = np.count_nonzero(sel)
+    if count == 0:
         warnings.warn("seminorm over an empty mask", stacklevel=2)
         return 0.0
-    if g.kind == "vector":
-        mag = np.sqrt(np.sum(g.values[sel] ** 2, axis=-1))
+    vector = g.kind == "vector"
+    if vector:
+        # one component at a time: an any() over the short last axis is
+        # several times slower
+        nonzero = g.values[..., 0] != 0
+        for k in range(1, g.n):
+            nonzero |= g.values[..., k] != 0
     else:
-        mag = np.abs(g.values[sel])
-    total = _pairwise_sum(mag ** p) * g.h ** g.n
+        nonzero = g.values != 0
+    terms = np.zeros(count)
+    box = _support_box(sel & nonzero, 0)
+    if box is not None:
+        sub = sel[box]
+        vals = g.values[box][sub]
+        mag = np.sqrt(np.sum(vals ** 2, axis=-1)) if vector else np.abs(vals)
+        terms[_ranks(sel, box)[sub]] = mag ** p
+    total = _pairwise_sum(terms) * g.h ** g.n
     return total ** (1.0 / p)
 
 

@@ -19,6 +19,7 @@ from cantorslit.extension import (
     d_factor,
     extend,
     gap_midpoints,
+    jump_ratio,
     jump_test_function,
     norm_factor,
     origin_jump,
@@ -250,6 +251,41 @@ def test_jump_function_rejects_one_sided_point():
     with pytest.raises(ValueError):
         jump_test_function(np.array([-1.5, 0.0]), 1.0 / 8.0, ro,
                            np.array([-1.49, 1.0 / 64.0]))
+
+
+def test_jump_ratios_pinned():
+    """Criterion 8's three ratios, bit for bit.
+
+    Criterion 8 fails on their order before any value is checked, so the
+    values themselves are pinned here.
+    """
+    got = [jump_ratio(lam, 2, 1.5, 2.0 ** -10, max_gen=7)
+           for lam in (1.0 / 16.0, 1.0 / 8.0, 0.25)]
+    assert got == [2.563832306868019, 2.0394358800973738, 1.1266716472710812]
+
+
+def test_grid_sample_rejects_nonfinite_inside_only():
+    """A non-finite sample raises on a masked-in cell and reads 0.0 outside."""
+    ro = region_spec("Omega_lambda", lam=LAM)
+    h = 2.0 ** -3
+    # cell centers: one in the slit domain, one in D's notch
+    inside, outside = np.array([0.5625, 0.6875]), np.array([-0.4375, 0.0625])
+    assert region_membership_many(ro, np.stack([inside, outside])).tolist() \
+        == [True, False]
+
+    def spike(at):
+        def f(X):
+            hit = np.all(np.abs(X - at) < h / 2, axis=1)
+            return np.where(hit, np.inf, 1.0)
+        return f
+
+    with pytest.raises(ValueError, match="not finite"):
+        grid_sample(spike(inside), ro, h)
+    u = grid_sample(spike(outside), ro, h)
+    cell = tuple(((outside - u.bbox[0]) / h - 0.5).astype(int))
+    assert not u.mask[cell] and u.values[cell] == 0.0
+    assert np.all(u.values[u.mask] == 1.0) and np.all(u.values[~u.mask] == 0.0)
+    assert not np.any(np.signbit(u.values))
 
 
 def test_norm_factor_values():

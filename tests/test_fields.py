@@ -1,10 +1,14 @@
 """Tests for masked grid fields, seminorms, projections, and the energy check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cantorslit.fields as fields
 from cantorslit.fields import (
     BoxUnion,
     EnergyHypothesisError,
@@ -17,7 +21,7 @@ from cantorslit.fields import (
     projection_measure,
     seminorm_p,
 )
-from cantorslit.regions import region_spec
+from cantorslit.regions import membership_grid, region_spec
 
 
 def box_field(f, h=1.0 / 64.0, lo=(0.0, 0.0), hi=(1.0, 1.0)):
@@ -69,6 +73,130 @@ def test_seminorm_known_value():
     # |grad u| = 1 on the unit square
     assert seminorm_p(g, 2.0) == pytest.approx(1.0, rel=1e-10)
     assert seminorm_p(g, 1.5) == pytest.approx(1.0, rel=1e-10)
+
+
+def _gradient_reference(u):
+    """The whole-grid stencil: every cell, every axis."""
+    n = u.n
+    vals, mask, h = u.values, u.mask, u.h
+    axes = u.axes() if u.region is not None else None
+    out = np.zeros(vals.shape + (n,))
+    for ax in range(n):
+        up = np.zeros_like(vals)
+        dn = np.zeros_like(vals)
+        m_up = np.zeros_like(mask)
+        m_dn = np.zeros_like(mask)
+        sl_c = [slice(None)] * n
+        sl_p = [slice(None)] * n
+        sl_c[ax], sl_p[ax] = slice(None, -1), slice(1, None)
+        up[tuple(sl_c)] = vals[tuple(sl_p)]
+        m_up[tuple(sl_c)] = mask[tuple(sl_p)]
+        dn[tuple(sl_p)] = vals[tuple(sl_c)]
+        m_dn[tuple(sl_p)] = mask[tuple(sl_c)]
+        if axes is not None:
+            mid_axes = list(axes)
+            mid_axes[ax] = 0.5 * (axes[ax][:-1] + axes[ax][1:])
+            face_ok = membership_grid(u.region, mid_axes)
+            m_up[tuple(sl_c)] &= face_ok
+            m_dn[tuple(sl_p)] &= face_ok
+        both = mask & m_up & m_dn
+        only_up = mask & m_up & ~m_dn
+        only_dn = mask & m_dn & ~m_up
+        comp = np.zeros_like(vals)
+        comp[both] = (up[both] - dn[both]) / (2.0 * h)
+        comp[only_up] = (up[only_up] - vals[only_up]) / h
+        comp[only_dn] = (vals[only_dn] - dn[only_dn]) / h
+        out[..., ax] = comp
+    return GridField(bbox=u.bbox, h=h, values=out, mask=mask.copy(),
+                     kind="vector", region=u.region)
+
+
+def _seminorm_reference(g, p, submask=None):
+    """Every selected cell's term, gathered in C order and summed."""
+    sel = g.mask if submask is None else (g.mask & submask)
+    if not np.any(sel):
+        warnings.warn("seminorm over an empty mask", stacklevel=2)
+        return 0.0
+    if g.kind == "vector":
+        mag = np.sqrt(np.sum(g.values[sel] ** 2, axis=-1))
+    else:
+        mag = np.abs(g.values[sel])
+    total = fields._pairwise_sum(mag ** p) * g.h ** g.n
+    return total ** (1.0 / p)
+
+
+def _warned(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from((2, 3)),
+       h=st.sampled_from((2.0 ** -5, 2.0 ** -3, 0.1, 0.3)),
+       corner=st.sampled_from(((0.0, -0.1), (0.4, -0.2), (-0.05, -0.13),
+                               (-1.2, -0.3))),
+       with_region=st.booleans(), region_mask=st.booleans(),
+       density=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+       neg_zeros=st.booleans(), with_submask=st.booleans(),
+       p=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gradient_and_seminorm_match_reference(n, h, corner, with_region,
+                                               region_mask, density,
+                                               neg_zeros, with_submask, p,
+                                               seed):
+    """gradient and seminorm_p equal the whole-grid passes, bit for bit.
+
+    Values are nonzero on a random sub-box (it may touch the grid's edge,
+    cover all of it or hold no nonzero at all), also on masked-out cells,
+    with -0.0 entries anywhere; masks are random or the region's own.
+    """
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(m) for m in rng.integers(1, 12 if n == 2 else 7, n))
+    lo = np.array((0.1,) * (n - 2) + corner)
+    bbox = np.stack([lo, lo + np.array(shape) * h])
+    region = region_spec("Omega_lambda", lam=0.25, n=n)
+    if region_mask:
+        mask = membership_grid(region, fields._grid_axes(bbox, h))
+    else:
+        mask = rng.random(shape) < rng.choice((0.0, 0.5, 0.9, 1.0))
+    values = np.zeros(shape)
+    a = [int(rng.integers(0, m)) for m in shape]
+    b = [int(rng.integers(i + 1, m + 1)) for i, m in zip(a, shape)]
+    box = tuple(slice(i, j) for i, j in zip(a, b))
+    values[box] = np.where(rng.random(values[box].shape) < density,
+                           rng.normal(size=values[box].shape), 0.0)
+    if neg_zeros:
+        values[rng.random(shape) < 0.2] = -0.0
+    u = GridField(bbox=bbox, h=h, values=values, mask=mask,
+                  region=region if with_region else None)
+    g, ref = gradient(u), _gradient_reference(u)
+    assert g.values.tobytes() == ref.values.tobytes()
+    assert np.array_equal(g.mask, ref.mask) and g.region is ref.region
+    submask = rng.random(shape) < 0.5 if with_submask else None
+    for f in (u, g, ref):
+        got, got_warn = _warned(seminorm_p, f, p, submask)
+        want, want_warn = _warned(_seminorm_reference, f, p, submask)
+        assert got == want and got_warn == want_warn
+        sel = f.mask if submask is None else f.mask & submask
+        assert got_warn == ([] if sel.any() else ["seminorm over an empty mask"])
+
+
+def test_gradient_of_zero_field_skips_membership(monkeypatch):
+    """An all +0.0 field has a +0.0 gradient; no face is classified."""
+    def refuse(*args):
+        raise AssertionError("membership_grid called")
+
+    monkeypatch.setattr(fields, "membership_grid", refuse)
+    ro = region_spec("Omega_lambda", lam=0.25)
+    bbox = np.array([[0.0, -0.5], [1.0, 0.5]])
+    u = GridField(bbox=bbox, h=0.125, values=np.zeros((8, 8)),
+                  mask=np.ones((8, 8), dtype=bool), region=ro)
+    g = gradient(u)
+    assert g.values.shape == (8, 8, 2)
+    assert g.values.tobytes() == np.zeros((8, 8, 2)).tobytes()
+    assert seminorm_p(g, 1.5) == 0.0
 
 
 def test_interval_union_measure():
