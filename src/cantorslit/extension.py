@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import CantorSpec, cantor_dim, cell_endpoints
-from .fields import GridField, _grid_axes, grid_sample, gradient, seminorm_p
+from .fields import (GridField, _cells_in_box, _grid_axes, grid_sample,
+                     gradient, seminorm_p)
 from .regions import (RegionSpec, component_label, membership_grid,
                       region_membership_many, region_spec)
 from .whitney import (Q0_ID, UNASSIGNED, ReflectAssignment,
@@ -47,35 +48,46 @@ class PartitionOfUnity:
 
 
 def partition_of_unity(dec: WhitneyDecomposition, h: float,
-                       bbox: np.ndarray) -> PartitionOfUnity:
+                       bbox: np.ndarray,
+                       box: tuple[slice, ...] | None = None) -> PartitionOfUnity:
     """Tabulate the bumps of the resolved cubes on the cell centers of bbox.
 
     A bump is the product of one _bump_profile per axis, so each generation
     is one array pass: per cube and axis, the profile over the grid indices
     its (9/8)-support meets, then the outer product over the axes.
+
+    box, index slices of the bbox grid with int bounds (as _cells_in_box
+    gives them), restricts the table to the box's cells: cells then numbers
+    them in C order within the box and total has the box's shape.  The
+    profiles still read the full grid's axes, and the kept entries keep
+    their order, so each cell's total is bit for bit the whole grid's.
     """
     if len(dec) and h > 2.0 ** -int(dec.gen.max()) / 8.0 + 1e-15:
         raise ValueError("h must be at most the smallest cube side over 8")
     bbox = np.asarray(bbox, dtype=float)
     axes = _grid_axes(bbox, h)
-    shape = tuple(len(x) for x in axes)
+    if box is None:
+        box = tuple(slice(0, len(x)) for x in axes)
+    i0 = np.array([s.start for s in box])
+    i1 = np.array([s.stop for s in box])
+    shape = tuple((i1 - i0).tolist())
     parts = [(np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64))]
     for g, (start, stop) in dec.index.blocks.items():
         side = 2.0 ** -g
         idx = dec.idx[start:stop]
-        # support cells [a, b) per cube and axis, clipped to the grid
+        # support cells [a, b) per cube and axis, clipped to the box
         a = np.floor((idx * side - side / 16.0 - bbox[0]) / h).astype(int)
         b = np.ceil(((idx + 1.0) * side + side / 16.0 - bbox[0]) / h).astype(int)
-        a, b = np.maximum(0, a), np.minimum(shape, b)
+        a, b = np.maximum(i0, a), np.minimum(i1, b)
         bump, key, ok = 1.0, 0, True
         row = np.arange(start, stop).reshape((-1,) + (1,) * dec.n)
         for ax in range(dec.n):
             j = a[:, ax, None] + np.arange(max(0, int((b - a)[:, ax].max())))
-            prof = _bump_profile(axes[ax][np.minimum(j, shape[ax] - 1)],
+            prof = _bump_profile(axes[ax][np.minimum(j, i1[ax] - 1)],
                                  (idx[:, ax, None] + 0.5) * side, side)
             dims = (len(idx),) + (1,) * ax + (-1,) + (1,) * (dec.n - ax - 1)
             bump = bump * prof.reshape(dims)
-            key = key * shape[ax] + j.reshape(dims)
+            key = key * shape[ax] + (j - i0[ax]).reshape(dims)
             ok = ok & (j < b[:, ax, None]).reshape(dims)
         parts.append((key[ok], bump[ok], np.broadcast_to(row, ok.shape)[ok]))
     cells, phi, rows = (np.concatenate(c) for c in zip(*parts))
@@ -140,10 +152,17 @@ def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
     reflected-cube averages on tent cells covered by resolved cubes, and 0
     on the remaining (boundary-shell or frontier-gap) cells; the uncovered
     tent cells are flagged.  Each reflected cube is averaged once.
+
+    Blending and flagging run on the index box of the tent's bounding box,
+    outside which no cell is in the tent: only the cubes whose support
+    meets that box are averaged, and a blended cell's weights are those of
+    the whole grid's table.
     """
-    pou = partition_of_unity(asm.w, u.h, u.bbox)
-    n_mask = membership_grid(asm.region_n, u.axes())
-    # the tent cubes whose support meets the grid, and their reflected cubes
+    axes = u.axes()
+    box = _cells_in_box(axes, *asm.region_n.bbox)
+    pou = partition_of_unity(asm.w, u.h, u.bbox, box)
+    n_mask = membership_grid(asm.region_n, [a[s] for a, s in zip(axes, box)])
+    # the tent cubes whose support meets the box, and their reflected cubes
     tent = np.unique(pou.rows)
     rid = asm.reflect.target[tent]
     missing = tent[rid == UNASSIGNED]
@@ -156,14 +175,16 @@ def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
     a = np.zeros(len(asm.w))
     a[tent] = avg[which]
     num = np.bincount(pou.cells, a[pou.rows] * pou.phi,
-                      minlength=pou.total.size).reshape(u.grid_shape)
+                      minlength=pou.total.size).reshape(pou.total.shape)
     covered = pou.total > 0.0
-    vals = np.zeros(u.grid_shape)
-    vals[u.mask] = u.values[u.mask]
-    blend = n_mask & covered & ~u.mask
-    vals[blend] = num[blend] / pou.total[blend]
-    flags = n_mask & ~covered & ~u.mask
-    out_mask = u.mask | blend
+    vals = np.where(u.mask, u.values, 0.0)
+    out_mask = u.mask.copy()
+    flags = np.zeros(u.grid_shape, dtype=bool)
+    tent_out = n_mask & ~u.mask[box]
+    blend = tent_out & covered
+    vals[box][blend] = num[blend] / pou.total[blend]
+    out_mask[box] |= blend
+    flags[box] = tent_out & ~covered
     return GridField(bbox=u.bbox.copy(), h=u.h, values=vals, mask=out_mask,
                      kind="scalar", flags=flags)
 
@@ -181,6 +202,10 @@ def jump_test_function(x0, r: float, region: RegionSpec, witness):
     is identified by flood fill of spacing r/64 on a grid window of radius
     3.2 r and must be pinch-side sign-definite there, so the indicator can be
     evaluated exactly as membership on the witness's side of the pinch plane.
+
+    u.support is the (2, n) box x0 -+ 3r: u is exactly +0.0 outside it, so
+    grid_sample evaluates u only near that box and neither evaluates nor
+    checks finiteness on the cells it leaves at +0.0.
     """
     x0 = np.asarray(x0, dtype=float)
     witness = np.asarray(witness, dtype=float)
@@ -217,6 +242,8 @@ def jump_test_function(x0, r: float, region: RegionSpec, witness):
         out[near] = cut * ind
         return out
 
+    # a function attribute, so functools.wraps copies it onto wrappers
+    u.support = np.stack([x0 - 3.0 * r, x0 + 3.0 * r])
     return u
 
 
@@ -247,6 +274,10 @@ def ratio_p(u_fn, lam: float, n: int, p: float, h: float,
     seminorm_p of the masked gradient of Eu over the covered tent cells,
     divided by the seminorm of the gradient of u over the slit domain.
     A lower-bound witness for the restricted operator norm.
+
+    The numerator runs on the index box of the tent's bounding box, which
+    holds every covered tent cell in the same C order, so its gradient
+    stencils and seminorm terms are those of the whole grid.
     """
     asm = assemble(lam, n, finest_gen(h) if max_gen is None else max_gen)
     u = grid_sample(u_fn, asm.region_omega, h)
@@ -255,9 +286,12 @@ def ratio_p(u_fn, lam: float, n: int, p: float, h: float,
     if denom == 0.0:
         raise ValueError("test function has zero seminorm on the slit domain")
     eu = extend(u, asm)
-    tent_only = eu.mask & ~u.mask
-    geu = gradient(GridField(bbox=eu.bbox, h=eu.h, values=eu.values,
-                             mask=tent_only, kind="scalar"))
+    box = _cells_in_box(eu.axes(), *asm.region_n.bbox)
+    ends = eu.h * np.array([[s.start for s in box], [s.stop for s in box]])
+    tent_only = eu.mask[box] & ~u.mask[box]
+    geu = gradient(GridField(bbox=eu.bbox[0] + ends, h=eu.h,
+                             values=eu.values[box], mask=tent_only,
+                             kind="scalar"))
     numer = seminorm_p(geu, p)
     return numer / denom
 

@@ -77,26 +77,46 @@ def _stack_centers(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def _cells_in_box(axes: list[np.ndarray], lo, hi) -> tuple[slice, ...]:
+    """Index slices of the cells whose centers lie in the closed box
+    [lo, hi], one per axis of a grid's cell-center axes; clipped to the
+    grid, possibly empty.  Index the full grid's axes with them for the
+    sub-grid's coordinates."""
+    return tuple(slice(int(np.searchsorted(a, a_lo, side="left")),
+                       int(np.searchsorted(a, a_hi, side="right")))
+                 for a, a_lo, a_hi in zip(axes, lo, hi))
+
+
 def grid_sample(f, region: RegionSpec, h: float,
                 bbox: np.ndarray | None = None) -> GridField:
     """Sample a function at cell centers, masked by region membership.
 
     f takes an (m, n) array of points and returns m values; scalars are
     broadcast.  Non-finite samples on masked-in cells are rejected.
+
+    When f carries a support attribute, a (2, n) box outside which f is
+    exactly +0.0, f sees only the centers of the cells within one cell of
+    that box; every other cell is +0.0 and is neither evaluated nor
+    checked for finiteness.
     """
     if h <= 0:
         raise ValueError("spacing must be positive")
     bbox = np.asarray(region.bbox if bbox is None else bbox, dtype=float)
     axes = _grid_axes(bbox, h)
     mask = membership_grid(region, axes)
-    shape = mask.shape
-    pts = _stack_centers(axes)
+    support = getattr(f, "support", None)
+    box = ((slice(None),) * len(axes) if support is None
+           else _cells_in_box(axes, support[0] - h, support[1] + h))
+    sub = mask[box]
+    pts = _stack_centers([a[s] for a, s in zip(axes, box)])
     vals = np.broadcast_to(np.asarray(f(pts), dtype=float), (pts.shape[0],))
-    vals = vals.reshape(shape)
-    if not np.all(np.isfinite(vals) | ~mask):
+    vals = vals.reshape(sub.shape)
+    if not np.all(np.isfinite(vals) | ~sub):
         raise ValueError("sampled values are not finite on masked-in cells")
-    return GridField(bbox=bbox, h=h, values=np.where(mask, vals, 0.0),
-                     mask=mask, kind="scalar", region=region)
+    values = np.zeros(mask.shape)
+    np.copyto(values[box], vals, where=sub)
+    return GridField(bbox=bbox, h=h, values=values, mask=mask, kind="scalar",
+                     region=region)
 
 
 def _support_box(nz: np.ndarray, pad: int) -> tuple[slice, ...] | None:

@@ -27,8 +27,9 @@ from cantorslit.extension import (
     point_extend,
     thm_upper_curve,
 )
-from cantorslit.fields import GridField, grid_sample
-from cantorslit.regions import region_membership_many, region_spec
+from cantorslit.fields import GridField, _cells_in_box, _grid_axes, grid_sample
+from cantorslit.regions import (membership_grid, region_membership_many,
+                                region_spec)
 from cantorslit.whitney import Q0_ID, UNASSIGNED, whitney_decompose
 
 LAM = 0.25
@@ -86,6 +87,33 @@ def test_pou_matches_reference(asm):
         assert np.allclose(norm[covered], 1.0, atol=1e-12)
 
 
+def test_pou_box_matches_whole_grid(asm):
+    """A box's table is the whole grid's entries in the box, renumbered."""
+    bbox = np.array([[-0.25, -0.5], [0.75, 0.5]])
+    h = 1.0 / 640.0  # not dyadic
+    axes = _grid_axes(bbox, h)
+    full = partition_of_unity(asm.w, h, bbox)
+    shape = full.total.shape
+    on_centers = ((axes[0][160], axes[1][7]), (axes[0][400], axes[1][300]))
+    assert _cells_in_box(axes, *on_centers) == (slice(160, 401),
+                                                slice(7, 301))
+    for lo, hi in (((0.0, -0.3), (0.41, 0.2)), ((-1.0, -1.0), (2.0, 0.0)),
+                   ((2.0, 0.0), (3.0, 1.0)), on_centers):
+        box = _cells_in_box(axes, lo, hi)
+        pou = partition_of_unity(asm.w, h, bbox, box)
+        assert pou.total.tobytes() == full.total[box].tobytes()
+        at = np.unravel_index(full.cells, shape)
+        keep = np.ones(len(full.cells), dtype=bool)
+        for i, s in zip(at, box):
+            keep &= (i >= s.start) & (i < s.stop)
+        sub = np.ravel_multi_index(
+            tuple(i[keep] - s.start for i, s in zip(at, box)),
+            pou.total.shape)
+        assert np.array_equal(pou.cells, sub)
+        assert pou.phi.tobytes() == full.phi[keep].tobytes()
+        assert np.array_equal(pou.rows, full.rows[keep])
+
+
 def test_pou_rejects_coarse_grid(asm):
     with pytest.raises(ValueError):
         partition_of_unity(asm.w, 2.0 ** -5, asm.region_n.bbox)
@@ -132,6 +160,94 @@ def test_extend_averages_each_reflected_cube_once(asm, monkeypatch):
     got = extend(u, asm)
     assert got.values.tobytes() == want.values.tobytes()
     assert len(seen) == len(set(seen)) < len(asm.w)
+
+
+def _extend_reference(u, asm):
+    """The whole-grid extension: every cube whose support meets the grid,
+    tent membership over the whole grid, a zero-fill and a gather."""
+    pou = partition_of_unity(asm.w, u.h, u.bbox)
+    n_mask = membership_grid(asm.region_n, u.axes())
+    tent = np.unique(pou.rows)
+    rid = asm.reflect.target[tent]
+    missing = tent[rid == UNASSIGNED]
+    if len(missing):
+        raise ValueError(f"unassigned tent cube {asm.w.cubes[missing[0]]}"
+                         " inside the support")
+    targets, which = np.unique(rid, return_inverse=True)
+    avg = np.array([cube_average(u, None if t == Q0_ID else asm.wt.cubes[t])
+                    for t in targets.tolist()])
+    a = np.zeros(len(asm.w))
+    a[tent] = avg[which]
+    num = np.bincount(pou.cells, a[pou.rows] * pou.phi,
+                      minlength=pou.total.size).reshape(u.grid_shape)
+    covered = pou.total > 0.0
+    vals = np.zeros(u.grid_shape)
+    vals[u.mask] = u.values[u.mask]
+    blend = n_mask & covered & ~u.mask
+    vals[blend] = num[blend] / pou.total[blend]
+    flags = n_mask & ~covered & ~u.mask
+    return GridField(bbox=u.bbox.copy(), h=u.h, values=vals,
+                     mask=u.mask | blend, kind="scalar", flags=flags)
+
+
+def _extend_outcome(f, u, asm):
+    try:
+        e = f(u, asm)
+    except ValueError as err:
+        return f"ValueError: {err}"
+    return (e.bbox.tobytes(), e.h, e.values.tobytes(), e.mask.tobytes(),
+            e.flags.tobytes(), e.kind)
+
+
+def test_extend_matches_reference(asm, monkeypatch):
+    """extend equals the whole-grid extension bit for bit, flags included.
+
+    Random values, also on masked-out cells, with -0.0 entries; at n = 2
+    on the slit domain's box, on grids that hold, straddle or miss the
+    tent's box, at a non-dyadic spacing, with a windowed assembly and with
+    a random mask, and at n = 3.  Tent membership is classified on the
+    tent's box only.
+    """
+    win = assemble(LAM, n=2, max_gen=6, window=((0.25, -0.5), (0.5, 0.5)))
+    asm3 = assemble(LAM, n=3, max_gen=4)
+    omega = asm.region_omega.bbox
+    cases = [   # (assembly, h, bbox, random mask instead of the region's)
+        (asm, H, omega, False),
+        (asm, H, omega, True),
+        (asm, H, np.array([[-0.5, -1.5], [1.0, 1.5]]), False),
+        (asm, H, np.array([[-2.0, -1.5], [-0.5, 1.5]]), False),  # no tent
+        (asm, H, np.array([[-0.25, -0.75], [0.75, 0.25]]), False),  # raises
+        (asm, 1.0 / 640.0, np.array([[-0.5, -1.5], [1.0, 1.5]]), False),
+        (win, H, omega, False),
+        (asm3, 2.0 ** -7, np.array([[0.0, -1.25, -0.25], [1.0, 1.0, 0.25]]),
+         False),
+    ]
+    seen = []
+
+    def recorded(spec, axes):
+        if spec.kind == "N_lambda":
+            seen.append([len(np.ravel(a)) for a in axes])
+        return membership_grid(spec, axes)
+
+    monkeypatch.setattr(extension, "membership_grid", recorded)
+    rng = np.random.default_rng(37)
+    outcomes = set()
+    for a, h, bbox, random_mask in cases:
+        axes = _grid_axes(bbox, h)
+        mask = (rng.random(tuple(len(x) for x in axes)) < 0.7 if random_mask
+                else membership_grid(a.region_omega, axes))
+        values = rng.normal(size=mask.shape)
+        values[rng.random(mask.shape) < 0.1] = -0.0
+        u = GridField(bbox=bbox, h=h, values=values, mask=mask)
+        seen.clear()
+        got = _extend_outcome(extend, u, a)
+        assert got == _extend_outcome(_extend_reference, u, a)
+        tent_box = [int(np.count_nonzero((x >= lo) & (x <= hi)))
+                    for x, lo, hi in zip(axes, *a.region_n.bbox)]
+        if not isinstance(got, str):
+            assert seen == [tent_box]
+        outcomes.add(isinstance(got, str))
+    assert outcomes == {True, False}
 
 
 def test_extend_names_unassigned_tent_cube(asm):

@@ -21,7 +21,8 @@ from cantorslit.fields import (
     projection_measure,
     seminorm_p,
 )
-from cantorslit.regions import membership_grid, region_spec
+from cantorslit.regions import (membership_grid, region_membership_many,
+                                region_spec)
 
 
 def box_field(f, h=1.0 / 64.0, lo=(0.0, 0.0), hi=(1.0, 1.0)):
@@ -42,6 +43,103 @@ def test_grid_sample_shape_and_values():
     assert np.allclose(u.values, c[:, :, 0] + 2.0 * c[:, :, 1])
     # (0.5, 0.5) lies in cell (32, 32)
     assert u.values[32, 32] == pytest.approx(0.5 + 1.0, abs=u.h * 3)
+
+
+def _grid_sample_reference(f, region, h, bbox=None):
+    """The whole-grid sampling: f at every cell center, support or not."""
+    bbox = np.asarray(region.bbox if bbox is None else bbox, dtype=float)
+    axes = fields._grid_axes(bbox, h)
+    mask = membership_grid(region, axes)
+    pts = fields._stack_centers(axes)
+    vals = np.broadcast_to(np.asarray(f(pts), dtype=float), (pts.shape[0],))
+    vals = vals.reshape(mask.shape)
+    if not np.all(np.isfinite(vals) | ~mask):
+        raise ValueError("sampled values are not finite on masked-in cells")
+    return GridField(bbox=bbox, h=h, values=np.where(mask, vals, 0.0),
+                     mask=mask, kind="scalar", region=region)
+
+
+def _sample_outcome(sample, f, region, h, bbox):
+    try:
+        u = sample(f, region, h, bbox)
+    except ValueError as e:
+        return f"ValueError: {e}"
+    return (u.bbox.tobytes(), u.h, u.values.tobytes(), u.mask.tobytes(),
+            u.region)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.sampled_from((2, 3)),
+       h=st.sampled_from((2.0 ** -3, 2.0 ** -4, 0.1, 0.2)),
+       cube=st.booleans(),
+       where=st.sampled_from(("inside", "edge", "disjoint", "all")),
+       snap=st.booleans(),
+       nonfinite=st.sampled_from((None, "masked-out", "masked-in")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_sample_support_matches_reference(n, h, cube, where, snap,
+                                               nonfinite, seed):
+    """With a support box, grid_sample equals the whole-grid sampling.
+
+    The support lies inside the grid, straddles an edge, misses the grid
+    or covers it; its faces may sit exactly on cell centers.  Values
+    inside it include -0.0, and non-finite ones on masked-out or masked-in
+    cells; the grid is the region's box or the cube [-1/2, 1/2]^n.  f sees
+    at most the cells within one cell of the support.
+    """
+    rng = np.random.default_rng(seed)
+    region = region_spec("Omega_lambda", lam=0.25, n=n)
+    bbox = np.array([[-0.5] * n, [0.5] * n]) if cube else region.bbox
+    span = bbox[1] - bbox[0]
+    if where == "inside":
+        lo = bbox[0] + span * rng.uniform(0.05, 0.5, n)
+        hi = lo + span * rng.uniform(0.0, 0.45, n)
+    elif where == "edge":
+        lo = bbox[0] + span * rng.uniform(0.05, 0.5, n)
+        hi = lo + span * rng.uniform(0.0, 0.45, n)
+        ax = int(rng.integers(n))
+        if rng.random() < 0.5:
+            lo[ax] = bbox[0, ax] - span[ax] * rng.uniform(0.0, 0.5)
+        else:
+            hi[ax] = bbox[1, ax] + span[ax] * rng.uniform(0.0, 0.5)
+    elif where == "disjoint":
+        lo = bbox[0] + span * rng.uniform(0.05, 0.5, n)
+        hi = lo + span * rng.uniform(0.0, 0.45, n)
+        ax = int(rng.integers(n))
+        off = span[ax] * rng.uniform(0.01, 0.5)
+        lo[ax], hi[ax] = bbox[1, ax] + off, bbox[1, ax] + 2.0 * off
+    else:
+        lo = bbox[0] - rng.uniform(0.0, 1.0, n)
+        hi = bbox[1] + rng.uniform(0.0, 1.0, n)
+    if snap:        # faces on the nearest cell centers
+        lo = bbox[0] + (np.round((lo - bbox[0]) / h - 0.5) + 0.5) * h
+        hi = bbox[0] + (np.round((hi - bbox[0]) / h - 0.5) + 0.5) * h
+    k = rng.normal(size=n) * 5.0
+    rows = []
+
+    def f(X):
+        rows.append(len(X))
+        v = np.round(np.sin(X @ k), 1)  # -0.0 where -0.05 < sin < 0
+        if nonfinite is not None:
+            member = region_membership_many(region, X)
+            v[member == (nonfinite == "masked-in")] = np.nan
+        return np.where(np.all((X >= lo) & (X <= hi), axis=1), v, 0.0)
+
+    f.support = np.stack([lo, hi])
+
+    def plain(X):
+        return f(X)
+
+    got = _sample_outcome(grid_sample, f, region, h, bbox)
+    near = math.prod(int(np.count_nonzero((a >= a_lo - h) & (a <= a_hi + h)))
+                     for a, a_lo, a_hi in zip(fields._grid_axes(bbox, h),
+                                              lo, hi))
+    assert sum(rows) <= near
+    want = _sample_outcome(_grid_sample_reference, f, region, h, bbox)
+    assert got == want
+    # without the attribute grid_sample samples every cell
+    rows.clear()
+    assert _sample_outcome(grid_sample, plain, region, h, bbox) == want
+    assert rows == [math.prod(fields._grid_shape(bbox, h))]
 
 
 def test_gradient_of_linear_is_exact():

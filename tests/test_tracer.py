@@ -8,6 +8,7 @@ calls; the last runs the harness self-test on small instances.
 """
 
 import importlib.util
+import math
 import subprocess
 import sys
 import types
@@ -17,6 +18,8 @@ import numpy as np
 import pytest
 
 import cantorslit
+import cantorslit.extension
+import cantorslit.fields
 import cantorslit.whitney
 from cantorslit.regions import region_spec
 
@@ -140,6 +143,38 @@ def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
     assert len(brackets) == len(members) == len(cubes) == max_gen + 1
     assert [len(b) for b in brackets] == [2 * (n - 1)] * len(cubes)
     assert members == [[m] * (n - 1) for m in cubes]
+
+
+def test_traced_jump_keeps_support(monkeypatch):
+    """The tracer's wrapper of the jump function keeps its support box.
+
+    grid_sample hands the traced function only the cells within one cell
+    of that box, and samples the same field as without the tracer.
+    """
+    spans = _spans_module()
+    ext, fields = cantorslit.extension, cantorslit.fields
+    region, h = region_spec("Omega_lambda", lam=0.25), 2.0 ** -6
+    want = fields.grid_sample(ext.origin_jump(0.25, 2, 1.0 / 8.0), region, h)
+    rows = []
+    stack_centers = fields._stack_centers
+
+    def record(axes):
+        rows.append(math.prod(len(a) for a in axes))
+        return stack_centers(axes)
+    monkeypatch.setattr(fields, "_stack_centers", record)
+    tracer = spans.Tracer("tier-1")
+    tracer.install()
+    try:
+        u = ext.origin_jump(0.25, 2, 1.0 / 8.0)
+        got = fields.grid_sample(u, region, h)
+    finally:
+        tracer.uninstall()
+    assert [s["name"] for s in tracer.spans].count("extension.jump_fn") == 1
+    assert u.support.tolist() == [[-0.375, -0.375], [0.375, 0.375]]
+    # centers within h of [-3/8, 3/8]: (3/8 + h) / h on each side of 0
+    assert rows == [(2 * (24 + 1)) ** 2]
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.mask.tobytes() == want.mask.tobytes()
 
 
 def test_benchmark_selftest_passes():
