@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import CantorSpec, cantor_dim, cell_endpoints
-from .fields import (GridField, _cells_in_box, _grid_axes, grid_sample,
-                     gradient, seminorm_p)
+from .fields import (GridField, _cells_in_box, _grid_axes, _stack_centers,
+                     grid_sample, gradient, seminorm_p)
 from .regions import (RegionSpec, component_label, membership_grid,
                       region_membership_many, region_spec)
 from .whitney import (Q0_ID, UNASSIGNED, ReflectAssignment,
@@ -121,16 +121,9 @@ def assemble(lam: float, n: int, max_gen: int,
                              reflect=reflect_assign(w, wt))
 
 
-def _cells_in_cube(u: GridField, lo: np.ndarray, hi: np.ndarray) -> tuple[slice, ...]:
-    """Index slices of the grid cells with centers in (lo, hi], clipped."""
-    a = np.floor((lo - u.bbox[0]) / u.h + 0.5).astype(int)
-    b = np.floor((hi - u.bbox[0]) / u.h + 0.5).astype(int)
-    return tuple(slice(max(0, i), min(m, j))
-                 for i, j, m in zip(a.tolist(), b.tolist(), u.grid_shape))
-
-
 def cube_average(u: GridField, Q) -> float:
-    """Mean of u over the masked-in cells of cube Q (anything with lo, hi).
+    """Mean of u over the masked-in cells whose centers lie in the closed
+    cube Q (anything with lo, hi); raises if the grid has no such cell.
 
     Q None means the reservoir region (the box minus the enlarged notch).
     """
@@ -138,7 +131,7 @@ def cube_average(u: GridField, Q) -> float:
         q0 = membership_grid(RegionSpec(kind="Q0_tilde", n=u.n), u.axes())
         vals = u.values[u.mask & q0]
     else:
-        sls = _cells_in_cube(u, Q.lo, Q.hi)
+        sls = _cells_in_box(u.axes(), Q.lo, Q.hi)
         vals = u.values[sls][u.mask[sls]]
     if vals.size == 0:
         raise ValueError("cube has no masked-in cells to average over")
@@ -203,9 +196,10 @@ def jump_test_function(x0, r: float, region: RegionSpec, witness):
     3.2 r and must be pinch-side sign-definite there, so the indicator can be
     evaluated exactly as membership on the witness's side of the pinch plane.
 
-    u.support is the (2, n) box x0 -+ 3r: u is exactly +0.0 outside it, so
-    grid_sample evaluates u only near that box and neither evaluates nor
-    checks finiteness on the cells it leaves at +0.0.
+    u evaluates every row it is given.  u.support is the (2, n) box
+    x0 -+ 3r: u is exactly +0.0 outside it (there d / r > 3), so
+    grid_sample passes u only the rows near that box and neither evaluates
+    nor checks finiteness on the cells it leaves at +0.0.
     """
     x0 = np.asarray(x0, dtype=float)
     witness = np.asarray(witness, dtype=float)
@@ -224,23 +218,13 @@ def jump_test_function(x0, r: float, region: RegionSpec, witness):
 
     def u(X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros(len(X))
-        # only rows in the support box |X - x0|_inf <= 3r can be nonzero:
-        # elsewhere the computed d >= |X - x0|_inf (sqrt(x*x) rounds to |x|),
-        # so d / r > 3 and the cutoff is exactly +0.0
-        box = np.abs(X[:, 0] - x0[0]) / r <= 3.0
-        for j in range(1, n):
-            box &= np.abs(X[:, j] - x0[j]) / r <= 3.0
-        near = np.flatnonzero(box)
-        Y = X[near]
-        d = np.linalg.norm(Y - x0, axis=1)
+        d = np.linalg.norm(X - x0, axis=1)
         cut = np.clip(3.0 - d / r, 0.0, 1.0)
         # exact indicator: region membership restricted to the witness's
         # side of the pinch plane (the local component is sign-definite)
-        ind = region_membership_many(region, Y)
-        ind &= sgn * (Y[:, n - 1] - x0[n - 1]) > 0.0
-        out[near] = cut * ind
-        return out
+        ind = region_membership_many(region, X)
+        ind &= sgn * (X[:, n - 1] - x0[n - 1]) > 0.0
+        return cut * ind
 
     # a function attribute, so functools.wraps copies it onto wrappers
     u.support = np.stack([x0 - 3.0 * r, x0 + 3.0 * r])
@@ -392,10 +376,7 @@ def point_extend(x, asm: ExtensionAssembly, u_fn) -> float:
         if rid == Q0_ID:
             raise ValueError("reservoir averages need a grid; use extend()")
         q = asm.wt.cubes[rid]
-        t = (np.arange(4) + 0.5) / 4
-        axes = [q.lo[i] + q.side * t for i in range(q.n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pts = _stack_centers(_grid_axes(np.stack([q.lo, q.hi]), q.side / 4))
         a = float(np.mean(u_fn(pts)))
         num += a * phi
         den += phi

@@ -11,7 +11,6 @@ delta^((n-p)/n) l^(n-p).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,11 +47,6 @@ class GridField:
     def axes(self) -> list[np.ndarray]:
         """Cell-center coordinates along each axis."""
         return _grid_axes(self.bbox, self.h)
-
-    def centers(self) -> np.ndarray:
-        """(prod(shape), n) array of all cell centers in C order."""
-        return _stack_centers(self.axes())
-
 
 
 def _grid_shape(bbox: np.ndarray, h: float) -> list[int]:
@@ -277,14 +271,6 @@ class BoxUnion:
     def is_empty(self) -> bool:
         return not self.boxes
 
-    def contains_many(self, X: np.ndarray) -> np.ndarray:
-        """Boolean membership of points in the closed union."""
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[0], dtype=bool)
-        for lo, hi in self.boxes:
-            out |= np.all((X >= lo) & (X <= hi), axis=1)
-        return out
-
 
 def interval_union_measure(intervals: list[tuple[float, float]]) -> float:
     """Total length of a union of closed intervals (exact sweep)."""
@@ -329,17 +315,11 @@ def pixel_projection_measure(F: BoxUnion, axis: int, h: float) -> float:
     keep = [i for i in range(F.n) if i != axis - 1]
     lo = np.min([b[0][keep] for b in F.boxes], axis=0)
     hi = np.max([b[1][keep] for b in F.boxes], axis=0)
-    k = len(keep)
-    axes = [a + (np.arange(int(math.ceil((b - a) / h)) + 1) + 0.5) * h
-            for a, b in zip(lo, hi)]
+    axes = _grid_axes(np.stack([lo, lo + (np.ceil((hi - lo) / h) + 1) * h]), h)
     hit = np.zeros([len(t) for t in axes], dtype=bool)
     for blo, bhi in F.boxes:
-        inside = True
-        for j, (i, t) in enumerate(zip(keep, axes)):
-            sh = [-1 if a == j else 1 for a in range(k)]
-            inside = inside & ((t >= blo[i]) & (t <= bhi[i])).reshape(sh)
-        hit |= inside
-    return float(np.count_nonzero(hit)) * h ** k
+        hit[_cells_in_box(axes, blo[keep], bhi[keep])] = True
+    return float(np.count_nonzero(hit)) * h ** len(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +362,22 @@ def poincare_energy_check(Q, F: BoxUnion, f: GridField, delta: float,
                 "projection",
                 f"axis {axis}: measure {mu:.6g} exceeds budget {budget:.6g}")
 
-    centers = f.centers().reshape(f.grid_shape + (n,))
-    half_lo = qlo + ell / 4
-    half_hi = qhi - ell / 4
-    in_half = np.all((centers >= half_lo) & (centers <= half_hi), axis=-1)
-    in_half &= f.mask
+    axes = f.axes()
+    half = _cells_in_box(axes, qlo + ell / 4, qhi - ell / 4)
+    vals = f.values[half][f.mask[half]]
     cellvol = f.h ** n
-    m_zero = float(np.count_nonzero(in_half & (np.abs(f.values) <= 1e-9))) * cellvol
-    m_one = float(np.count_nonzero(in_half & (np.abs(f.values - 1.0) <= 1e-9))) * cellvol
+    m_zero = float(np.count_nonzero(np.abs(vals) <= 1e-9)) * cellvol
+    m_one = float(np.count_nonzero(np.abs(vals - 1.0) <= 1e-9)) * cellvol
     need = delta * ell ** n / 2 ** n
     if min(m_zero, m_one) <= need:
         raise EnergyHypothesisError(
             "level-set",
             f"min(m(f=0), m(f=1)) = {min(m_zero, m_one):.6g} <= {need:.6g}")
 
-    in_q = np.all((centers >= qlo) & (centers <= qhi), axis=-1)
-    if not F.is_empty():
-        flat = centers.reshape(-1, n)
-        in_q &= ~F.contains_many(flat).reshape(f.grid_shape)
+    in_q = np.zeros(f.grid_shape, dtype=bool)
+    in_q[_cells_in_box(axes, qlo, qhi)] = True
+    for lo, hi in F.boxes:
+        in_q[_cells_in_box(axes, lo, hi)] = False
     g = gradient(f)
     lhs = seminorm_p(g, p, submask=in_q) ** p
     scale = delta ** ((n - p) / n) * ell ** (n - p)

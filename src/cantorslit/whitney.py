@@ -31,7 +31,7 @@ import numpy as np
 from .cantor import DEFAULT_TOL, _descend, _product_distance
 from .dyadic import (CubeIndex, CubeView, meets_window, order, radix_strides,
                      sides, subdivide)
-from .regions import D_BOX, D_NOTCH, RegionSpec, _in_region
+from .regions import D_BOX, D_NOTCH, Q0_HOLE, RegionSpec, _in_region
 
 # negative sentinels among cube rows: a reflection target or chain node
 # that is the reservoir region, and a cube with no reflection candidate
@@ -489,13 +489,14 @@ def reflect_assign(w: WhitneyDecomposition,
 def q0_adjacent(gen, idx: np.ndarray) -> np.ndarray:
     """Which cubes' closures meet the reservoir closure facially.
 
-    The reservoir is D minus the closed square [-1,1]^2 in the profile plane;
+    The reservoir is D minus the closed square Q0_HOLE in the profile plane;
     a complement cube (inside D) meets its closure in an (n-1)-dimensional
     set exactly when the cube is not strictly inside the open square.
     """
     scale = np.left_shift(np.int64(1), np.asarray(gen)).reshape(-1, 1)
+    hlo, hhi = np.asarray(Q0_HOLE)
     prof = idx[:, -2:]
-    return ~np.all((prof > -scale) & (prof + 1 < scale), axis=1)
+    return ~np.all((prof > hlo * scale) & (prof + 1 < hhi * scale), axis=1)
 
 
 @dataclass

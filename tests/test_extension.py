@@ -147,6 +147,26 @@ def test_cube_average_constant(asm):
     with pytest.raises(ValueError):
         cube_average(r, DyadicCube(4, (8, 0)))
 
+    # a grid over [-1/2, 1] x [-3/2, 3/2]: a cube wholly left of it or
+    # wholly below it has no on-grid cell, and one straddling its low edge
+    # averages the on-grid cells it holds
+    bbox = np.array([[-0.5, -1.5], [1.0, 1.5]])
+    axes = _grid_axes(bbox, H)
+    shape = tuple(len(a) for a in axes)
+    w = GridField(bbox=bbox, h=H, values=rng.normal(size=shape),
+                  mask=np.ones(shape, dtype=bool), kind="scalar")
+    for off in [DyadicCube(3, (-14, -10)), DyadicCube(3, (0, -14))]:
+        with pytest.raises(ValueError, match="no masked-in cells"):
+            cube_average(w, off)
+    grids = np.meshgrid(*axes, indexing="ij")
+    for cube in [DyadicCube(0, (-1, 0)), DyadicCube(0, (0, -2))]:
+        sel = np.ones(shape, dtype=bool)
+        for ax, g in enumerate(grids):
+            sel &= (g >= cube.lo[ax]) & (g <= cube.hi[ax])
+        assert 0 < np.count_nonzero(sel) < sel.size
+        assert cube_average(w, cube) == float(np.sum(w.values[sel])
+                                              / np.count_nonzero(sel))
+
 
 def test_extend_averages_each_reflected_cube_once(asm, monkeypatch):
     u = grid_sample(lambda X: X[:, 0], asm.region_omega, H)

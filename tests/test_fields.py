@@ -31,7 +31,7 @@ def box_field(f, h=1.0 / 64.0, lo=(0.0, 0.0), hi=(1.0, 1.0)):
     shape = tuple(int(round(m)) for m in (bbox[1] - bbox[0]) / h)
     u = GridField(bbox=bbox, h=h, values=np.zeros(shape),
                   mask=np.ones(shape, dtype=bool))
-    u.values = f(u.centers()).reshape(shape)
+    u.values = f(fields._stack_centers(u.axes())).reshape(shape)
     return u
 
 
@@ -39,7 +39,7 @@ def test_grid_sample_shape_and_values():
     u = box_field(lambda X: X[:, 0] + 2.0 * X[:, 1])
     assert u.grid_shape == (64, 64)
     assert np.all(u.mask)
-    c = u.centers().reshape(64, 64, 2)
+    c = fields._stack_centers(u.axes()).reshape(64, 64, 2)
     assert np.allclose(u.values, c[:, :, 0] + 2.0 * c[:, :, 1])
     # (0.5, 0.5) lies in cell (32, 32)
     assert u.values[32, 32] == pytest.approx(0.5 + 1.0, abs=u.h * 3)
@@ -160,7 +160,7 @@ def test_gradient_respects_region_barrier():
     # over the Cantor base the pinch plane separates the two sides even
     # where the tent is thinner than the grid; the barrier must prevent
     # differencing across it, so no O(1/h) vertical derivatives appear there
-    c = u.centers().reshape(u.grid_shape + (2,))
+    c = fields._stack_centers(u.axes()).reshape(u.grid_shape + (2,))
     sel = g.mask & (c[:, :, 0] > 0.05) & (c[:, :, 0] < 0.95)
     assert np.max(np.abs(g.values[sel][:, 1])) < 0.5 / h
 
@@ -312,8 +312,6 @@ def test_box_union_and_projection():
     pix = pixel_projection_measure(F, 2, h=2.0 ** -10)
     assert exact == pytest.approx(0.5, abs=1e-12)
     assert abs(pix - exact) <= 0.01 * max(exact, 1e-12)
-    pts = np.array([[0.1, 0.5], [0.4, 0.5], [0.6, 0.5]])
-    assert list(F.contains_many(pts)) == [True, False, True]
     # n = 3: dyadic corners, so the 2^-12 pixel count is exact
     G = BoxUnion(n=3)
     G.add_box([0.0, 0.0, 0.0], [0.5, 0.5, 0.25])
@@ -322,6 +320,92 @@ def test_box_union_and_projection():
     assert projection_measure(G, 1) == 0.375
     assert pixel_projection_measure(G, 3, h=2.0 ** -6) == 0.3125
     assert projection_measure(BoxUnion(n=3), 2) == 0.0
+
+
+def _pixel_projection_reference(F, axis, h):
+    """Every pixel center tested against every projected closed box."""
+    keep = [i for i in range(F.n) if i != axis - 1]
+    lo = np.min([b[0][keep] for b in F.boxes], axis=0)
+    hi = np.max([b[1][keep] for b in F.boxes], axis=0)
+    axes = [a + (np.arange(int(math.ceil((b - a) / h)) + 1) + 0.5) * h
+            for a, b in zip(lo, hi)]
+    c = fields._stack_centers(axes)
+    hit = np.zeros(len(c), dtype=bool)
+    for blo, bhi in F.boxes:
+        hit |= np.all((c >= blo[keep]) & (c <= bhi[keep]), axis=1)
+    return float(np.count_nonzero(hit)) * h ** len(keep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from((2, 3)), h=st.sampled_from((2.0 ** -4, 0.1, 0.03)),
+       data=st.data())
+def test_pixel_projection_matches_reference(n, h, data):
+    # box faces on multiples of h/2, so many of them pass through centers
+    F = BoxUnion(n=n)
+    for _ in range(data.draw(st.integers(1, 4))):
+        lo = np.array(data.draw(st.lists(st.integers(-12, 12),
+                                         min_size=n, max_size=n)))
+        ext = np.array(data.draw(st.lists(st.integers(0, 8),
+                                          min_size=n, max_size=n)))
+        F.add_box(lo * h / 2, (lo + ext) * h / 2)
+    for axis in range(1, n + 1):
+        assert (pixel_projection_measure(F, axis, h)
+                == _pixel_projection_reference(F, axis, h))
+
+
+def _energy_reference(Q, F, f, delta, p):
+    """The energy check with closed-box tests on every cell center: the
+    failing clause's name, or the energy."""
+    qlo, qhi = (np.asarray(v, dtype=float) for v in Q)
+    n, ell = f.n, float(qhi[0] - qlo[0])
+    budget = delta / (2 * n * 2 ** n) * ell ** (n - 1)
+    if any(projection_measure(F, axis) > budget for axis in range(1, n + 1)):
+        return "projection"
+    c = fields._stack_centers(f.axes()).reshape(f.grid_shape + (n,))
+
+    def inside(lo, hi):
+        return np.all((c >= lo) & (c <= hi), axis=-1)
+
+    in_half = inside(qlo + ell / 4, qhi - ell / 4) & f.mask
+    m = [float(np.count_nonzero(in_half & (np.abs(f.values - v) <= 1e-9)))
+         * f.h ** n for v in (0.0, 1.0)]
+    if min(m) <= delta * ell ** n / 2 ** n:
+        return "level-set"
+    in_q = inside(qlo, qhi)
+    for lo, hi in F.boxes:
+        in_q &= ~inside(lo, hi)
+    return seminorm_p(gradient(f), p, submask=in_q) ** p
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.sampled_from((2.0 ** -7, 1.0 / 120.0)),
+       lo=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+       size=st.integers(100, 240), t=st.floats(0.2, 0.8),
+       boxes=st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 240),
+                                st.integers(0, 1), st.integers(0, 1)),
+                      max_size=2),
+       seed=st.integers(0, 2 ** 16))
+def test_energy_check_matches_reference(h, lo, size, t, boxes, seed):
+    # Q and F have corners on multiples of h/2 (on cell faces or centers),
+    # F's boxes within three cells of a steep ramp from 0 to 1 at the
+    # fraction t of Q's width, so either level set may be too small; and a
+    # random mask
+    rng = np.random.default_rng(seed)
+    qlo = np.array(lo) * h / 2
+    Q = (qlo, qlo + size * h / 2)
+    x_t = qlo[0] + t * size * h / 2
+    u = box_field(lambda X: np.clip(32.0 * (X[:, 0] - x_t), 0.0, 1.0), h=h)
+    u.mask = rng.random(u.grid_shape) < 0.9
+    F = BoxUnion(n=2)
+    for off, b, da, db in boxes:
+        a = round(2 * x_t / h) + off
+        F.add_box([a * h / 2, b * h / 2], [(a + da) * h / 2, (b + db) * h / 2])
+    want = _energy_reference(Q, F, u, 0.25, 1.5)
+    try:
+        got = poincare_energy_check(Q, F, u, delta=0.25, p=1.5)["lhs"]
+    except EnergyHypothesisError as exc:
+        got = exc.clause
+    assert got == want
 
 
 def test_energy_check_passes_on_transition():

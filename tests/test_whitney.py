@@ -456,6 +456,15 @@ def test_q0_adjacency():
     idx = np.array([[-1, 0],      # touches x = -1
                     [2, 2]])      # strictly inside
     assert q0_adjacent(gen, idx).tolist() == [True, False]
+    # cubes touching the hole's faces x_{n-1} = 1 and x_n = -1, 1, and
+    # their neighbours one step inside
+    gen = np.array([3, 3, 3, 3, 3, 3])
+    idx = np.array([[7, 0], [0, -8], [0, 7], [6, 0], [0, -7], [0, 6]])
+    assert q0_adjacent(gen, idx).tolist() == [True] * 3 + [False] * 3
+    # at n = 3 only the profile (last two) axes count
+    idx3 = np.array([[5, 7, 0], [5, 0, 7], [9, 0, 0]])
+    assert q0_adjacent(np.array([3, 3, 3]), idx3).tolist() == [True, True,
+                                                              False]
 
 
 def test_chain_projection_monotone(decs):
