@@ -259,9 +259,9 @@ def ratio_p(u_fn, lam: float, n: int, p: float, h: float,
     divided by the seminorm of the gradient of u over the slit domain.
     A lower-bound witness for the restricted operator norm.
 
-    The numerator runs on the index box of the tent's bounding box, which
-    holds every covered tent cell in the same C order, so its gradient
-    stencils and seminorm terms are those of the whole grid.
+    The numerator's gradient runs on the index box of the tent's bounding
+    box, which holds every covered tent cell, so its stencils are those of
+    the whole grid.
     """
     asm = assemble(lam, n, finest_gen(h) if max_gen is None else max_gen)
     u = grid_sample(u_fn, asm.region_omega, h)

@@ -11,6 +11,7 @@ delta^((n-p)/n) l^(n-p).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -113,17 +114,20 @@ def grid_sample(f, region: RegionSpec, h: float,
                      region=region)
 
 
-def _support_box(nz: np.ndarray, pad: int) -> tuple[slice, ...] | None:
-    """Index box of the True cells of nz, widened by pad cells on every side
-    and clipped to the grid; None when nz has no True cell."""
+_STENCIL_PAD = 2     # cells by which gradient widens its nonzero values' box
+
+
+def _support_box(nz: np.ndarray) -> tuple[slice, ...] | None:
+    """Index box of the True cells of nz, widened by _STENCIL_PAD cells on
+    every side (slicing clips the stops); None if nz has no True cell."""
     box = []
     for ax in range(nz.ndim):
         others = tuple(a for a in range(nz.ndim) if a != ax)
         hit = np.flatnonzero(np.any(nz, axis=others))
         if hit.size == 0:
             return None
-        box.append(slice(max(int(hit[0]) - pad, 0),
-                         min(int(hit[-1]) + pad + 1, nz.shape[ax])))
+        box.append(slice(max(int(hit[0]) - _STENCIL_PAD, 0),
+                         int(hit[-1]) + _STENCIL_PAD + 1))
     return tuple(box)
 
 
@@ -150,7 +154,7 @@ def gradient(u: GridField) -> GridField:
     n = u.n
     h = u.h
     out = np.zeros(u.values.shape + (n,))
-    box = _support_box(u.mask & ((u.values != 0) | np.signbit(u.values)), 2)
+    box = _support_box(u.mask & ((u.values != 0) | np.signbit(u.values)))
     if box is not None:
         vals, mask = u.values[box], u.mask[box]
         axes = ([a[s] for a, s in zip(u.axes(), box)]
@@ -184,70 +188,36 @@ def gradient(u: GridField) -> GridField:
                      kind="vector", region=u.region)
 
 
-def _pairwise_sum(a: np.ndarray) -> float:
-    """Fixed binary-tree summation, independent of chunking or workers."""
-    a = np.asarray(a, dtype=float).ravel()
-    m = a.size
-    if m == 0:
-        return 0.0
-    while m > 1:
-        half = m // 2
-        a = np.concatenate([a[:half] + a[half:2 * half], a[2 * half:m]])
-        m = a.size
-    return float(a[0])
-
-
-def _ranks(sel: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
-    """C-order rank among the True cells of sel of each cell of sel[box].
-
-    From per-row counts along the last axis: the selected cells of all
-    earlier rows, then those of the row left of the box, then those of the
-    box's part of the row.
-    """
-    per_row = np.count_nonzero(sel, axis=-1)
-    flat = per_row.ravel()
-    before_row = (np.cumsum(flat) - flat).reshape(per_row.shape)
-    lead = box[:-1]
-    start = before_row[lead] + np.count_nonzero(
-        sel[lead + (slice(0, box[-1].start),)], axis=-1)
-    sub = sel[box]
-    return start[..., None] + np.cumsum(sub, axis=-1) - sub
-
-
 def seminorm_p(g: GridField, p: float, submask: np.ndarray | None = None) -> float:
-    """(sum |g|^p h^n)^(1/p) over masked-in cells, deterministic order.
+    """(sum |g|^p h^n)^(1/p) over masked-in cells.
 
-    The terms are summed by _pairwise_sum in C order of the selected cells,
-    a tree fixed by position.  A cell whose value is zero adds +0.0, so the
-    term vector starts as zeros and only the selected cells in the index box
-    of the nonzero ones are filled in, at their C-order ranks: the vector,
-    and so the sum, are bit for bit those of every cell's own term.
+    The sum is math.fsum's correctly rounded one, which does not depend on
+    the order of the terms; a zero cell adds nothing, so only the selected
+    cells with a nonzero value are gathered.  A sum past the float range
+    is inf.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     sel = g.mask if submask is None else (g.mask & submask)
-    count = np.count_nonzero(sel)
-    if count == 0:
+    if not np.any(sel):
         warnings.warn("seminorm over an empty mask", stacklevel=2)
         return 0.0
-    vector = g.kind == "vector"
-    if vector:
-        # one component at a time: an any() over the short last axis is
-        # several times slower
+    if g.kind == "vector":
+        # component by component, then rows of a (cells, n) view: any()
+        # over the short last axis and a boolean mask over the grid's axes
+        # are several times slower
         nonzero = g.values[..., 0] != 0
         for k in range(1, g.n):
             nonzero |= g.values[..., k] != 0
+        vals = g.values.reshape(-1, g.n)[np.flatnonzero(sel & nonzero)]
+        mag = np.sqrt(np.sum(vals ** 2, axis=-1))
     else:
-        nonzero = g.values != 0
-    terms = np.zeros(count)
-    box = _support_box(sel & nonzero, 0)
-    if box is not None:
-        sub = sel[box]
-        vals = g.values[box][sub]
-        mag = np.sqrt(np.sum(vals ** 2, axis=-1)) if vector else np.abs(vals)
-        terms[_ranks(sel, box)[sub]] = mag ** p
-    total = _pairwise_sum(terms) * g.h ** g.n
-    return total ** (1.0 / p)
+        mag = np.abs(g.values[sel & (g.values != 0)])
+    try:
+        total = math.fsum(mag ** p)
+    except OverflowError:
+        return math.inf
+    return (total * g.h ** g.n) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

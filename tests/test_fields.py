@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -210,7 +211,8 @@ def _gradient_reference(u):
 
 
 def _seminorm_reference(g, p, submask=None):
-    """Every selected cell's term, gathered in C order and summed."""
+    """Every selected cell's term, zeros included, gathered in C order and
+    summed by math.fsum."""
     sel = g.mask if submask is None else (g.mask & submask)
     if not np.any(sel):
         warnings.warn("seminorm over an empty mask", stacklevel=2)
@@ -219,7 +221,7 @@ def _seminorm_reference(g, p, submask=None):
         mag = np.sqrt(np.sum(g.values[sel] ** 2, axis=-1))
     else:
         mag = np.abs(g.values[sel])
-    total = fields._pairwise_sum(mag ** p) * g.h ** g.n
+    total = math.fsum(mag ** p) * g.h ** g.n
     return total ** (1.0 / p)
 
 
@@ -279,6 +281,45 @@ def test_gradient_and_seminorm_match_reference(n, h, corner, with_region,
         assert got == want and got_warn == want_warn
         sel = f.mask if submask is None else f.mask & submask
         assert got_warn == ([] if sel.any() else ["seminorm over an empty mask"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from((2, 3)), vector=st.booleans(),
+       with_submask=st.booleans(), h=st.sampled_from((2.0 ** -4, 0.1, 0.3)),
+       p=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_seminorm_sum_is_correctly_rounded(n, vector, with_submask, h, p,
+                                           seed):
+    """seminorm_p's sum of |g|^p is the exact sum rounded once.
+
+    Values spread over twelve decades, with signs and zeros, on random
+    masks and submasks; the exact sum is taken over Fractions.
+    """
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(m) for m in rng.integers(1, 20 if n == 2 else 8, n))
+    vshape = shape + ((n,) if vector else ())
+    values = (rng.choice((-1.0, 1.0), vshape) * (rng.random(vshape) < 0.8)
+              * 10.0 ** rng.uniform(-6, 6, vshape))
+    mask = rng.random(shape) < rng.choice((0.3, 0.7, 1.0))
+    submask = rng.random(shape) < 0.5 if with_submask else None
+    bbox = np.stack([np.zeros(n), np.array(shape) * h])
+    g = GridField(bbox=bbox, h=h, values=values, mask=mask,
+                  kind="vector" if vector else "scalar")
+    sel = mask if submask is None else mask & submask
+    if not sel.any():
+        return
+    mag = (np.sqrt(np.sum(values[sel] ** 2, axis=-1)) if vector
+           else np.abs(values[sel]))
+    exact = float(sum(map(Fraction, (mag ** p).tolist())))
+    assert seminorm_p(g, p, submask) == (exact * h ** n) ** (1.0 / p)
+
+
+def test_seminorm_overflow_reads_inf():
+    """Finite terms whose sum passes the float range give inf."""
+    g = GridField(bbox=np.array([[0.0, 0.0], [2.0, 1.0]]), h=1.0,
+                  values=np.full((2, 1), 1e154), mask=np.ones((2, 1), bool))
+    assert math.isfinite(1e154 ** 2)
+    assert seminorm_p(g, 2.0) == math.inf
 
 
 def test_gradient_of_zero_field_skips_membership(monkeypatch):
