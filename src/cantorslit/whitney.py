@@ -48,11 +48,11 @@ ORACLE_KINDS = ("N_lambda", "Omega_lambda")
 
 def _box_boundary_dist(X: np.ndarray, lo, hi) -> np.ndarray:
     """|signed distance| to the boundary of the box [lo, hi], per row of X."""
-    q = np.maximum(lo - X, X - hi)
-    # column by column: np.max over a short last axis is ~40x slower
-    top = reduce(np.maximum, q.T)
-    p = np.maximum(q, 0.0)
-    return np.where(top <= 0.0, -top, np.sqrt(reduce(np.add, (c * c for c in p.T))))
+    # column by column: reductions over a short last axis are ~40x slower
+    q = [np.maximum(a - x, x - b) for x, a, b in zip(X.T, lo, hi)]
+    top = reduce(np.maximum, q)
+    p = (np.maximum(c, 0.0) for c in q)
+    return np.where(top <= 0.0, -top, np.sqrt(reduce(np.add, (c * c for c in p))))
 
 
 def _d_boundary_dist(X: np.ndarray) -> np.ndarray:
@@ -214,17 +214,22 @@ class WhitneyDecomposition:
         return len(self.frontier_gen) / total if total else 0.0
 
 
-def _bracket_cubes(oracle, gen, idx: np.ndarray):
+def _bracket_cubes(oracle, gen, idx: np.ndarray, corners=None):
     """Certified bracket on dist(Q, boundary) and center membership per cube.
 
     Every point of a cube is within a quarter diagonal of one of its 3^n
     samples (offsets {0, 1/2, 1}^n).  The samples are the points
     Z 2^-(top+1) of one integer lattice, Z = (2 idx + {0,1,2}^n) << (top -
     gen) with top the finest generation, so cubes of any generations share
-    their corner and edge samples: one bracket_many call on the distinct
-    points covers all the cubes.  It is row-independent and every sample is
-    an exact dyadic, so the brackets are those of sampling each cube on its
-    own, bit for bit.
+    their corner and edge samples, and each distinct point is sent to
+    bracket_many once.  It is row-independent and every sample is an exact
+    dyadic, so the brackets are those of sampling each cube on its own, bit
+    for bit.
+
+    corners, when given, holds the (lo, hi) brackets of the 2^n corner
+    samples (offsets {0, 2}^n) as a (2, 2^n, m) array, as _child_corners
+    hands them down; only the 3^n - 2^n samples with an odd offset are then
+    sent.  The brackets of all samples come back as a (2, 3^n, m) array.
 
     Only the center, the exact dyadic (2 idx + 1) 2^-(gen+1), is tested for
     membership: where lo_q > 0 the closed cube misses the boundary and lies
@@ -232,23 +237,43 @@ def _bracket_cubes(oracle, gen, idx: np.ndarray):
     diagonal (far above 2^-40) from the boundary, computes the center's.
     """
     m, n = idx.shape
+    offs = np.array(list(product((0, 1, 2), repeat=n)), dtype=np.int64)
+    new = np.any(offs % 2 == 1, axis=1) | (corners is None)
     gen = np.broadcast_to(gen, (m,))
     top = int(gen.max())
-    offs = np.array(list(product((0, 1, 2), repeat=n)), dtype=np.int64)
-    Z = (2 * idx[:, None, :] + offs) << (top - gen)[:, None, None]
-    # the first and last samples are the lower and upper corners
-    zlo, zhi = Z[:, 0].min(axis=0), Z[:, -1].max(axis=0)
-    Z = Z.reshape(-1, n)
+    shift = (top - gen)[:, None]
+    # lower corners on the finest generation's lattice
+    base = (2 * idx) << shift
+    zlo, zhi = base.min(axis=0), (base + (2 << shift)).max(axis=0)
+    Z = (base[:, None, :] + (offs[new] << shift[:, None])).reshape(-1, n)
     _, first, inv = np.unique((Z - zlo) @ radix_strides(zlo, zhi),
                               return_index=True, return_inverse=True)
-    lo_u, hi_u = oracle.bracket_many(np.ldexp(Z[first], -(top + 1)))
+    samples = np.empty((2, len(offs), m))
     # samples down the rows: np.min over a short last axis is ~2x slower
-    cols = inv.reshape(m, -1).T
-    lo_q = np.maximum(0.0, reduce(np.minimum, lo_u[cols])
+    samples[:, new] = np.stack(oracle.bracket_many(
+        np.ldexp(Z[first], -(top + 1))))[:, inv.reshape(m, -1).T]
+    if corners is not None:
+        samples[:, ~new] = corners
+    lo_q = np.maximum(0.0, reduce(np.minimum, samples[0])
                       - math.sqrt(n) * sides(gen) / 4.0)
-    hi_q = reduce(np.minimum, hi_u[cols])
+    hi_q = reduce(np.minimum, samples[1])
     center = oracle.member_many(np.ldexp(2 * idx + 1, -(gen + 1)[:, None]))
-    return lo_q, hi_q, center
+    return lo_q, hi_q, center, samples
+
+
+def _child_corners(samples: np.ndarray, n: int) -> np.ndarray:
+    """Corner sample columns of subdivide's children from their parents'.
+
+    samples is (..., 3^n, m), one row per offset {0,1,2}^n in product order;
+    the result is (..., 2^n, 2^n m), one row per corner offset {0,2}^n and
+    one column per child in subdivide's order.  Child b's sample at corner
+    offset o is its parent's sample at b + o/2, the same point.
+    """
+    b = np.array(list(product((0, 1), repeat=n)))
+    # row of b + o/2 in base 3; the sum is symmetric in (o/2, b)
+    rows = (b[:, None, :] + b[None, :, :]) @ 3 ** np.arange(n - 1, -1, -1)
+    out = np.swapaxes(samples[..., rows, :], -1, -2)
+    return out.reshape(*samples.shape[:-2], 2 ** n, -1)
 
 
 def whitney_decompose(region: RegionSpec, max_gen: int,
@@ -266,25 +291,32 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
     sqrtn = math.sqrt(n)
     if window is not None:
         window = tuple(tuple(np.asarray(w, dtype=float)) for w in window)
-    active = oracle.roots()
+    # corners: the brackets of active's corner samples, bracketed the round
+    # before as their parents' samples; none for the roots
+    active, corners = oracle.roots(), None
     # (gen, idx, lo_q, hi_q) of the accepted cubes, one entry per round
     found = [(np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64),
               np.zeros(0), np.zeros(0))]
     for g in range(max_gen + 1):
         if window is not None:
-            active = active[meets_window(g, active, *window)]
+            meets = meets_window(g, active, *window)
+            active = active[meets]
+            if corners is not None:
+                corners = corners[..., meets]
         if not len(active):
             break
         side = sides(np.full(len(active), g))
-        lo_q, hi_q, center = _bracket_cubes(oracle, g, active)
+        lo_q, hi_q, center, samples = _bracket_cubes(oracle, g, active, corners)
         accept = ((lo_q >= sqrtn * side) & (hi_q <= 4.0 * sqrtn * side)
                   & center)
         drop = ~center & (lo_q > 0.0)
         found.append((np.full(int(accept.sum()), g), active[accept],
                       lo_q[accept], hi_q[accept]))
-        active = active[~accept & ~drop]
+        keep = ~accept & ~drop
+        active = active[keep]
         if g < max_gen:
             active = subdivide(active)
+            corners = _child_corners(samples[..., keep], n)
     # what is left after the max_gen round is the frontier
     gen, idx, lo_q, hi_q = (np.concatenate(col) for col in zip(*found))
     perm = order(gen, idx)
@@ -360,7 +392,7 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
         return WhitneyReport(0, 0, 0, 0, 0, 0, 0)
     n, side = dec.n, sides(dec.gen)
     sqrtn = math.sqrt(n)
-    lo_q, hi_q, center = _bracket_cubes(dec.oracle, dec.gen, dec.idx)
+    lo_q, hi_q, center, _ = _bracket_cubes(dec.oracle, dec.gen, dec.idx)
     # W1: center inside and no boundary within the half-diagonal
     w1 = int(np.sum(~(center & (lo_q > sqrtn * side / 2.0))))
     # W3: bracket must intersect the admissible interval

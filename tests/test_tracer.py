@@ -115,17 +115,26 @@ def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
     ask for heights, one k_distance_many per horizontal axis each: 2(n-1)
     spans.  The lateral-face witnesses read the batch's own descent.  Under
     each member_many span every k_distance_many sees one point per cube of
-    the round, its center.
+    the round, its center.  Each lattice point is bracketed once across the
+    rounds: after round 0 a cube's corners (all lattice coordinates even)
+    were its parent's samples, so no batch holds one.
     """
     spans = _spans_module()
     whitney = cantorslit.whitney
-    cubes = []                          # cubes per round, in call order
+    cubes, gens, batches = [], [], []   # per round, in call order
     bracket_cubes = whitney._bracket_cubes
+    bracket_many = whitney.RegionOracle.bracket_many
 
-    def record(oracle, gen, idx):
+    def record(oracle, gen, idx, corners=None):
         cubes.append(len(idx))
-        return bracket_cubes(oracle, gen, idx)
+        gens.append(gen)
+        return bracket_cubes(oracle, gen, idx, corners)
+
+    def record_batch(oracle, X):
+        batches.append(X.copy())
+        return bracket_many(oracle, X)
     monkeypatch.setattr(whitney, "_bracket_cubes", record)
+    monkeypatch.setattr(whitney.RegionOracle, "bracket_many", record_batch)
     tracer = spans.Tracer("tier-1")
     tracer.install()
     try:
@@ -143,6 +152,15 @@ def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
     assert len(brackets) == len(members) == len(cubes) == max_gen + 1
     assert [len(b) for b in brackets] == [2 * (n - 1)] * len(cubes)
     assert members == [[m] * (n - 1) for m in cubes]
+
+    assert gens == list(range(max_gen + 1)) and len(batches) == len(gens)
+    lattice = [np.ldexp(X, g + 1).astype(np.int64) for g, X in zip(gens, batches)]
+    for g, X, Z in zip(gens, batches, lattice):
+        assert np.array_equal(np.ldexp(Z, -(g + 1)), X)
+        assert (g == 0) or not np.any(np.all(Z % 2 == 0, axis=1))
+    # on the finest lattice, no point is sent twice
+    finest = np.concatenate([Z << (max_gen - g) for g, Z in zip(gens, lattice)])
+    assert len(np.unique(finest, axis=0)) == len(finest)
 
 
 def test_traced_jump_keeps_support(monkeypatch):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 from collections import deque
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -11,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorslit.cantor import DEFAULT_TOL, _descend, _product_distance
-from cantorslit.dyadic import (DyadicCube, cubes_touch, order,
-                               projection_contains, sides)
-from cantorslit.regions import region_spec
+from cantorslit.dyadic import (DyadicCube, cubes_touch, meets_window, order,
+                               projection_contains, sides, subdivide)
+from cantorslit.regions import D_BOX, D_NOTCH, region_spec
 from cantorslit.whitney import (
     Q0_ID,
     _box_boundary_dist,
     _bracket_cubes,
+    _child_corners,
     UNASSIGNED,
     WhitneyDecomposition,
     central_mask,
@@ -126,14 +128,48 @@ def _bracket_cubes_reference(oracle, gen, idx):
     lo_q = np.maximum(0.0, lo_s.reshape(m, -1).min(axis=1)
                       - math.sqrt(n) * side / 4.0)
     hi_q = hi_s.reshape(m, -1).min(axis=1)
-    return lo_q, hi_q, mem
+    samples = np.stack((lo_s, hi_s)).reshape(2, m, -1).transpose(0, 2, 1)
+    return lo_q, hi_q, samples, mem
+
+
+def _whitney_decompose_reference(region, max_gen, window=None):
+    """whitney_decompose's rounds with every round bracketing all 3^n
+    samples of every cube; (gen, idx, lo_q, hi_q, frontier_gen,
+    frontier_idx) as whitney_decompose sorts them."""
+    oracle = oracle_for(region)
+    n = oracle.n
+    sqrtn = math.sqrt(n)
+    active = oracle.roots()
+    found = [(np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64),
+              np.zeros(0), np.zeros(0))]
+    for g in range(max_gen + 1):
+        if window is not None:
+            active = active[meets_window(g, active, *window)]
+        if not len(active):
+            break
+        side = sides(np.full(len(active), g))
+        lo_q, hi_q, center, _ = _bracket_cubes(oracle, g, active)
+        accept = ((lo_q >= sqrtn * side) & (hi_q <= 4.0 * sqrtn * side)
+                  & center)
+        drop = ~center & (lo_q > 0.0)
+        found.append((np.full(int(accept.sum()), g), active[accept],
+                      lo_q[accept], hi_q[accept]))
+        active = active[~accept & ~drop]
+        if g < max_gen:
+            active = subdivide(active)
+    gen, idx, lo_q, hi_q = (np.concatenate(col) for col in zip(*found))
+    perm = order(gen, idx)
+    fgen = np.full(len(active), max_gen, dtype=np.int64)
+    fperm = order(fgen, active)
+    return (gen[perm], idx[perm], lo_q[perm], hi_q[perm], fgen[fperm],
+            active[fperm])
 
 
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("kind, lam, n, max_gen, window", [
+BRACKET_CASES = [
     ("N_lambda", 0.25, 2, 6, None),
     ("Omega_lambda", 0.25, 2, 6, None),
     ("N_lambda", 0.125, 2, 6, None),
@@ -141,14 +177,21 @@ def _same_bits(a, b):
     ("N_lambda", 0.25, 3, 5, None),
     ("Omega_lambda", 0.25, 3, 4, ((-1.0, 0.0, -1.0), (1.0, 1.0, 1.0))),
     ("Omega_lambda", 0.25, 2, 9, ((0.2, -0.2), (0.6, 0.2))),
-])
+]
+# n = 4 only windowed: the unwindowed Omega_lambda at max_gen=4 runs out of
+# memory on an 8 GB machine
+N4_WINDOW = ((0.25, 0.25, 0.25, -0.25), (0.75, 0.75, 0.75, 0.25))
+
+
+@pytest.mark.parametrize("kind, lam, n, max_gen, window", BRACKET_CASES)
 def test_bracket_cubes_matches_reference(kind, lam, n, max_gen, window):
     """Sampling each distinct point once gives the per-cube brackets bitwise.
 
-    Inputs: each generation alone, as whitney_decompose passes them, and
-    the resolved cubes of all generations, as verify_whitney passes them.
-    The center membership is the middle sample's, and where lo_q > 0 it
-    decides the drop rule as all 3^n sample memberships did.
+    Inputs: each generation alone, as whitney_decompose's first round
+    passes them, and the resolved cubes of all generations, as
+    verify_whitney passes them.  The sample table is the per-cube one, and
+    the center membership is the middle sample's; where lo_q > 0 it decides
+    the drop rule as all 3^n sample memberships did.
     """
     dec = whitney_decompose(region_spec(kind, lam=lam, n=n), max_gen,
                             window=window)
@@ -165,15 +208,115 @@ def test_bracket_cubes_matches_reference(kind, lam, n, max_gen, window):
     assert len(calls) >= 3
     dropped = 0
     for g, rows in calls:
-        lo_q, hi_q, center = _bracket_cubes(dec.oracle, g, rows)
+        lo_q, hi_q, center, samples = _bracket_cubes(dec.oracle, g, rows)
         *want, mem = _bracket_cubes_reference(dec.oracle, g, rows)
-        for a, b in zip((lo_q, hi_q), want):
+        for a, b in zip((lo_q, hi_q, samples), want):
             assert _same_bits(a, b)
         assert _same_bits(center, mem[:, (3 ** n - 1) // 2])
         clear = lo_q > 0.0
         assert np.array_equal(~mem.any(axis=1) & clear, ~center & clear)
         dropped += np.count_nonzero(~center & clear)
     assert dropped > 0
+
+
+@pytest.mark.parametrize("kind, lam, n, max_gen, window", BRACKET_CASES + [
+    ("N_lambda", 0.25, 4, 4, N4_WINDOW),
+    ("Omega_lambda", 0.25, 4, 4, N4_WINDOW),
+])
+def test_decompose_matches_reference(kind, lam, n, max_gen, window):
+    """Inherited corner brackets give the decomposition bitwise.
+
+    whitney_decompose brackets each lattice point once across its rounds;
+    the reference brackets all 3^n samples of every cube in every round.
+    """
+    region = region_spec(kind, lam=lam, n=n)
+    dec = whitney_decompose(region, max_gen, window=window)
+    want = _whitney_decompose_reference(region, max_gen, window)
+    got = (dec.gen, dec.idx, dec.lo_q, dec.hi_q, dec.frontier_gen,
+           dec.frontier_idx)
+    assert len(dec) > 0 and len(dec.frontier) > 0
+    for a, b in zip(got, want):
+        assert _same_bits(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("N_lambda", "Omega_lambda")),
+       n=st.integers(2, 4), gen=st.integers(0, 20),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_child_corners_are_parent_samples(kind, n, gen, seed):
+    """Child b's corner sample at offset o is its parent's at b + o/2.
+
+    Checked on the sample points themselves and on their brackets: the
+    corner rows of the children's own sample table are the parents' table
+    mapped by _child_corners, bit for bit.
+    """
+    region = region_spec(kind, lam=0.25, n=n)
+    oracle = oracle_for(region)
+    rng = np.random.default_rng(seed)
+    lo = np.floor(np.ldexp(region.bbox[0], gen)).astype(np.int64)
+    hi = np.ceil(np.ldexp(region.bbox[1], gen)).astype(np.int64)
+    # nearby cubes, so that their lattice box has int64 keys
+    idx = rng.integers(lo, hi) + rng.integers(-3, 4, size=(4, n))
+    kids = subdivide(idx)
+    offs = np.array(list(product((0, 1, 2), repeat=n)))
+    corner = np.all(offs % 2 == 0, axis=1)
+
+    def points(g, rows):
+        """(n, 3^n, m): coordinate of each sample of each cube."""
+        return np.ldexp(2 * rows[None] + offs[:, None], -(g + 1)).transpose(2, 0, 1)
+    assert _same_bits(_child_corners(points(gen, idx), n),
+                      points(gen + 1, kids)[:, corner])
+    handed = _child_corners(_bracket_cubes(oracle, gen, idx)[3], n)
+    want = _bracket_cubes(oracle, gen + 1, kids)
+    assert _same_bits(handed, want[3][:, corner])
+    # and handed down, they give the children's brackets of all samples
+    got = _bracket_cubes(oracle, gen + 1, kids, handed)
+    for a, b in zip(got, want):
+        assert _same_bits(a, b)
+
+
+def _box_boundary_dist_reference(X, lo, hi):
+    """_box_boundary_dist on whole rows, as it was before its columns."""
+    q = np.maximum(lo - X, X - hi)
+    top = reduce(np.maximum, q.T)
+    p = np.maximum(q, 0.0)
+    return np.where(top <= 0.0, -top, np.sqrt(reduce(np.add, (c * c for c in p.T))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 4),
+       box=st.sampled_from(("D_BOX", "D_NOTCH", "face", "random")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_box_boundary_dist_matches_reference(n, box, seed):
+    """The column form gives the row form's distances bit for bit.
+
+    Boxes: D's two profile boxes; bracket_many's lateral-face boxes, flat
+    along one axis (and along x_n at n = 2, where gamma = 0); and random
+    dyadic boxes flat along some axes.  Each coordinate is the box's lower
+    or upper face, a 2^-3 lattice point or a random float, so points lie on
+    faces and corners (where -top is -0.0), inside and outside.
+    """
+    rng = np.random.default_rng(seed)
+    if box == "face":
+        lo, hi = np.zeros(n), np.ones(n)
+        i = rng.integers(n - 1)
+        lo[i] = hi[i] = float(rng.integers(2))
+        gamma = math.sqrt(n - 2) * 0.25
+        lo[-1], hi[-1] = -gamma, gamma
+    elif box == "random":
+        lo, hi = np.sort(np.ldexp(rng.integers(-8, 9, size=(2, n)), -2), axis=0)
+        flat = rng.random(n) < 0.3
+        hi[flat] = lo[flat]
+    else:
+        lo, hi = D_BOX if box == "D_BOX" else D_NOTCH
+    d = len(lo)
+    pick = rng.integers(4, size=(300, d))
+    X = np.select([pick == 0, pick == 1, pick == 2],
+                  [np.broadcast_to(lo, (300, d)), np.broadcast_to(hi, (300, d)),
+                   np.ldexp(rng.integers(-24, 25, size=(300, d)), -3)],
+                  rng.uniform(-3.0, 3.0, size=(300, d)))
+    got = _box_boundary_dist(X, lo, hi)
+    assert _same_bits(got, _box_boundary_dist_reference(X, lo, hi))
 
 
 @settings(max_examples=60, deadline=None)
