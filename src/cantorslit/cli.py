@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dim")
     dsub = d.add_subparsers(dest="sub", required=True)
     de = dsub.add_parser("estimate")
-    de.add_argument("--set", default="cantor-slit")
+    de.add_argument("--set", choices=("cantor-slit",), default="cantor-slit")
     de.add_argument("--lambda", dest="lam", type=LAMBDA, required=True)
     de.add_argument("--levels", type=LEVELS, default=5)
     de.add_argument("--out", required=True)

@@ -71,12 +71,10 @@ class RegionSpec:
         return np.stack([lo, hi])
 
 
-def region_spec(kind: str, lam: float | None = None, n: int = 2,
-                cantor: CantorSpec | None = None) -> RegionSpec:
+def region_spec(kind: str, lam: float | None = None, n: int = 2) -> RegionSpec:
     """Convenience constructor; builds the tent kinds' Cantor spec from lam."""
-    if cantor is None and lam is not None and kind in ("N_lambda", "Omega_lambda"):
-        cantor = CantorSpec(lam=lam)
-    return RegionSpec(kind=kind, n=n, cantor=cantor)
+    tent = lam is not None and kind in ("N_lambda", "Omega_lambda")
+    return RegionSpec(kind=kind, n=n, cantor=CantorSpec(lam=lam) if tent else None)
 
 
 def _check_dim(spec: RegionSpec, x: np.ndarray):
@@ -182,8 +180,10 @@ def component_label(spec: RegionSpec, center, radius: float, h: float) -> Compon
     """Deterministic flood-fill labeling of the region inside B(center, radius).
 
     Face adjacency (2n neighbours) is used so that the two sides of the slit
-    are never connected through a grid corner.  Labels are assigned by the
-    first cell of each component in lexicographic scan order.
+    are never connected through a grid corner.  Labels are ndimage.label's
+    less one, which number components by their first cell in C order
+    (pinned by test_label_numbers_components_in_c_order); -1 is off the
+    window or the region.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -207,18 +207,7 @@ def component_label(spec: RegionSpec, center, radius: float, h: float) -> Compon
         mask[k] &= sum(rest, sq[0][k]) <= radius ** 2
     structure = ndimage.generate_binary_structure(n, 1)  # faces only
     raw, count = ndimage.label(mask, structure=structure)
-    # relabel components by first appearance in C-order scan; a component's
-    # first cell lies in the first axis-0 slab of its bounding box
-    slab = np.array([sl[0].start for sl in ndimage.find_objects(raw)], dtype=int)
-    first = np.zeros(count, dtype=np.int64)
-    for s in np.unique(slab).tolist():
-        vals, pos = np.unique(raw[s], return_index=True)
-        keep = (vals > 0) & (slab[vals - 1] == s)
-        first[vals[keep] - 1] = s * raw[s].size + pos[keep]
-    lut = np.full(count + 1, -1, dtype=raw.dtype)
-    lut[1 + np.argsort(first)] = np.arange(count)
-    for k in range(m):                  # in place, a slab at a time
-        raw[k] = lut[raw[k]]
+    raw -= 1
     return ComponentMap(h=h, origin=origin, labels=raw, count=count)
 
 

@@ -122,11 +122,9 @@ class RegionOracle:
         w = np.clip(w, np.minimum(near, bound), np.maximum(near, bound))
         peak = np.where(np.isfinite(mids), mids, XP)
         sgn = np.where(xn >= 0.0, 1.0, -1.0)
-        # the graph point over x' is at distance |x_n - sgn g| = v over the
-        # column [0,1]^{n-1}; outside it, x' clipped to the column is the
-        # face witness that moves an out-of-range coordinate to its bound
-        in_col = (XP >= 0.0) & (XP <= 1.0)
-        hi = np.where(np.all(in_col, axis=1), v, np.inf)
+        # hi is a min of distances to boundary points: the graph over the
+        # feet w and peak, then the lateral-face witnesses
+        hi = np.inf
         for foot in (w, peak):
             foot = np.clip(foot, 0.0, 1.0)
             gp = _product_distance(list(foot.T), self.cantor)
@@ -137,7 +135,7 @@ class RegionOracle:
         # heights d with axis i and out-of-column axes at +0.0 (0, 1 lie in
         # K); a +0.0 term changes no sum of squares, so no descent is needed
         gamma = math.sqrt(max(n - 2, 0)) * self._max_k
-        d2 = np.where(in_col, d ** 2, 0.0)
+        d2 = np.where((XP >= 0.0) & (XP <= 1.0), d ** 2, 0.0)
         for i, c in product(range(n - 1), (0.0, 1.0)):
             blo, bhi = np.zeros(n), np.ones(n)
             blo[i] = bhi[i] = c

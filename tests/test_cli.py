@@ -245,6 +245,8 @@ def test_claim_count_without_fit_exits_1(tmp_path, capsys):
     (["cantor", "dist", "--lambda", "1/4", "--x", "2^5000"],
      "--x: '2^5000' is not a number"),
     (["field", "norm", "--func", "const:2^5000"], "--func"),
+    # a name outside the choices
+    (["dim", "estimate", "--set", "bogus", "--lambda", "1/4"], "--set"),
 ])
 def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
                                             monkeypatch):

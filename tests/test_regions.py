@@ -1,10 +1,16 @@
 """Tests for region membership, components, and two-sided points."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cantorslit import regions
 from cantorslit.cantor import CantorSpec, k_distance_many
 from cantorslit.regions import (
+    RegionSpec,
     component_label,
     membership_grid,
     region_membership,
@@ -155,6 +161,48 @@ def test_component_label_numbers_by_first_appearance(center, radius, n):
     assert order[order >= 0].tolist() == list(range(cm.count))
 
 
+def _label_by_scan(mask):
+    """Face-connected components numbered 1.. in the order of their first
+    cell in a C-order scan, by breadth-first search; 0 off the mask."""
+    out = np.zeros(mask.shape, dtype=int)
+    count = 0
+    for start in zip(*np.nonzero(mask)):   # np.nonzero scans in C order
+        if out[start]:
+            continue
+        count += 1
+        out[start] = count
+        todo = deque([start])
+        while todo:
+            cell = todo.popleft()
+            for axis in range(mask.ndim):
+                for step in (-1, 1):
+                    nb = list(cell)
+                    nb[axis] += step
+                    nb = tuple(nb)
+                    if (0 <= nb[axis] < mask.shape[axis] and mask[nb]
+                            and not out[nb]):
+                        out[nb] = count
+                        todo.append(nb)
+    return out, count
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from((2, 3)), data=st.data())
+def test_label_numbers_components_in_c_order(n, data):
+    # component_label keeps ndimage.label's numbering, so the scipy it runs
+    # on must number components by their first cell in C order
+    shape = tuple(data.draw(st.lists(st.integers(1, 16 if n == 2 else 8),
+                                     min_size=n, max_size=n)))
+    fill = data.draw(st.sampled_from((0.3, 0.5, 0.6)))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    mask = np.random.default_rng(seed).random(shape) < fill
+    structure = regions.ndimage.generate_binary_structure(n, 1)
+    got, count = regions.ndimage.label(mask, structure=structure)
+    want, want_count = _label_by_scan(mask)
+    assert count == want_count
+    assert np.array_equal(got, want)
+
+
 def test_component_label_connected_away_from_slit():
     sp = spec_omega()
     cm = component_label(sp, (-1.5, 0.0), 0.2, 0.2 / 64)
@@ -174,13 +222,13 @@ def test_region_spec_validation():
     with pytest.raises(ValueError):
         region_spec("N_lambda")            # needs a Cantor spec
     with pytest.raises(ValueError):
-        region_spec("Omega2", n=3, cantor=CantorSpec(lam=0.25))
+        RegionSpec("Omega2", n=3, cantor=CantorSpec(lam=0.25))
     with pytest.raises(ValueError):
         region_spec("bogus", lam=0.25)
     # Omega2 reads only a variable-ratio set, so lam builds none
     assert region_spec("Omega2", lam=0.25).cantor is None
     with pytest.raises(ValueError, match="variable-ratio"):
-        region_spec("Omega2", cantor=CantorSpec(lam=0.25))
+        RegionSpec("Omega2", cantor=CantorSpec(lam=0.25))
 
 
 # (kind, n, lambda): every region kind, with n=3 for all but the planar Omega2
