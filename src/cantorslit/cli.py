@@ -196,6 +196,7 @@ def cmd_whitney_verify(args) -> Output:
         "frontier_fraction": dec.frontier_fraction,
         "resolved": len(dec.cubes),
         "frontier": len(dec.frontier),
+        "stranded": dec.stranded,
     }
     bad = rep.total_violations + rep.boundary_crossings
     return Output(json.dumps(payload, indent=2, sort_keys=True) + "\n",

@@ -190,7 +190,8 @@ def measure_density_check(region: RegionSpec, x, radii: list[float],
             warnings.warn(f"no component at radius {r}; skipped", stacklevel=2)
             continue
         pts = x + rng.uniform(-r, r, size=(samples, n))
-        inside = np.sum((pts - x) ** 2, axis=1) <= r * r
+        # the squares added column by column, in np.sum's order
+        inside = sum((c - xi) ** 2 for c, xi in zip(pts.T, x)) <= r * r
         hits = inside & (cmap.label_at(pts) == label)
         phat = float(np.count_nonzero(hits)) / samples
         boxvol = (2.0 * r) ** n

@@ -155,10 +155,15 @@ class ComponentMap:
         """Component labels of the cells containing the points x, of shape
         (..., n); -1 off the grid.  One point gives a numpy integer."""
         x = np.asarray(x, dtype=float)
-        idx = np.floor((x - self.origin) / self.h).astype(int)
-        on = np.all((idx >= 0) & (idx < self.labels.shape), axis=-1)
-        idx = np.where(on[..., None], idx, 0)
-        return np.where(on, self.labels[tuple(np.moveaxis(idx, -1, 0))], -1)[()]
+        # one flat C-order cell index, built axis by axis: reductions and
+        # gathers over a short last axis are several times slower
+        flat, on = 0, True
+        for xi, o, m in zip(np.moveaxis(x, -1, 0), self.origin,
+                            self.labels.shape):
+            k = np.floor((xi - o) / self.h).astype(int)
+            on = on & (k >= 0) & (k < m)
+            flat = flat * m + k.clip(0, m - 1)
+        return np.where(on, self.labels.reshape(-1)[flat], -1)[()]
 
     def side_labels(self, x) -> tuple:
         """(upper, lower) labels at the witnesses x + (h, .., h, +-4h), one

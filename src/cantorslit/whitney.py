@@ -184,6 +184,7 @@ class WhitneyDecomposition:
     frontier_gen: np.ndarray
     frontier_idx: np.ndarray
     window: tuple | None = None
+    stranded: int = 0                  # frontier cubes never bracketed
     _adj: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -281,49 +282,77 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
     Brackets come from oracle_for(region), to the descent tolerance 2^-40.
     window, when given, prunes cubes whose closure misses the box (lo, hi);
     the result is then a local decomposition and tiling checks do not apply.
+
+    Each live cube carries L, the largest lo_q of itself and its ancestors.
+    A generation-g cube with L - margin > 4 sqrt(n) 2^-g moves to a passive
+    set that is only subdivided (and window-pruned) in later rounds, never
+    bracketed, and joins the frontier after the max_gen round; margin =
+    16 tol covers the +-tol in the oracle's lo and hi.  Bracketing a passive
+    cube Q' could change nothing:
+      - never accepted: each sample p of Q' has hi(p) >= dist(p, boundary)
+        >= dist(ancestor, boundary) >= L, up to tol, so hi_q(Q') > 4 sqrt(n)
+        l(Q'), and the bound only grows as l(Q') halves;
+      - never dropped: L > 0 means an ancestor with lo_q > 0 was kept, so
+        its centre is inside; that closed cube then lies inside the region
+        and each descendant's centre computes inside (as in _bracket_cubes).
+    The passive cubes that reach the frontier are counted in `stranded`.
     """
     if max_gen < 4:
         raise ValueError("max_gen must be >= 4")
     oracle = oracle_for(region)
     n = oracle.n
     sqrtn = math.sqrt(n)
+    margin = 16.0 * DEFAULT_TOL
     if window is not None:
         window = tuple(tuple(np.asarray(w, dtype=float)) for w in window)
     # corners: the brackets of active's corner samples, bracketed the round
-    # before as their parents' samples; none for the roots
+    # before as their parents' samples; none for the roots.  L: the
+    # inherited certified lower bound per active cube
     active, corners = oracle.roots(), None
+    L = np.zeros(len(active))
+    passive = np.zeros((0, n), dtype=np.int64)
     # (gen, idx, lo_q, hi_q) of the accepted cubes, one entry per round
     found = [(np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64),
               np.zeros(0), np.zeros(0))]
     for g in range(max_gen + 1):
         if window is not None:
             meets = meets_window(g, active, *window)
-            active = active[meets]
+            active, L = active[meets], L[meets]
             if corners is not None:
                 corners = corners[..., meets]
-        if not len(active):
-            break
-        side = sides(np.full(len(active), g))
-        lo_q, hi_q, center, samples = _bracket_cubes(oracle, g, active, corners)
-        accept = ((lo_q >= sqrtn * side) & (hi_q <= 4.0 * sqrtn * side)
-                  & center)
-        drop = ~center & (lo_q > 0.0)
-        found.append((np.full(int(accept.sum()), g), active[accept],
-                      lo_q[accept], hi_q[accept]))
-        keep = ~accept & ~drop
-        active = active[keep]
+            passive = passive[meets_window(g, passive, *window)]
+        live = L - margin <= 4.0 * sqrtn * math.ldexp(1.0, -g)
+        if not live.all():
+            passive = np.concatenate([passive, active[~live]])
+            active, L = active[live], L[live]
+            corners = corners[..., live]
+        if len(active):
+            side = sides(np.full(len(active), g))
+            lo_q, hi_q, center, samples = _bracket_cubes(oracle, g, active,
+                                                         corners)
+            accept = ((lo_q >= sqrtn * side) & (hi_q <= 4.0 * sqrtn * side)
+                      & center)
+            drop = ~center & (lo_q > 0.0)
+            found.append((np.full(int(accept.sum()), g), active[accept],
+                          lo_q[accept], hi_q[accept]))
+            keep = ~accept & ~drop
+            active, L = active[keep], np.maximum(L[keep], lo_q[keep])
+            if g < max_gen:
+                corners = _child_corners(samples[..., keep], n)
         if g < max_gen:
-            active = subdivide(active)
-            corners = _child_corners(samples[..., keep], n)
+            active, L = subdivide(active), np.repeat(L, 2 ** n)
+            passive = subdivide(passive)
     # what is left after the max_gen round is the frontier
     gen, idx, lo_q, hi_q = (np.concatenate(col) for col in zip(*found))
     perm = order(gen, idx)
-    fgen = np.full(len(active), max_gen, dtype=np.int64)
-    fperm = order(fgen, active)
+    fidx = np.concatenate([active, passive])
+    fgen = np.full(len(fidx), max_gen, dtype=np.int64)
+    fperm = order(fgen, fidx)
     return WhitneyDecomposition(oracle=oracle, n=n, gen=gen[perm],
                                 idx=idx[perm], lo_q=lo_q[perm], hi_q=hi_q[perm],
                                 frontier_gen=fgen[fperm],
-                                frontier_idx=active[fperm], window=window)
+                                frontier_idx=fidx[fperm], window=window,
+                                stranded=len(passive))
 
 
 def _build_adjacency(idx: np.ndarray, index: CubeIndex) -> dict[int, list[int]]:

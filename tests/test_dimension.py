@@ -11,7 +11,7 @@ from cantorslit.dimension import (
     measure_density_check,
     separated_net,
 )
-from cantorslit.regions import region_spec
+from cantorslit.regions import component_label, region_spec
 
 
 def test_separated_net_separation_and_maximality():
@@ -86,6 +86,43 @@ def test_density_n3_at_origin_both_sides():
                                     samples=20000, seed=3, side=side)
         assert len(res.c_per_radius) == 1
         assert 0.3 < res.c_fit < 0.5
+
+
+def _c_per_radius_reference(region, x, radii, samples, seed, side):
+    """measure_density_check's estimates from the row forms: the ball test
+    as np.sum over the last axis, the labels by a moveaxis gather."""
+    x = np.asarray(x, dtype=float)
+    rng = np.random.default_rng(seed)
+    cs = []
+    for r in radii:
+        cmap = component_label(region, x, r, r / 256)
+        label = cmap.side_labels(x)[0 if side == "upper" else 1]
+        pts = x + rng.uniform(-r, r, size=(samples, len(x)))
+        idx = np.floor((pts - cmap.origin) / cmap.h).astype(int)
+        on = np.all((idx >= 0) & (idx < cmap.labels.shape), axis=-1)
+        idx = np.where(on[..., None], idx, 0)
+        lab = np.where(on, cmap.labels[tuple(np.moveaxis(idx, -1, 0))], -1)
+        hits = (np.sum((pts - x) ** 2, axis=1) <= r * r) & (lab == label)
+        boxvol = (2.0 * r) ** len(x)
+        cs.append(float(np.count_nonzero(hits)) / samples * boxvol / r ** len(x))
+    return cs
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_density_matches_row_reference(side):
+    """The column-by-column ball test and flat label lookup count the same
+    hits as the row forms, and the column sum is np.sum's bit for bit."""
+    ro = region_spec("Omega_lambda", lam=0.25)
+    radii = [0.25, 0.125]
+    res = measure_density_check(ro, (0.0, 0.0), radii, samples=50000,
+                                seed=11, side=side)
+    want = _c_per_radius_reference(ro, (0.0, 0.0), radii, 50000, 11, side)
+    assert res.c_per_radius == want
+    rng = np.random.default_rng(2)
+    for n in (2, 3, 4):
+        d = rng.uniform(-1.0, 1.0, size=(100000, n))
+        col = sum(c ** 2 for c in d.T)
+        assert col.tobytes() == np.sum(d ** 2, axis=1).tobytes()
 
 
 def test_density_full_ball_interior():

@@ -87,8 +87,9 @@ def test_traced_claim_count_counters():
 def test_traced_decompose_matches_untraced():
     """The tracer's oracle wrapper changes no result and counts each round.
 
-    Every generation round of an unwindowed decomposition with a frontier
-    brackets cubes, so bracket_many runs max_gen + 1 times.
+    A round brackets cubes only while some cube is live (not passive); here
+    live cubes near the slit reach the max_gen round, so bracket_many runs
+    max_gen + 1 times.
     """
     spans = _spans_module()
     whitney = cantorslit.whitney

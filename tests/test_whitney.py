@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cantorslit.whitney
 from cantorslit.cantor import DEFAULT_TOL, _descend, _product_distance
 from cantorslit.dyadic import (DyadicCube, cubes_touch, meets_window, order,
                                projection_contains, sides, subdivide)
@@ -222,12 +223,22 @@ def test_bracket_cubes_matches_reference(kind, lam, n, max_gen, window):
 @pytest.mark.parametrize("kind, lam, n, max_gen, window", BRACKET_CASES + [
     ("N_lambda", 0.25, 4, 4, N4_WINDOW),
     ("Omega_lambda", 0.25, 4, 4, N4_WINDOW),
+    # the passive set holds most of Omega's frontier here
+    ("Omega_lambda", 0.25, 2, 9, None),
+    ("Omega_lambda", 0.125, 2, 9, None),
+    # near D's notch corner: no cube is live after round 4, and the passive
+    # ones are carried down to max_gen
+    ("Omega_lambda", 0.25, 2, 9, ((-1.50390625, -1.12890625),
+                                  (-1.49609375, -1.12109375))),
 ])
 def test_decompose_matches_reference(kind, lam, n, max_gen, window):
-    """Inherited corner brackets give the decomposition bitwise.
+    """Inherited corner brackets and the passive set give the decomposition
+    bitwise.
 
-    whitney_decompose brackets each lattice point once across its rounds;
-    the reference brackets all 3^n samples of every cube in every round.
+    whitney_decompose brackets each lattice point once across its rounds
+    and never brackets a cube whose inherited lower bound rules it out; the
+    reference brackets all 3^n samples of every unresolved cube in every
+    round.
     """
     region = region_spec(kind, lam=lam, n=n)
     dec = whitney_decompose(region, max_gen, window=window)
@@ -237,6 +248,34 @@ def test_decompose_matches_reference(kind, lam, n, max_gen, window):
     assert len(dec) > 0 and len(dec.frontier) > 0
     for a, b in zip(got, want):
         assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("kind, lam, n, max_gen, stranded, bracketed", [
+    ("Omega_lambda", 0.25, 2, 9, 67960, 152908),
+    ("Omega_lambda", 0.25, 2, 10, 292904, 311436),
+    ("Omega_lambda", 0.25, 3, 5, 24320, 296140),
+    ("N_lambda", 0.25, 2, 9, 0, 16010),
+    ("N_lambda", 0.125, 2, 9, 0, 18170),
+])
+def test_passive_cubes_are_never_bracketed(kind, lam, n, max_gen, stranded,
+                                           bracketed, monkeypatch):
+    """The cubes sent to _bracket_cubes and the stranded frontier, pinned.
+
+    Without the passive set the rounds send 238,276 cubes for Omega at
+    lambda = 1/4, max_gen = 9, and 689,708 at max_gen = 10; N has no
+    passive cube here.
+    """
+    whitney = cantorslit.whitney
+    bracket_cubes, sent = whitney._bracket_cubes, []
+
+    def record(oracle, gen, idx, corners=None):
+        sent.append(len(idx))
+        return bracket_cubes(oracle, gen, idx, corners)
+    monkeypatch.setattr(whitney, "_bracket_cubes", record)
+    dec = whitney.whitney_decompose(region_spec(kind, lam=lam, n=n), max_gen)
+    assert sum(sent) == bracketed
+    assert dec.stranded == stranded
+    assert dec.stranded <= len(dec.frontier)
 
 
 @settings(max_examples=40, deadline=None)
