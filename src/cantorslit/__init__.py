@@ -19,7 +19,8 @@ from .fields import (BoxUnion, GridField, gradient, grid_sample,
 from .extension import (assemble, bound_report, extend, jump_test_function,
                         norm_factor, ratio_p)
 from .dimension import (build_net_hierarchy, dim_upper_estimate,
-                        measure_density_check, separated_net)
+                        measure_density_check, measure_density_sides,
+                        separated_net)
 
 __all__ = [
     "CantorSpec", "RegionSpec", "DyadicCube", "GridField", "BoxUnion",
@@ -27,7 +28,8 @@ __all__ = [
     "build_net_hierarchy", "cantor_dim", "chain", "claim_count",
     "component_label", "dim_upper_estimate", "extend",
     "fat_thin_cantor", "gradient", "grid_sample", "jump_test_function",
-    "k_distance", "k_distance_many", "measure_density_check", "norm_factor",
+    "k_distance", "k_distance_many", "measure_density_check",
+    "measure_density_sides", "norm_factor",
     "poincare_energy_check", "projection_measure", "ratio_p",
     "reflect_assign", "region_membership", "region_spec", "separated_net",
     "seminorm_p", "verify_whitney", "whitney_decompose",

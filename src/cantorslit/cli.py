@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .cantor import CantorSpec, cantor_dim, k_distance
-from .dimension import (build_net_hierarchy, dim_upper_estimate,
-                        measure_density_check)
+from .dimension import (NoComponentError, build_net_hierarchy,
+                        dim_upper_estimate, measure_density_sides)
 from .extension import (assemble, bound_report, extend, finest_gen,
                         origin_jump)
 from .fields import GridField, _grid_shape, gradient, grid_sample, seminorm_p
@@ -310,19 +310,17 @@ def cmd_dim_estimate(args) -> Output:
 
 def cmd_density(args) -> Output:
     spec = region_spec("Omega_lambda", lam=args.lam, n=args.n)
-    out = {}
-    for side in ("upper", "lower"):
-        try:
-            res = measure_density_check(spec, args.point,
-                                        args.radii, samples=args.samples,
-                                        seed=args.seed, side=side)
-        except ValueError:          # no radius found a component on this side
-            raise SystemExit(f"density: no {side} component at the point "
-                             + ",".join(map(_fmt, args.point))) from None
-        out[side] = {"c_fit": res.c_fit,
-                     "per_radius": dict(zip(map(_fmt, res.radii),
-                                            res.c_per_radius)),
-                     "halfwidth": res.halfwidth}
+    try:
+        results = measure_density_sides(spec, args.point, args.radii,
+                                        samples=args.samples, seed=args.seed)
+    except NoComponentError as err:     # no radius found one on this side
+        raise SystemExit(f"density: no {err.side} component at the point "
+                         + ",".join(map(_fmt, args.point))) from None
+    out = {side: {"c_fit": res.c_fit,
+                  "per_radius": dict(zip(map(_fmt, res.radii),
+                                         res.c_per_radius)),
+                  "halfwidth": res.halfwidth}
+           for side, res in results.items()}
     return Output(json.dumps(out, indent=2, sort_keys=True) + "\n")
 
 

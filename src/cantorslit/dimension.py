@@ -163,6 +163,17 @@ class DensityResult:
     seed: int
 
 
+SIDES = ("upper", "lower")
+
+
+class NoComponentError(ValueError):
+    """No radius found a component on one side of the point."""
+
+    def __init__(self, side: str):
+        super().__init__(f"no radius produced a component estimate ({side})")
+        self.side = side
+
+
 def measure_density_check(region: RegionSpec, x, radii: list[float],
                           samples: int = 10 ** 6, seed: int = 0,
                           side: str = "upper") -> DensityResult:
@@ -173,34 +184,62 @@ def measure_density_check(region: RegionSpec, x, radii: list[float],
     on the requested side, and its volume inside B(x, r) is estimated
     from `samples` seeded uniform draws in the bounding box of the ball.
     c_fit is the minimum over radii of volume / r^n, with 95% confidence
-    half-widths reported per radius.
+    half-widths reported per radius.  Radii with no component on the side
+    are skipped with a warning; NoComponentError when all are.
     """
-    if side not in ("upper", "lower"):
+    if side not in SIDES:
         raise ValueError("side must be 'upper' or 'lower'")
+    return _measure_density(region, x, radii, samples, seed, (side,))[side]
+
+
+def measure_density_sides(region: RegionSpec, x, radii: list[float],
+                          samples: int = 10 ** 6,
+                          seed: int = 0) -> dict[str, DensityResult]:
+    """measure_density_check for both sides, labelling each radius once.
+
+    Each side draws from its own generator seeded with seed, so its result
+    is that of measure_density_check on that side alone, bit for bit.  The
+    upper side's skip warnings come first; NoComponentError names the
+    first side with no component, after that side's warnings.
+    """
+    return _measure_density(region, x, radii, samples, seed, SIDES)
+
+
+def _measure_density(region, x, radii, samples, seed, sides):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     x = np.asarray(x, dtype=float)
     n = region.n
-    rng = np.random.default_rng(seed)
-    cs, hw = [], []
+    rng = {s: np.random.default_rng(seed) for s in sides}
+    cs = {s: [] for s in sides}
+    hw = {s: [] for s in sides}
+    skipped = {s: [] for s in sides}
     for r in radii:
         cmap = component_label(region, x, r, r / 256)
-        label = cmap.side_labels(x)[0 if side == "upper" else 1]
-        if label < 0:
-            warnings.warn(f"no component at radius {r}; skipped", stacklevel=2)
-            continue
-        pts = x + rng.uniform(-r, r, size=(samples, n))
-        # the squares added column by column, in np.sum's order
-        inside = sum((c - xi) ** 2 for c, xi in zip(pts.T, x)) <= r * r
-        hits = inside & (cmap.label_at(pts) == label)
-        phat = float(np.count_nonzero(hits)) / samples
-        boxvol = (2.0 * r) ** n
-        vol = phat * boxvol
-        cs.append(vol / r ** n)
-        hw.append(1.96 * math.sqrt(phat * (1.0 - phat) / samples)
-                  * boxvol / r ** n)
-    if not cs:
-        raise ValueError("no radius produced a component estimate")
-    return DensityResult(point=x, radii=list(radii), c_per_radius=cs,
-                         halfwidth=hw, c_fit=min(cs), samples=samples,
-                         seed=seed)
+        labels = dict(zip(SIDES, cmap.side_labels(x)))
+        for s in sides:
+            if labels[s] < 0:
+                skipped[s].append(r)
+                continue
+            pts = x + rng[s].uniform(-r, r, size=(samples, n))
+            # the squares added column by column, in np.sum's order
+            inside = sum((c - xi) ** 2 for c, xi in zip(pts.T, x)) <= r * r
+            hits = inside & (cmap.label_at(pts) == labels[s])
+            phat = float(np.count_nonzero(hits)) / samples
+            boxvol = (2.0 * r) ** n
+            vol = phat * boxvol
+            cs[s].append(vol / r ** n)
+            hw[s].append(1.96 * math.sqrt(phat * (1.0 - phat) / samples)
+                         * boxvol / r ** n)
+        del cmap                # before the next radius's labelling
+    out = {}
+    for s in sides:
+        for r in skipped[s]:
+            # the caller of the public function
+            warnings.warn(f"no component at radius {r}; skipped", stacklevel=3)
+        if not cs[s]:
+            raise NoComponentError(s)
+        out[s] = DensityResult(point=x, radii=list(radii), c_per_radius=cs[s],
+                               halfwidth=hw[s], c_fit=min(cs[s]),
+                               samples=samples, seed=seed)
+    return out

@@ -119,10 +119,14 @@ def order(gen: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def meets_window(gen, idx: np.ndarray, lo, hi) -> np.ndarray:
-    """Which closed cubes meet the closed box [lo, hi]."""
+    """Which closed cubes meet some closed box [lo_k, hi_k]; lo and hi are
+    (n,) for one box or (k, n) for a stack of k boxes."""
     s = sides(gen).reshape(-1, 1)
-    return reduce(np.logical_and,
-                  ((idx * s <= np.asarray(hi)) & ((idx + 1) * s >= np.asarray(lo))).T)
+    a, b = idx * s, (idx + 1) * s
+    return reduce(np.logical_or,
+                  (reduce(np.logical_and, ((a <= h) & (b >= l)).T)
+                   for l, h in zip(np.atleast_2d(lo), np.atleast_2d(hi))),
+                  np.zeros(len(idx), dtype=bool))
 
 
 def radix_strides(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -398,29 +398,39 @@ def trace_mismatch(lam: float, hs: list[float]) -> dict:
 
     For each grid scale h, Eu of u(x) = x_1 + sin(3 x_2)/2 is evaluated 2h
     inside the tent above every depth <= 3 gap midpoint and compared with u
-    at the surface point; local window decompositions supply cubes at the
-    matching scale.  Returns the per-h mean mismatches and the fitted decay
-    order in h.
+    at the surface point.  Each evaluation reads cubes at the matching
+    scale from a window of half-width 16h around its surface point: one
+    decomposition of N and one of Omega per h cover the stack of windows,
+    and restrict reads each window's off them, as whitney_decompose with
+    that window alone would build it.  Returns the per-h mean mismatches
+    and the fitted decay order in h.
     """
     def u_fn(X):
         return X[:, 0] + 0.5 * np.sin(3.0 * X[:, 1])
 
+    def mismatch(w, wt, box, m, g, h):
+        # one window's assembly, released before the next one is built
+        w, wt = w.restrict(box), wt.restrict(box)
+        asm = ExtensionAssembly(region_n=rn, region_omega=ro, w=w, wt=wt,
+                                reflect=reflect_assign(w, wt))
+        target = float(u_fn(np.array([[m, g]]))[0])
+        return abs(point_extend(np.array([m, g - 2.0 * h]), asm, u_fn) - target)
+
     n = 2
+    rn = region_spec("N_lambda", lam=lam, n=n)
+    ro = region_spec("Omega_lambda", lam=lam, n=n)
     mids = gap_midpoints(CantorSpec(lam=lam), 3)
     errs = []
     for h in hs:
         max_gen = int(round(math.log2(1.0 / h))) + 3
-        vals = []
-        for m, g in mids:
-            if g <= 8.0 * h:
-                continue
-            pad = 16.0 * h
-            asm = assemble(lam, n, max_gen,
-                           window=((m - pad, g - pad), (m + pad, g + pad)))
-            q_in = np.array([m, g - 2.0 * h])
-            target = float(u_fn(np.array([[m, g]]))[0])
-            vals.append(abs(point_extend(q_in, asm, u_fn) - target))
-        errs.append(float(np.mean(vals)))
+        pad = 16.0 * h
+        pts = [(m, g) for m, g in mids if g > 8.0 * h]
+        boxes = [((m - pad, g - pad), (m + pad, g + pad)) for m, g in pts]
+        w = whitney_decompose(rn, max_gen, window=boxes)
+        wt = whitney_decompose(ro, max_gen, window=boxes)
+        errs.append(float(np.mean([mismatch(w, wt, box, m, g, h)
+                                   for box, (m, g) in zip(boxes, pts)])))
+        del w, wt               # before the next scale's decompositions
     order = float(np.polyfit(np.log2(hs), np.log2(errs), 1)[0]) \
         if len(hs) >= 2 else math.nan
     return {"hs": list(hs), "mismatch": errs, "order": order}

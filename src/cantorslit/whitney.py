@@ -173,6 +173,7 @@ class WhitneyDecomposition:
     """Resolved and frontier cubes as (gen, idx) arrays sorted by (gen, idx).
 
     A resolved cube is named by its row; cubes and frontier are views.
+    window is None, one box ((lo), (hi)), or a tuple of two or more boxes.
     """
 
     oracle: object
@@ -183,8 +184,10 @@ class WhitneyDecomposition:
     hi_q: np.ndarray
     frontier_gen: np.ndarray
     frontier_idx: np.ndarray
+    # per frontier cube: passive, never bracketed (none without a frontier)
+    frontier_stranded: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=bool))
     window: tuple | None = None
-    stranded: int = 0                  # frontier cubes never bracketed
     _adj: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -201,6 +204,36 @@ class WhitneyDecomposition:
     def frontier(self) -> CubeView:
         return CubeView(self.frontier_gen, self.frontier_idx)
 
+    @property
+    def stranded(self) -> int:
+        """Frontier cubes never bracketed."""
+        return int(np.count_nonzero(self.frontier_stranded))
+
+    def restrict(self, box) -> WhitneyDecomposition:
+        """The decomposition with window=box, read off this one.
+
+        box is a box (lo, hi) or a stack of them, each inside one box of
+        this decomposition's window (any box when it has none).  The result
+        keeps the resolved and frontier cubes meeting box, with their
+        brackets and stranded flags, and equals whitney_decompose(...,
+        window=box) bit for bit (see whitney_decompose).
+        """
+        boxes, window = _window(box, self.n)
+        if self.window is not None:
+            own = _window(self.window, self.n)[0]
+            if not all(np.any(np.all((own[:, 0] <= lo) & (hi <= own[:, 1]),
+                                     axis=1)) for lo, hi in boxes):
+                raise ValueError("box must lie inside one box of the window")
+        keep = meets_window(self.gen, self.idx, boxes[:, 0], boxes[:, 1])
+        fkeep = meets_window(self.frontier_gen, self.frontier_idx,
+                             boxes[:, 0], boxes[:, 1])
+        return WhitneyDecomposition(
+            oracle=self.oracle, n=self.n, gen=self.gen[keep],
+            idx=self.idx[keep], lo_q=self.lo_q[keep], hi_q=self.hi_q[keep],
+            frontier_gen=self.frontier_gen[fkeep],
+            frontier_idx=self.frontier_idx[fkeep],
+            frontier_stranded=self.frontier_stranded[fkeep], window=window)
+
     def adjacency(self) -> dict[int, list[int]]:
         """row -> sorted rows of the cubes whose closures touch it."""
         if self._adj is None:
@@ -211,6 +244,14 @@ class WhitneyDecomposition:
     def frontier_fraction(self) -> float:
         total = len(self.gen) + len(self.frontier_gen)
         return len(self.frontier_gen) / total if total else 0.0
+
+
+def _window(window, n: int) -> tuple[np.ndarray, tuple]:
+    """(k, 2, n) float array of a box (lo, hi) or a stack of k boxes, and
+    its WhitneyDecomposition.window: the box itself when k is 1."""
+    boxes = np.asarray(window, dtype=float).reshape(-1, 2, n)
+    key = tuple(tuple(map(tuple, b)) for b in boxes.tolist())
+    return boxes, key[0] if len(key) == 1 else key
 
 
 def _bracket_cubes(oracle, gen, idx: np.ndarray, corners=None):
@@ -280,8 +321,15 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
     """Certified truncated Whitney decomposition of N_lambda or Omega_lambda.
 
     Brackets come from oracle_for(region), to the descent tolerance 2^-40.
-    window, when given, prunes cubes whose closure misses the box (lo, hi);
-    the result is then a local decomposition and tiling checks do not apply.
+    window, when given, is a box (lo, hi) or a stack of boxes, and prunes
+    each cube whose closure misses every box; the result is then a local
+    decomposition and tiling checks do not apply.  restrict(box) reads the
+    decomposition windowed to one box of the stack off the stacked one, bit
+    for bit: a cube meets box exactly when every ancestor does, so both
+    runs examine each cube meeting box; its brackets come from
+    row-independent oracle calls on its own samples (_bracket_cubes), and
+    its L and inherited corner brackets from its ancestors only, so each
+    run decides it the same way.
 
     Each live cube carries L, the largest lo_q of itself and its ancestors.
     A generation-g cube with L - margin > 4 sqrt(n) 2^-g moves to a passive
@@ -295,7 +343,8 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
       - never dropped: L > 0 means an ancestor with lo_q > 0 was kept, so
         its centre is inside; that closed cube then lies inside the region
         and each descendant's centre computes inside (as in _bracket_cubes).
-    The passive cubes that reach the frontier are counted in `stranded`.
+    The passive cubes that reach the frontier are flagged in
+    frontier_stranded and counted in stranded.
     """
     if max_gen < 4:
         raise ValueError("max_gen must be >= 4")
@@ -304,7 +353,8 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
     sqrtn = math.sqrt(n)
     margin = 16.0 * DEFAULT_TOL
     if window is not None:
-        window = tuple(tuple(np.asarray(w, dtype=float)) for w in window)
+        boxes, window = _window(window, n)
+        lo, hi = boxes[:, 0], boxes[:, 1]
     # corners: the brackets of active's corner samples, bracketed the round
     # before as their parents' samples; none for the roots.  L: the
     # inherited certified lower bound per active cube
@@ -316,11 +366,11 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
               np.zeros(0), np.zeros(0))]
     for g in range(max_gen + 1):
         if window is not None:
-            meets = meets_window(g, active, *window)
+            meets = meets_window(g, active, lo, hi)
             active, L = active[meets], L[meets]
             if corners is not None:
                 corners = corners[..., meets]
-            passive = passive[meets_window(g, passive, *window)]
+            passive = passive[meets_window(g, passive, lo, hi)]
         live = L - margin <= 4.0 * sqrtn * math.ldexp(1.0, -g)
         if not live.all():
             passive = np.concatenate([passive, active[~live]])
@@ -348,11 +398,13 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
     fidx = np.concatenate([active, passive])
     fgen = np.full(len(fidx), max_gen, dtype=np.int64)
     fperm = order(fgen, fidx)
+    stranded = np.arange(len(fidx)) >= len(active)
     return WhitneyDecomposition(oracle=oracle, n=n, gen=gen[perm],
                                 idx=idx[perm], lo_q=lo_q[perm], hi_q=hi_q[perm],
                                 frontier_gen=fgen[fperm],
-                                frontier_idx=fidx[fperm], window=window,
-                                stranded=len(passive))
+                                frontier_idx=fidx[fperm],
+                                frontier_stranded=stranded[fperm],
+                                window=window)
 
 
 def _build_adjacency(idx: np.ndarray, index: CubeIndex) -> dict[int, list[int]]:

@@ -106,19 +106,21 @@ def test_omega2_commands_in_bounded_memory():
 
 
 def test_density_point_defaults_to_origin(monkeypatch):
-    """Without --point, density runs at the origin in --n dimensions."""
+    """Without --point, density runs at the origin in --n dimensions, with
+    one call for both sides."""
     import cantorslit.cli as cli
 
     seen = []
 
     def record(spec, point, radii, **kw):
         seen.append((spec.n, list(point)))
-        return SimpleNamespace(c_fit=0.0, radii=radii, c_per_radius=[0.0],
-                               halfwidth=0.0)
-    monkeypatch.setattr(cli, "measure_density_check", record)
+        res = SimpleNamespace(c_fit=0.0, radii=radii, c_per_radius=[0.0],
+                              halfwidth=0.0)
+        return {"upper": res, "lower": res}
+    monkeypatch.setattr(cli, "measure_density_sides", record)
     for n in (2, 3):
         assert run_cli(["density", "--n", str(n), "--radii", "1/4"]) == 0
-    assert seen == [(2, [0.0, 0.0])] * 2 + [(3, [0.0, 0.0, 0.0])] * 2
+    assert seen == [(2, [0.0, 0.0]), (3, [0.0, 0.0, 0.0])]
 
 
 @pytest.mark.parametrize("point", ["0.5,0", "5,5"])
@@ -267,7 +269,7 @@ def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
         raise AssertionError("work started on a bad argument")
     for name in ("whitney_decompose", "assemble", "bound_report",
                  "grid_sample", "origin_jump", "region_membership",
-                 "component_label", "measure_density_check",
+                 "component_label", "measure_density_sides",
                  "build_net_hierarchy"):
         monkeypatch.setattr(cli, name, no_work)
     with pytest.raises(SystemExit) as exc:

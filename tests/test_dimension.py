@@ -1,14 +1,19 @@
 """Tests for separated nets, the dimension estimator, and density checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import cantorslit.dimension
 from cantorslit.cantor import CantorSpec
 from cantorslit.dimension import (
+    NoComponentError,
     build_net_hierarchy,
     cantor_candidates,
     dim_upper_estimate,
     measure_density_check,
+    measure_density_sides,
     separated_net,
 )
 from cantorslit.regions import component_label, region_spec
@@ -123,6 +128,52 @@ def test_density_matches_row_reference(side):
         d = rng.uniform(-1.0, 1.0, size=(100000, n))
         col = sum(c ** 2 for c in d.T)
         assert col.tobytes() == np.sum(d ** 2, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("point, radii, skips", [
+    ((0.0, 0.0), [0.25, 0.125], 0),
+    # the lower witness lies in the tent at radius 1/4 only
+    ((0.5, 0.252), [0.25, 0.03125, 0.25], 2),
+])
+def test_density_sides_match_one_side_each(point, radii, skips, monkeypatch):
+    """Both sides from one labelling per radius equal each side alone, bit
+    for bit, even where one side skips a radius; the skip warnings come
+    side by side, as two one-side calls give them."""
+    ro = region_spec("Omega_lambda", lam=0.25)
+    labelled = []
+
+    def record(*args):
+        labelled.append(args[2])
+        return component_label(*args)
+    monkeypatch.setattr(cantorslit.dimension, "component_label", record)
+    with warnings.catch_warnings(record=True) as both:
+        warnings.simplefilter("always")
+        got = measure_density_sides(ro, point, radii, samples=3000, seed=9)
+    assert labelled == radii
+    with warnings.catch_warnings(record=True) as each:
+        warnings.simplefilter("always")
+        want = {side: measure_density_check(ro, point, radii, samples=3000,
+                                            seed=9, side=side)
+                for side in ("upper", "lower")}
+    assert list(got) == ["upper", "lower"]
+    for side in got:
+        for name in ("c_per_radius", "halfwidth", "c_fit", "radii"):
+            assert getattr(got[side], name) == getattr(want[side], name)
+    assert len(both) == skips
+    assert [str(w.message) for w in both] == [str(w.message) for w in each]
+    # the warnings point at the caller, as one-side calls' do
+    assert all(w.filename == __file__ for w in both + each)
+
+
+def test_density_sides_name_first_side_without_component():
+    ro = region_spec("Omega_lambda", lam=0.25)
+    with pytest.warns(UserWarning, match="radius 0.25"), \
+            pytest.raises(NoComponentError) as exc:
+        measure_density_sides(ro, (0.5, 0.252), [0.25], samples=100)
+    assert exc.value.side == "lower"
+    with pytest.warns(UserWarning), pytest.raises(NoComponentError) as exc:
+        measure_density_sides(ro, (5.0, 5.0), [0.25], samples=100)
+    assert exc.value.side == "upper"
 
 
 def test_density_full_ball_interior():

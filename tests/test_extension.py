@@ -26,6 +26,7 @@ from cantorslit.extension import (
     partition_of_unity,
     point_extend,
     thm_upper_curve,
+    trace_mismatch,
 )
 from cantorslit.fields import GridField, _cells_in_box, _grid_axes, grid_sample
 from cantorslit.regions import (membership_grid, region_membership_many,
@@ -535,3 +536,16 @@ def test_point_extend_matches_grid_for_affine(asm):
     # averages of an affine function over reflected cubes below the surface
     # stay within the function's range over the unit neighborhood
     assert 0.0 <= val <= 4.0
+
+
+def test_trace_mismatch_pinned():
+    """The trace study's mismatches and order at h = 2^-8, 2^-9, bit for bit.
+
+    Criterion 6 checks only that the order is at least 0.8; these are the
+    values of the per-window decompositions, which the windows' stacked
+    decomposition must reproduce.
+    """
+    tr = trace_mismatch(0.25, [2.0 ** -8, 2.0 ** -9])
+    assert tr["hs"] == [2.0 ** -8, 2.0 ** -9]
+    assert tr["mismatch"] == [0.00688914762443954, 0.0034505235385685618]
+    assert tr["order"] == 0.9975102185243298

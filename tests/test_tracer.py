@@ -4,7 +4,8 @@ perfbench/spans.py replaces functions of the package by name; a rename or
 deletion in src/ breaks traced benchmark runs.  The first test installs the
 tracer on the imported package and takes it off again, without running a
 workload; the middle ones check traced counters and results on small
-calls; the last runs the harness self-test on small instances.
+calls (the trace study's decompositions among them); the last runs the
+harness self-test on small instances.
 """
 
 import importlib.util
@@ -162,6 +163,33 @@ def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
     # on the finest lattice, no point is sent twice
     finest = np.concatenate([Z << (max_gen - g) for g, Z in zip(gens, lattice)])
     assert len(np.unique(finest, axis=0)) == len(finest)
+
+
+def test_traced_trace_mismatch_decomposes_once_per_scale():
+    """The trace study decomposes N and Omega once per grid scale.
+
+    Each h has several windows, each with its own reflect_assign and
+    point_extend, but only two whitney_decompose spans, and the traced
+    result equals the untraced one.
+    """
+    spans = _spans_module()
+    ext = cantorslit.extension
+    hs = [2.0 ** -8, 2.0 ** -9]
+    want = ext.trace_mismatch(0.25, hs)
+    tracer = spans.Tracer("tier-1")
+    tracer.install()
+    try:
+        got = ext.trace_mismatch(0.25, hs)
+    finally:
+        tracer.uninstall()
+    assert got == want
+    names = [s["name"] for s in tracer.spans]
+    m = spans.layer_metrics(tracer.spans)
+    assert names.count("whitney.decompose") == 2 * len(hs)
+    assert m["whitney.decompose_calls"] == 2 * len(hs)
+    windows = names.count("extension.point_extend")
+    assert windows == names.count("whitney.reflect") > 2 * len(hs)
+    assert "extension.assemble" not in names
 
 
 def test_traced_jump_keeps_support(monkeypatch):

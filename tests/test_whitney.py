@@ -278,6 +278,80 @@ def test_passive_cubes_are_never_bracketed(kind, lam, n, max_gen, stranded,
     assert dec.stranded <= len(dec.frontier)
 
 
+# box corners in units of 2^-3
+BOX_UNIT = 3
+
+
+@st.composite
+def box_stacks(draw, bbox):
+    """1-4 boxes on the 2^-3 lattice, the first with its lower corner in
+    bbox; each later one overlaps, nests in, misses, or shares a face with
+    an earlier one."""
+    lo = np.array([draw(st.integers(int(a), int(b) - 1))
+                   for a, b in np.ldexp(bbox, BOX_UNIT).T])
+    n = len(lo)
+    size = np.array([draw(st.integers(1, 5)) for _ in range(n)])
+    boxes = [(lo, lo + size)]
+    for _ in range(draw(st.integers(0, 3))):
+        blo, bhi = boxes[draw(st.integers(0, len(boxes) - 1))]
+        width, axis = bhi - blo, draw(st.integers(0, n - 1))
+        step = np.zeros(n, dtype=np.int64)
+        how = draw(st.sampled_from(("overlap", "nested", "disjoint", "touch")))
+        if how == "nested":
+            a = np.array([draw(st.integers(0, int(w))) for w in width])
+            b = np.array([draw(st.integers(int(x), int(w)))
+                          for x, w in zip(a, width)])
+            boxes.append((blo + a, blo + b))
+            continue
+        if how == "overlap":
+            step[axis] = draw(st.integers(0, max(int(width[axis]) - 1, 0)))
+        else:
+            step[axis] = width[axis] + (how == "disjoint") * draw(
+                st.integers(1, 4))
+        step[axis] *= draw(st.sampled_from((-1, 1)))
+        boxes.append((blo + step, bhi + step))
+    return [np.ldexp(np.stack(b), -BOX_UNIT).tolist() for b in boxes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(("N_lambda", "Omega_lambda")),
+       n=st.sampled_from((2, 3)))
+def test_restrict_matches_windowed_decompose(data, kind, n):
+    """One run over a stack of boxes gives each box's decomposition.
+
+    restrict(box) equals whitney_decompose with window=box in every array,
+    in stranded and in window, bit for bit; a one-box stack is the box.
+    """
+    region = region_spec(kind, lam=LAM, n=n)
+    stack = data.draw(box_stacks(region.bbox))
+    max_gen = data.draw(st.integers(6, 8) if n == 2 else st.integers(4, 5))
+    whole = whitney_decompose(region, max_gen, window=stack)
+    names = ("gen", "idx", "lo_q", "hi_q", "frontier_gen", "frontier_idx",
+             "frontier_stranded")
+    for box in stack:
+        want = whitney_decompose(region, max_gen, window=box)
+        for got in (whole.restrict(box),
+                    whitney_decompose(region, max_gen, window=[box])):
+            for name in names:
+                assert _same_bits(getattr(got, name), getattr(want, name)), name
+            assert got.stranded == want.stranded
+            assert got.window == want.window == tuple(map(tuple, box))
+
+
+def test_restrict_rejects_box_outside_window():
+    region = region_spec("N_lambda", lam=LAM)
+    dec = whitney_decompose(region, 6, window=[((0.0, 0.0), (0.25, 0.25)),
+                                               ((0.5, 0.0), (0.75, 0.25))])
+    with pytest.raises(ValueError, match="inside one box"):
+        dec.restrict(((0.0, 0.0), (0.75, 0.25)))
+    # an unwindowed decomposition restricts to any box
+    box = ((0.25, -0.125), (0.5, 0.125))
+    got = whitney_decompose(region, 6).restrict(box)
+    want = whitney_decompose(region, 6, window=box)
+    assert _same_bits(got.idx, want.idx) and _same_bits(got.lo_q, want.lo_q)
+    assert _same_bits(got.frontier_idx, want.frontier_idx)
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(("N_lambda", "Omega_lambda")),
        n=st.integers(2, 4), gen=st.integers(0, 20),
