@@ -105,20 +105,19 @@ class ExtensionAssembly:
     wt: WhitneyDecomposition
     reflect: ReflectAssignment
 
+    @classmethod
+    def of(cls, w: WhitneyDecomposition,
+           wt: WhitneyDecomposition) -> ExtensionAssembly:
+        """The assembly of a decomposition w of N and wt of Omega."""
+        return cls(region_n=w.oracle.region, region_omega=wt.oracle.region,
+                   w=w, wt=wt, reflect=reflect_assign(w, wt))
 
-def assemble(lam: float, n: int, max_gen: int,
-             window=None) -> ExtensionAssembly:
-    """Build the Whitney data backing the extension operator.
 
-    window, a box (lo, hi), restricts both decompositions to the cubes
-    meeting it (see whitney_decompose).
-    """
-    rn = region_spec("N_lambda", lam=lam, n=n)
-    ro = region_spec("Omega_lambda", lam=lam, n=n)
-    w = whitney_decompose(rn, max_gen, window=window)
-    wt = whitney_decompose(ro, max_gen, window=window)
-    return ExtensionAssembly(region_n=rn, region_omega=ro, w=w, wt=wt,
-                             reflect=reflect_assign(w, wt))
+def assemble(lam: float, n: int, max_gen: int) -> ExtensionAssembly:
+    """Build the Whitney data backing the extension operator."""
+    return ExtensionAssembly.of(
+        whitney_decompose(region_spec("N_lambda", lam=lam, n=n), max_gen),
+        whitney_decompose(region_spec("Omega_lambda", lam=lam, n=n), max_gen))
 
 
 def cube_average(u: GridField, Q) -> float:
@@ -410,15 +409,12 @@ def trace_mismatch(lam: float, hs: list[float]) -> dict:
 
     def mismatch(w, wt, box, m, g, h):
         # one window's assembly, released before the next one is built
-        w, wt = w.restrict(box), wt.restrict(box)
-        asm = ExtensionAssembly(region_n=rn, region_omega=ro, w=w, wt=wt,
-                                reflect=reflect_assign(w, wt))
+        asm = ExtensionAssembly.of(w.restrict(box), wt.restrict(box))
         target = float(u_fn(np.array([[m, g]]))[0])
         return abs(point_extend(np.array([m, g - 2.0 * h]), asm, u_fn) - target)
 
-    n = 2
-    rn = region_spec("N_lambda", lam=lam, n=n)
-    ro = region_spec("Omega_lambda", lam=lam, n=n)
+    rn = region_spec("N_lambda", lam=lam, n=2)
+    ro = region_spec("Omega_lambda", lam=lam, n=2)
     mids = gap_midpoints(CantorSpec(lam=lam), 3)
     errs = []
     for h in hs:

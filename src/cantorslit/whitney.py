@@ -173,7 +173,7 @@ class WhitneyDecomposition:
     """Resolved and frontier cubes as (gen, idx) arrays sorted by (gen, idx).
 
     A resolved cube is named by its row; cubes and frontier are views.
-    window is None, one box ((lo), (hi)), or a tuple of two or more boxes.
+    window is None or a tuple of boxes ((lo), (hi)).
     """
 
     oracle: object
@@ -184,9 +184,7 @@ class WhitneyDecomposition:
     hi_q: np.ndarray
     frontier_gen: np.ndarray
     frontier_idx: np.ndarray
-    # per frontier cube: passive, never bracketed (none without a frontier)
-    frontier_stranded: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=bool))
+    frontier_stranded: np.ndarray      # per frontier cube: never bracketed
     window: tuple | None = None
     _adj: dict | None = field(default=None, repr=False)
 
@@ -212,27 +210,26 @@ class WhitneyDecomposition:
     def restrict(self, box) -> WhitneyDecomposition:
         """The decomposition with window=box, read off this one.
 
-        box is a box (lo, hi) or a stack of them, each inside one box of
-        this decomposition's window (any box when it has none).  The result
-        keeps the resolved and frontier cubes meeting box, with their
-        brackets and stranded flags, and equals whitney_decompose(...,
-        window=box) bit for bit (see whitney_decompose).
+        box (lo, hi) lies inside one box of this decomposition's window (any
+        box when it has none).  The result keeps the resolved and frontier
+        cubes meeting box, with their brackets and stranded flags, and
+        equals whitney_decompose(..., window=box) bit for bit (see
+        whitney_decompose).
         """
-        boxes, window = _window(box, self.n)
-        if self.window is not None:
-            own = _window(self.window, self.n)[0]
-            if not all(np.any(np.all((own[:, 0] <= lo) & (hi <= own[:, 1]),
-                                     axis=1)) for lo, hi in boxes):
-                raise ValueError("box must lie inside one box of the window")
-        keep = meets_window(self.gen, self.idx, boxes[:, 0], boxes[:, 1])
-        fkeep = meets_window(self.frontier_gen, self.frontier_idx,
-                             boxes[:, 0], boxes[:, 1])
+        lo, hi = np.asarray(box, dtype=float).reshape(2, self.n)
+        if self.window is not None and not any(
+                np.all((own_lo <= lo) & (hi <= own_hi))
+                for own_lo, own_hi in np.array(self.window)):
+            raise ValueError("box must lie inside one box of the window")
+        keep = meets_window(self.gen, self.idx, lo, hi)
+        fkeep = meets_window(self.frontier_gen, self.frontier_idx, lo, hi)
         return WhitneyDecomposition(
             oracle=self.oracle, n=self.n, gen=self.gen[keep],
             idx=self.idx[keep], lo_q=self.lo_q[keep], hi_q=self.hi_q[keep],
             frontier_gen=self.frontier_gen[fkeep],
             frontier_idx=self.frontier_idx[fkeep],
-            frontier_stranded=self.frontier_stranded[fkeep], window=window)
+            frontier_stranded=self.frontier_stranded[fkeep],
+            window=_window(box, self.n))
 
     def adjacency(self) -> dict[int, list[int]]:
         """row -> sorted rows of the cubes whose closures touch it."""
@@ -246,12 +243,11 @@ class WhitneyDecomposition:
         return len(self.frontier_gen) / total if total else 0.0
 
 
-def _window(window, n: int) -> tuple[np.ndarray, tuple]:
-    """(k, 2, n) float array of a box (lo, hi) or a stack of k boxes, and
-    its WhitneyDecomposition.window: the box itself when k is 1."""
-    boxes = np.asarray(window, dtype=float).reshape(-1, 2, n)
-    key = tuple(tuple(map(tuple, b)) for b in boxes.tolist())
-    return boxes, key[0] if len(key) == 1 else key
+def _window(window, n: int) -> tuple:
+    """WhitneyDecomposition.window of a box (lo, hi) or a stack of boxes:
+    a tuple of the boxes."""
+    boxes = np.asarray(window, dtype=float).reshape(-1, 2, n).tolist()
+    return tuple(tuple(map(tuple, b)) for b in boxes)
 
 
 def _bracket_cubes(oracle, gen, idx: np.ndarray, corners=None):
@@ -353,8 +349,8 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
     sqrtn = math.sqrt(n)
     margin = 16.0 * DEFAULT_TOL
     if window is not None:
-        boxes, window = _window(window, n)
-        lo, hi = boxes[:, 0], boxes[:, 1]
+        window = _window(window, n)
+        lo, hi = np.swapaxes(window, 0, 1)
     # corners: the brackets of active's corner samples, bracketed the round
     # before as their parents' samples; none for the roots.  L: the
     # inherited certified lower bound per active cube

@@ -12,6 +12,7 @@ import cantorslit.extension as extension
 from cantorslit.cantor import CantorSpec
 from cantorslit.dyadic import DyadicCube
 from cantorslit.extension import (
+    ExtensionAssembly,
     _bump_profile,
     assemble,
     bound_report,
@@ -229,7 +230,10 @@ def test_extend_matches_reference(asm, monkeypatch):
     a random mask, and at n = 3.  Tent membership is classified on the
     tent's box only.
     """
-    win = assemble(LAM, n=2, max_gen=6, window=((0.25, -0.5), (0.5, 0.5)))
+    box = ((0.25, -0.5), (0.5, 0.5))
+    win = ExtensionAssembly.of(
+        whitney_decompose(asm.region_n, 6, window=box),
+        whitney_decompose(asm.region_omega, 6, window=box))
     asm3 = assemble(LAM, n=3, max_gen=4)
     omega = asm.region_omega.bbox
     cases = [   # (assembly, h, bbox, random mask instead of the region's)

@@ -89,7 +89,8 @@ def test_verifier_flags_planted_defects():
         oracle=oracle_for(region_spec("N_lambda", lam=LAM)), n=2,
         gen=gen[perm], idx=idx[perm], lo_q=np.zeros(4), hi_q=np.zeros(4),
         frontier_gen=np.zeros(0, dtype=np.int64),
-        frontier_idx=np.zeros((0, 2), dtype=np.int64))
+        frontier_idx=np.zeros((0, 2), dtype=np.int64),
+        frontier_stranded=np.zeros(0, dtype=bool))
     rep = verify_whitney(dec)
     assert rep.w2_violations == 1
     assert rep.w4_violations == 1
@@ -335,7 +336,7 @@ def test_restrict_matches_windowed_decompose(data, kind, n):
             for name in names:
                 assert _same_bits(getattr(got, name), getattr(want, name)), name
             assert got.stranded == want.stranded
-            assert got.window == want.window == tuple(map(tuple, box))
+            assert got.window == want.window == (tuple(map(tuple, box)),)
 
 
 def test_restrict_rejects_box_outside_window():
@@ -344,6 +345,8 @@ def test_restrict_rejects_box_outside_window():
                                                ((0.5, 0.0), (0.75, 0.25))])
     with pytest.raises(ValueError, match="inside one box"):
         dec.restrict(((0.0, 0.0), (0.75, 0.25)))
+    with pytest.raises(ValueError):     # one box, not a stack
+        dec.restrict(dec.window)
     # an unwindowed decomposition restricts to any box
     box = ((0.25, -0.125), (0.5, 0.125))
     got = whitney_decompose(region, 6).restrict(box)
@@ -697,7 +700,8 @@ def test_reflect_tie_goes_to_smaller_gen_idx():
             oracle=None, n=2, gen=gen, idx=idx,
             lo_q=np.zeros(len(idx)), hi_q=np.zeros(len(idx)),
             frontier_gen=np.zeros(0, dtype=np.int64),
-            frontier_idx=np.zeros((0, 2), dtype=np.int64))
+            frontier_idx=np.zeros((0, 2), dtype=np.int64),
+        frontier_stranded=np.zeros(0, dtype=bool))
     # the first two tent cubes sit halfway between two same-side complement
     # cubes; the third has no complement cube in its column
     w = dec([[1, -3], [1, 2], [3, 2]])
@@ -808,7 +812,8 @@ def _hand_built(cubes):
         oracle=None, n=2, gen=gen[perm], idx=idx[perm],
         lo_q=np.zeros(len(gen)), hi_q=np.zeros(len(gen)),
         frontier_gen=np.zeros(0, dtype=np.int64),
-        frontier_idx=np.zeros((0, 2), dtype=np.int64))
+        frontier_idx=np.zeros((0, 2), dtype=np.int64),
+        frontier_stranded=np.zeros(0, dtype=bool))
 
 
 @pytest.mark.parametrize("cubes, source, want", [
