@@ -165,6 +165,9 @@ class DensityResult:
 
 SIDES = ("upper", "lower")
 
+# uniform draws per block of a density estimate: bounds its temporaries
+_DRAW_BLOCK = 1 << 16
+
 
 class NoComponentError(ValueError):
     """No radius found a component on one side of the point."""
@@ -183,6 +186,10 @@ def measure_density_check(region: RegionSpec, x, radii: list[float],
     spacing r/256, attached through the witness of ComponentMap.side_labels
     on the requested side, and its volume inside B(x, r) is estimated
     from `samples` seeded uniform draws in the bounding box of the ball.
+    The draws are streamed in blocks of _DRAW_BLOCK rows of the one
+    generator stream, which fills in C order, so the hit count is that of
+    one draw of all `samples` rows, bit for bit, and memory does not grow
+    with `samples`.
     c_fit is the minimum over radii of volume / r^n, with 95% confidence
     half-widths reported per radius.  Radii with no component on the side
     are skipped with a warning; NoComponentError when all are.
@@ -221,11 +228,15 @@ def _measure_density(region, x, radii, samples, seed, sides):
             if labels[s] < 0:
                 skipped[s].append(r)
                 continue
-            pts = x + rng[s].uniform(-r, r, size=(samples, n))
-            # the squares added column by column, in np.sum's order
-            inside = sum((c - xi) ** 2 for c, xi in zip(pts.T, x)) <= r * r
-            hits = inside & (cmap.label_at(pts) == labels[s])
-            phat = float(np.count_nonzero(hits)) / samples
+            hits = 0
+            for a in range(0, samples, _DRAW_BLOCK):
+                size = (min(_DRAW_BLOCK, samples - a), n)
+                pts = x + rng[s].uniform(-r, r, size=size)
+                # the squares added column by column, in np.sum's order
+                inside = sum((c - xi) ** 2 for c, xi in zip(pts.T, x)) <= r * r
+                hits += int(np.count_nonzero(
+                    inside & (cmap.label_at(pts) == labels[s])))
+            phat = float(hits) / samples
             boxvol = (2.0 * r) ** n
             vol = phat * boxvol
             cs[s].append(vol / r ** n)

@@ -41,6 +41,9 @@ UNASSIGNED = -2
 # the region kinds with a certified distance oracle
 ORACLE_KINDS = ("N_lambda", "Omega_lambda")
 
+# cube samples per _bracket_cubes block: bounds the oracle's temporaries
+_BLOCK_SAMPLES = 1 << 15
+
 
 # ---------------------------------------------------------------------------
 # distance oracles
@@ -257,10 +260,12 @@ def _bracket_cubes(oracle, gen, idx: np.ndarray, corners=None):
     samples (offsets {0, 1/2, 1}^n).  The samples are the points
     Z 2^-(top+1) of one integer lattice, Z = (2 idx + {0,1,2}^n) << (top -
     gen) with top the finest generation, so cubes of any generations share
-    their corner and edge samples, and each distinct point is sent to
-    bracket_many once.  It is row-independent and every sample is an exact
-    dyadic, so the brackets are those of sampling each cube on its own, bit
-    for bit.
+    their corner and edge samples.  The cubes go in consecutive blocks of at
+    most _BLOCK_SAMPLES // 3^n, so the temporaries do not grow with m; each
+    distinct point of a block is sent to bracket_many once, and a point
+    shared across a block seam once per block.  bracket_many is
+    row-independent and every sample is an exact dyadic, so the brackets are
+    those of sampling each cube on its own, bit for bit, at any block size.
 
     corners, when given, holds the (lo, hi) brackets of the 2^n corner
     samples (offsets {0, 2}^n) as a (2, 2^n, m) array, as _child_corners
@@ -276,24 +281,30 @@ def _bracket_cubes(oracle, gen, idx: np.ndarray, corners=None):
     offs = np.array(list(product((0, 1, 2), repeat=n)), dtype=np.int64)
     new = np.any(offs % 2 == 1, axis=1) | (corners is None)
     gen = np.broadcast_to(gen, (m,))
-    top = int(gen.max())
-    shift = (top - gen)[:, None]
-    # lower corners on the finest generation's lattice
-    base = (2 * idx) << shift
-    zlo, zhi = base.min(axis=0), (base + (2 << shift)).max(axis=0)
-    Z = (base[:, None, :] + (offs[new] << shift[:, None])).reshape(-1, n)
-    _, first, inv = np.unique((Z - zlo) @ radix_strides(zlo, zhi),
-                              return_index=True, return_inverse=True)
     samples = np.empty((2, len(offs), m))
-    # samples down the rows: np.min over a short last axis is ~2x slower
-    samples[:, new] = np.stack(oracle.bracket_many(
-        np.ldexp(Z[first], -(top + 1))))[:, inv.reshape(m, -1).T]
     if corners is not None:
         samples[:, ~new] = corners
-    lo_q = np.maximum(0.0, reduce(np.minimum, samples[0])
-                      - math.sqrt(n) * sides(gen) / 4.0)
-    hi_q = reduce(np.minimum, samples[1])
-    center = oracle.member_many(np.ldexp(2 * idx + 1, -(gen + 1)[:, None]))
+    lo_q, hi_q, center = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+    step = max(1, _BLOCK_SAMPLES // len(offs))
+    for a in range(0, m, step):
+        blk = slice(a, a + step)
+        g, q, s = gen[blk], idx[blk], samples[..., blk]
+        top = int(g.max())
+        shift = (top - g)[:, None]
+        # lower corners on the block's finest generation's lattice
+        base = (2 * q) << shift
+        zlo, zhi = base.min(axis=0), (base + (2 << shift)).max(axis=0)
+        Z = (base[:, None, :] + (offs[new] << shift[:, None])).reshape(-1, n)
+        _, first, inv = np.unique((Z - zlo) @ radix_strides(zlo, zhi),
+                                  return_index=True, return_inverse=True)
+        # samples down the rows: np.min over a short last axis is ~2x slower
+        s[:, new] = np.stack(oracle.bracket_many(
+            np.ldexp(Z[first], -(top + 1))))[:, inv.reshape(len(q), -1).T]
+        lo_q[blk] = np.maximum(0.0, reduce(np.minimum, s[0])
+                               - math.sqrt(n) * sides(g) / 4.0)
+        hi_q[blk] = reduce(np.minimum, s[1])
+        center[blk] = oracle.member_many(np.ldexp(2 * q + 1,
+                                                  -(g + 1)[:, None]))
     return lo_q, hi_q, center, samples
 
 
@@ -317,6 +328,8 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
     """Certified truncated Whitney decomposition of N_lambda or Omega_lambda.
 
     Brackets come from oracle_for(region), to the descent tolerance 2^-40.
+    Each round brackets its cubes in blocks of _BLOCK_SAMPLES samples
+    (_bracket_cubes), so peak memory follows the block, not the round.
     window, when given, is a box (lo, hi) or a stack of boxes, and prunes
     each cube whose closure misses every box; the result is then a local
     decomposition and tiling checks do not apply.  restrict(box) reads the

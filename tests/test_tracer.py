@@ -85,17 +85,25 @@ def test_traced_claim_count_counters():
     assert m["whitney.adjacency_edges"] == edges // 2
 
 
-def test_traced_decompose_matches_untraced():
-    """The tracer's oracle wrapper changes no result and counts each round.
+def test_traced_decompose_matches_untraced(monkeypatch):
+    """The tracer's oracle wrapper changes no result and counts each block.
 
     A round brackets cubes only while some cube is live (not passive); here
-    live cubes near the slit reach the max_gen round, so bracket_many runs
-    max_gen + 1 times.
+    live cubes near the slit reach the max_gen round.  Each round's cubes go
+    to bracket_many in blocks of _BLOCK_SAMPLES // 3^n, one call per block:
+    10 calls over the 7 rounds, as rounds 5 and 6 split.
     """
     spans = _spans_module()
     whitney = cantorslit.whitney
     region, max_gen = region_spec("Omega_lambda", lam=0.25), 6
+    bracket_cubes, rounds = whitney._bracket_cubes, []
+
+    def record(oracle, gen, idx, corners=None):
+        rounds.append(len(idx))
+        return bracket_cubes(oracle, gen, idx, corners)
+    monkeypatch.setattr(whitney, "_bracket_cubes", record)
     want = whitney.whitney_decompose(region, max_gen)
+    monkeypatch.setattr(whitney, "_bracket_cubes", bracket_cubes)
     tracer = spans.Tracer("tier-1")
     tracer.install()
     try:
@@ -106,30 +114,36 @@ def test_traced_decompose_matches_untraced():
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert len(want.frontier) > 0
     m = spans.layer_metrics(tracer.spans)
-    assert m["whitney.oracle_calls"] == max_gen + 1
+    block = whitney._BLOCK_SAMPLES // 3 ** 2
+    assert len(rounds) == max_gen + 1
+    assert m["whitney.oracle_calls"] == sum(-(-k // block) for k in rounds)
 
 
 @pytest.mark.parametrize("n, max_gen", [(2, 6), (3, 4)])
 def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
-    """Per round, one descent brackets the samples and centers decide sides.
+    """Per block, one descent brackets the samples and centers decide sides.
 
-    Under each bracket_many span only the slid-cone and gap-peak witnesses
-    ask for heights, one k_distance_many per horizontal axis each: 2(n-1)
-    spans.  The lateral-face witnesses read the batch's own descent.  Under
-    each member_many span every k_distance_many sees one point per cube of
-    the round, its center.  Each lattice point is bracketed once across the
-    rounds: after round 0 a cube's corners (all lattice coordinates even)
-    were its parent's samples, so no batch holds one.
+    Each round's cubes go in blocks of _BLOCK_SAMPLES // 3^n (N at n = 3
+    splits its max_gen round of 2,944 cubes in 3).  Under each bracket_many
+    span only the slid-cone and gap-peak witnesses ask for heights, one
+    k_distance_many per horizontal axis each: 2(n-1) spans.  The
+    lateral-face witnesses read the batch's own descent.  Under each
+    member_many span every k_distance_many sees one point per cube of the
+    block, its center.  Each lattice point is bracketed once per block and
+    in one round only: after round 0 a cube's corners (all lattice
+    coordinates even) were its parent's samples, so no batch holds one.
     """
     spans = _spans_module()
     whitney = cantorslit.whitney
-    cubes, gens, batches = [], [], []   # per round, in call order
+    cubes, gens, batches = [], [], []   # per block, in call order
     bracket_cubes = whitney._bracket_cubes
     bracket_many = whitney.RegionOracle.bracket_many
+    block = whitney._BLOCK_SAMPLES // 3 ** n
 
     def record(oracle, gen, idx, corners=None):
-        cubes.append(len(idx))
-        gens.append(gen)
+        k = len(idx)
+        cubes.extend(min(block, k - a) for a in range(0, k, block))
+        gens.extend([gen] * -(-k // block))
         return bracket_cubes(oracle, gen, idx, corners)
 
     def record_batch(oracle, X):
@@ -151,17 +165,22 @@ def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
                 for s in tracer.spans if s["name"] == name]
     brackets = descents_under("whitney.oracle.bracket_many")
     members = descents_under("whitney.oracle.member_many")
-    assert len(brackets) == len(members) == len(cubes) == max_gen + 1
+    assert len(brackets) == len(members) == len(cubes) == len(batches)
     assert [len(b) for b in brackets] == [2 * (n - 1)] * len(cubes)
     assert members == [[m] * (n - 1) for m in cubes]
 
-    assert gens == list(range(max_gen + 1)) and len(batches) == len(gens)
+    assert sorted(set(gens)) == list(range(max_gen + 1))
+    assert (max(cubes) == block) == (n == 3)
     lattice = [np.ldexp(X, g + 1).astype(np.int64) for g, X in zip(gens, batches)]
+    rounds = {}
     for g, X, Z in zip(gens, batches, lattice):
         assert np.array_equal(np.ldexp(Z, -(g + 1)), X)
         assert (g == 0) or not np.any(np.all(Z % 2 == 0, axis=1))
-    # on the finest lattice, no point is sent twice
-    finest = np.concatenate([Z << (max_gen - g) for g, Z in zip(gens, lattice)])
+        assert len(np.unique(Z, axis=0)) == len(Z)
+        rounds.setdefault(g, []).append(Z << (max_gen - g))
+    # on the finest lattice, no point is sent in two rounds
+    finest = np.concatenate([np.unique(np.concatenate(Zs), axis=0)
+                             for Zs in rounds.values()])
     assert len(np.unique(finest, axis=0)) == len(finest)
 
 
