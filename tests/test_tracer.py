@@ -135,15 +135,13 @@ def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
     """
     spans = _spans_module()
     whitney = cantorslit.whitney
-    cubes, gens, batches = [], [], []   # per block, in call order
+    calls, batches = [], []   # per round and per block, in call order
     bracket_cubes = whitney._bracket_cubes
     bracket_many = whitney.RegionOracle.bracket_many
     block = whitney._BLOCK_SAMPLES // 3 ** n
 
     def record(oracle, gen, idx, corners=None):
-        k = len(idx)
-        cubes.extend(min(block, k - a) for a in range(0, k, block))
-        gens.extend([gen] * -(-k // block))
+        calls.append((gen, len(idx)))
         return bracket_cubes(oracle, gen, idx, corners)
 
     def record_batch(oracle, X):
@@ -159,6 +157,9 @@ def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
     finally:
         tracer.uninstall()
 
+    gens = [g for g, k in calls for _ in range(-(-k // block))]
+    cubes = [min(block, k - a) for _, k in calls for a in range(0, k, block)]
+
     def descents_under(name):
         return [[c["points"] for c in tracer.spans if c["parent"] == s["id"]
                  and c["name"] == "cantor.k_distance_many"]
@@ -169,7 +170,8 @@ def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
     assert [len(b) for b in brackets] == [2 * (n - 1)] * len(cubes)
     assert members == [[m] * (n - 1) for m in cubes]
 
-    assert sorted(set(gens)) == list(range(max_gen + 1))
+    # one _bracket_cubes call per round, in round order
+    assert [g for g, _ in calls] == list(range(max_gen + 1))
     assert (max(cubes) == block) == (n == 3)
     lattice = [np.ldexp(X, g + 1).astype(np.int64) for g, X in zip(gens, batches)]
     rounds = {}
