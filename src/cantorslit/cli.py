@@ -209,7 +209,7 @@ def cmd_whitney_claim_count(args) -> Output:
     # sources without a projection-monotone chain are left out of the counts
     results = {"sources": res.sources, "unreachable": res.unreachable}
     try:
-        expo = res.fitted_exponent(args.k_max)
+        expo = res.fitted_exponent()
     except ValueError:              # fewer than two populated k values
         expo = math.nan
         results["fitted_exponent"] = None

@@ -395,23 +395,22 @@ def gap_midpoints(spec: CantorSpec, depth: int) -> np.ndarray:
 def trace_mismatch(lam: float, hs: list[float]) -> dict:
     """Planar pointwise trace study at the tent surface over gap midpoints.
 
-    For each grid scale h, Eu of u(x) = x_1 + sin(3 x_2)/2 is evaluated 2h
-    inside the tent above every depth <= 3 gap midpoint and compared with u
-    at the surface point.  Each evaluation reads cubes at the matching
-    scale from a window of half-width 16h around its surface point: one
-    decomposition of N and one of Omega per h cover the stack of windows,
-    and restrict reads each window's off them, as whitney_decompose with
-    that window alone would build it.  Returns the per-h mean mismatches
-    and the fitted decay order in h.
+    For each grid scale h, Eu of u(x) = x_1 + sin(3 x_2)/2 is evaluated at
+    x = (m, g - 2h) below every depth <= 3 gap midpoint (m, g) and compared
+    with u at (m, g).  One assembly per h, from the decompositions of N and
+    Omega windowed to the stack of boxes of half-width 16h around the
+    surface points, serves every point with its own box's value:
+      - a resolved cube of side s whose 9/8 bump reaches x lies within
+        sqrt(2) s/16 + 2h of the boundary and at least sqrt(2) s from it,
+        so s < 2h, and it would need s/16 >= 14h to reach x from outside
+        the box: the weights at x are the box's;
+      - a reflected target is the nearest complement cube in its source's
+        column; other boxes add candidates at least about 14h from x, and
+        the box's own nearest one sits a few h above the surface.
+    Returns the per-h mean mismatches and the fitted decay order in h.
     """
     def u_fn(X):
         return X[:, 0] + 0.5 * np.sin(3.0 * X[:, 1])
-
-    def mismatch(w, wt, box, m, g, h):
-        # one window's assembly, released before the next one is built
-        asm = ExtensionAssembly.of(w.restrict(box), wt.restrict(box))
-        target = float(u_fn(np.array([[m, g]]))[0])
-        return abs(point_extend(np.array([m, g - 2.0 * h]), asm, u_fn) - target)
 
     rn = region_spec("N_lambda", lam=lam, n=2)
     ro = region_spec("Omega_lambda", lam=lam, n=2)
@@ -422,11 +421,12 @@ def trace_mismatch(lam: float, hs: list[float]) -> dict:
         pad = 16.0 * h
         pts = [(m, g) for m, g in mids if g > 8.0 * h]
         boxes = [((m - pad, g - pad), (m + pad, g + pad)) for m, g in pts]
-        w = whitney_decompose(rn, max_gen, window=boxes)
-        wt = whitney_decompose(ro, max_gen, window=boxes)
-        errs.append(float(np.mean([mismatch(w, wt, box, m, g, h)
-                                   for box, (m, g) in zip(boxes, pts)])))
-        del w, wt               # before the next scale's decompositions
+        asm = ExtensionAssembly.of(whitney_decompose(rn, max_gen, window=boxes),
+                                   whitney_decompose(ro, max_gen, window=boxes))
+        errs.append(float(np.mean(
+            [abs(point_extend(np.array([m, g - 2.0 * h]), asm, u_fn)
+                 - float(u_fn(np.array([[m, g]]))[0])) for m, g in pts])))
+        del asm                 # before the next scale's decompositions
     order = float(np.polyfit(np.log2(hs), np.log2(errs), 1)[0]) \
         if len(hs) >= 2 else math.nan
     return {"hs": list(hs), "mismatch": errs, "order": order}

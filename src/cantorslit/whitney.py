@@ -210,30 +210,6 @@ class WhitneyDecomposition:
         """Frontier cubes never bracketed."""
         return int(np.count_nonzero(self.frontier_stranded))
 
-    def restrict(self, box) -> WhitneyDecomposition:
-        """The decomposition with window=box, read off this one.
-
-        box (lo, hi) lies inside one box of this decomposition's window (any
-        box when it has none).  The result keeps the resolved and frontier
-        cubes meeting box, with their brackets and stranded flags, and
-        equals whitney_decompose(..., window=box) bit for bit (see
-        whitney_decompose).
-        """
-        lo, hi = np.asarray(box, dtype=float).reshape(2, self.n)
-        if self.window is not None and not any(
-                np.all((own_lo <= lo) & (hi <= own_hi))
-                for own_lo, own_hi in np.array(self.window)):
-            raise ValueError("box must lie inside one box of the window")
-        keep = meets_window(self.gen, self.idx, lo, hi)
-        fkeep = meets_window(self.frontier_gen, self.frontier_idx, lo, hi)
-        return WhitneyDecomposition(
-            oracle=self.oracle, n=self.n, gen=self.gen[keep],
-            idx=self.idx[keep], lo_q=self.lo_q[keep], hi_q=self.hi_q[keep],
-            frontier_gen=self.frontier_gen[fkeep],
-            frontier_idx=self.frontier_idx[fkeep],
-            frontier_stranded=self.frontier_stranded[fkeep],
-            window=_window(box, self.n))
-
     def adjacency(self) -> dict[int, list[int]]:
         """row -> sorted rows of the cubes whose closures touch it."""
         if self._adj is None:
@@ -332,13 +308,13 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
     (_bracket_cubes), so peak memory follows the block, not the round.
     window, when given, is a box (lo, hi) or a stack of boxes, and prunes
     each cube whose closure misses every box; the result is then a local
-    decomposition and tiling checks do not apply.  restrict(box) reads the
-    decomposition windowed to one box of the stack off the stacked one, bit
-    for bit: a cube meets box exactly when every ancestor does, so both
-    runs examine each cube meeting box; its brackets come from
-    row-independent oracle calls on its own samples (_bracket_cubes), and
-    its L and inherited corner brackets from its ancestors only, so each
-    run decides it the same way.
+    decomposition and tiling checks do not apply.  The cubes of a stacked
+    run that meet one box of the stack are those of the run windowed to
+    that box alone, bit for bit: a cube meets box exactly when every
+    ancestor does, so both runs examine each cube meeting box; its brackets
+    come from row-independent oracle calls on its own samples
+    (_bracket_cubes), and its L and inherited corner brackets from its
+    ancestors only, so each run decides it the same way.
 
     Each live cube carries L, the largest lo_q of itself and its ancestors.
     A generation-g cube with L - margin > 4 sqrt(n) 2^-g moves to a passive
@@ -398,6 +374,7 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
             active, L = active[keep], np.maximum(L[keep], lo_q[keep])
             if g < max_gen:
                 corners = _child_corners(samples[..., keep], n)
+            del samples         # before the next round builds its own
         if g < max_gen:
             active, L = subdivide(active), np.repeat(L, 2 ** n)
             passive = subdivide(passive)
@@ -675,9 +652,9 @@ class ClaimCountResult:
     sources: int
     unreachable: int
 
-    def fitted_exponent(self, k_max: int | None = None) -> float:
-        ks = sorted(k for k, c in self.counts.items()
-                    if c > 0 and (k_max is None or k <= k_max))
+    def fitted_exponent(self) -> float:
+        """Least-squares slope of log2 counts[k] over the populated k."""
+        ks = sorted(k for k, c in self.counts.items() if c > 0)
         if len(ks) < 2:
             raise ValueError("need at least two populated k values to fit")
         ys = [math.log2(self.counts[k]) for k in ks]

@@ -173,7 +173,7 @@ def test_criterion_05_claim_growth(capsys):
         wt = whitney_decompose(region_spec("Omega_lambda", lam=lam), 10)
         ra = reflect_assign(w, wt)
         res = claim_count(w, wt, ra, k_max=4)
-        expo = res.fitted_exponent(4)
+        expo = res.fitted_exponent()
         measured[lam] = (dict(res.counts), expo)
         a = 2 * res.counts[0]
         viol = [k for k in range(5)

@@ -553,3 +553,39 @@ def test_trace_mismatch_pinned():
     assert tr["hs"] == [2.0 ** -8, 2.0 ** -9]
     assert tr["mismatch"] == [0.00688914762443954, 0.0034505235385685618]
     assert tr["order"] == 0.9975102185243298
+
+
+# scales with 3 to 7 points each, so every stack holds several boxes
+@pytest.mark.parametrize("lam, hs", [
+    (1.0 / 16.0, [2.0 ** -9]),
+    (1.0 / 8.0, [2.0 ** -8, 2.0 ** -9]),
+    (0.25, [2.0 ** -8, 2.0 ** -10]),
+    (0.4, [2.0 ** -8]),
+])
+def test_trace_points_match_per_window(lam, hs, monkeypatch):
+    """Each trace point reads off its scale's stacked assembly the value of
+    the assembly windowed to its own box alone, exactly."""
+    calls = []
+
+    def record(x, asm, u_fn):
+        val = point_extend(x, asm, u_fn)
+        calls.append((x, u_fn, val))
+        return val
+    monkeypatch.setattr(extension, "point_extend", record)
+    trace_mismatch(lam, hs)
+    rn = region_spec("N_lambda", lam=lam, n=2)
+    ro = region_spec("Omega_lambda", lam=lam, n=2)
+    want = []
+    for h in hs:
+        max_gen = int(round(math.log2(1.0 / h))) + 3
+        pad = 16.0 * h
+        for m, g in gap_midpoints(CantorSpec(lam=lam), 3):
+            if g > 8.0 * h:
+                box = ((m - pad, g - pad), (m + pad, g + pad))
+                want.append((np.array([m, g - 2.0 * h]), ExtensionAssembly.of(
+                    whitney_decompose(rn, max_gen, window=box),
+                    whitney_decompose(ro, max_gen, window=box))))
+    assert len(calls) == len(want) >= 3 * len(hs)
+    for (x, u_fn, got), (y, asm) in zip(calls, want):
+        assert np.array_equal(x, y)
+        assert got == point_extend(y, asm, u_fn), (lam, x)

@@ -187,10 +187,10 @@ def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
 
 
 def test_traced_trace_mismatch_decomposes_once_per_scale():
-    """The trace study decomposes N and Omega once per grid scale.
+    """The trace study builds one assembly per grid scale.
 
-    Each h has several windows, each with its own reflect_assign and
-    point_extend, but only two whitney_decompose spans, and the traced
+    Each h has several windows, each with its own point_extend, but only
+    two whitney_decompose spans and one reflect_assign, and the traced
     result equals the untraced one.
     """
     spans = _spans_module()
@@ -208,8 +208,8 @@ def test_traced_trace_mismatch_decomposes_once_per_scale():
     m = spans.layer_metrics(tracer.spans)
     assert names.count("whitney.decompose") == 2 * len(hs)
     assert m["whitney.decompose_calls"] == 2 * len(hs)
-    windows = names.count("extension.point_extend")
-    assert windows == names.count("whitney.reflect") > 2 * len(hs)
+    assert names.count("whitney.reflect") == len(hs)
+    assert names.count("extension.point_extend") > 2 * len(hs)
     assert "extension.assemble" not in names
 
 

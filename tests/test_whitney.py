@@ -280,6 +280,25 @@ def test_passive_cubes_are_never_bracketed(kind, lam, n, max_gen, stranded,
     assert dec.stranded <= len(dec.frontier)
 
 
+def _box_part(dec, box):
+    """The cubes of dec whose closures meet box, with their brackets and
+    stranded flags, as a decomposition windowed to box.
+
+    For a run windowed to a stack of boxes holding box, this is the run
+    windowed to box alone (see whitney_decompose).
+    """
+    lo, hi = np.asarray(box, dtype=float)
+    keep = meets_window(dec.gen, dec.idx, lo, hi)
+    fkeep = meets_window(dec.frontier_gen, dec.frontier_idx, lo, hi)
+    return WhitneyDecomposition(
+        oracle=dec.oracle, n=dec.n, gen=dec.gen[keep], idx=dec.idx[keep],
+        lo_q=dec.lo_q[keep], hi_q=dec.hi_q[keep],
+        frontier_gen=dec.frontier_gen[fkeep],
+        frontier_idx=dec.frontier_idx[fkeep],
+        frontier_stranded=dec.frontier_stranded[fkeep],
+        window=(tuple(map(tuple, box)),))
+
+
 # windows of the small-block runs, which make one oracle call per block
 BLOCK_BOX = {2: ((0.1875, -0.0625), (0.3125, 0.0625)),
              3: ((0.25, 0.25, -0.25), (0.5, 0.5, 0.25))}
@@ -288,7 +307,7 @@ ONE_BLOCK = 1 << 62
 
 @pytest.mark.parametrize("kind, lam, n, max_gen, stack", [
     ("N_lambda", 0.25, 2, 7, [BLOCK_BOX[2]]),
-    # two boxes, each read off the stacked run through restrict
+    # two boxes, each picked out of the stacked run
     ("Omega_lambda", 0.25, 2, 7,
      [BLOCK_BOX[2], ((0.25, 0.0), (0.375, 0.125))]),
     ("N_lambda", 0.125, 2, 7, [BLOCK_BOX[2]]),
@@ -315,7 +334,7 @@ def test_blocked_rounds_match_one_block(kind, lam, n, max_gen, stack,
     def run(block, stack):
         monkeypatch.setattr(whitney, "_BLOCK_SAMPLES", block)
         dec = whitney_decompose(region, max_gen, window=stack)
-        decs = [dec.restrict(box) for box in stack] if stack else [dec]
+        decs = [_box_part(dec, box) for box in stack] if stack else [dec]
         return [([getattr(d, name) for name in names], verify_whitney(d),
                  _bracket_cubes(d.oracle, d.gen, d.idx)) for d in decs]
 
@@ -388,14 +407,15 @@ def box_stacks(draw, bbox):
     return [np.ldexp(np.stack(b), -BOX_UNIT).tolist() for b in boxes]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(("N_lambda", "Omega_lambda")),
        n=st.sampled_from((2, 3)))
-def test_restrict_matches_windowed_decompose(data, kind, n):
+def test_stack_matches_windowed_decompose(data, kind, n):
     """One run over a stack of boxes gives each box's decomposition.
 
-    restrict(box) equals whitney_decompose with window=box in every array,
-    in stranded and in window, bit for bit; a one-box stack is the box.
+    The cubes of the stacked run meeting box equal whitney_decompose with
+    window=box in every array and in stranded, bit for bit; a one-box
+    stack is the box, window included.
     """
     region = region_spec(kind, lam=LAM, n=n)
     stack = data.draw(box_stacks(region.bbox))
@@ -405,28 +425,12 @@ def test_restrict_matches_windowed_decompose(data, kind, n):
              "frontier_stranded")
     for box in stack:
         want = whitney_decompose(region, max_gen, window=box)
-        for got in (whole.restrict(box),
-                    whitney_decompose(region, max_gen, window=[box])):
+        one = whitney_decompose(region, max_gen, window=[box])
+        for got in (_box_part(whole, box), one):
             for name in names:
                 assert _same_bits(getattr(got, name), getattr(want, name)), name
             assert got.stranded == want.stranded
-            assert got.window == want.window == (tuple(map(tuple, box)),)
-
-
-def test_restrict_rejects_box_outside_window():
-    region = region_spec("N_lambda", lam=LAM)
-    dec = whitney_decompose(region, 6, window=[((0.0, 0.0), (0.25, 0.25)),
-                                               ((0.5, 0.0), (0.75, 0.25))])
-    with pytest.raises(ValueError, match="inside one box"):
-        dec.restrict(((0.0, 0.0), (0.75, 0.25)))
-    with pytest.raises(ValueError):     # one box, not a stack
-        dec.restrict(dec.window)
-    # an unwindowed decomposition restricts to any box
-    box = ((0.25, -0.125), (0.5, 0.125))
-    got = whitney_decompose(region, 6).restrict(box)
-    want = whitney_decompose(region, 6, window=box)
-    assert _same_bits(got.idx, want.idx) and _same_bits(got.lo_q, want.lo_q)
-    assert _same_bits(got.frontier_idx, want.frontier_idx)
+        assert one.window == want.window == (tuple(map(tuple, box)),)
 
 
 @settings(max_examples=40, deadline=None)
