@@ -289,7 +289,10 @@ def cmd_extend(args) -> Output:
 
 
 def cmd_sweep(args) -> Output:
-    rep = bound_report(args.n, args.p, args.lambdas, h=args.grid)
+    try:
+        rep = bound_report(args.n, args.p, args.lambdas, h=args.grid)
+    except ValueError as err:       # e.g. a grid whose Eu blends no tent cell
+        raise SystemExit(f"sweep: {err}") from None
     return Output(_csv(list(rep.COLUMNS),
                        [[row[c] for c in rep.COLUMNS] for row in rep.rows]))
 

@@ -24,6 +24,9 @@ from .regions import (RegionSpec, component_label, membership_grid,
 from .whitney import (Q0_ID, UNASSIGNED, ReflectAssignment,
                       WhitneyDecomposition, reflect_assign, whitney_decompose)
 
+# half-width of each trace-study window, in units of its scale h
+_TRACE_PAD = 3.0
+
 
 def _bump_profile(x, center, side: float) -> np.ndarray:
     """C^1 falloff along an axis: 1 on the cube, 0 past side/16 outside it."""
@@ -256,7 +259,8 @@ def ratio_p(u_fn, lam: float, n: int, p: float, h: float,
 
     seminorm_p of the masked gradient of Eu over the covered tent cells,
     divided by the seminorm of the gradient of u over the slit domain.
-    A lower-bound witness for the restricted operator norm.
+    A lower-bound witness for the restricted operator norm; raises when Eu
+    blends no tent cell.
 
     The numerator's gradient runs on the index box of the tent's bounding
     box, which holds every covered tent cell, so its stencils are those of
@@ -272,6 +276,9 @@ def ratio_p(u_fn, lam: float, n: int, p: float, h: float,
     box = _cells_in_box(eu.axes(), *asm.region_n.bbox)
     ends = eu.h * np.array([[s.start for s in box], [s.stop for s in box]])
     tent_only = eu.mask[box] & ~u.mask[box]
+    if not tent_only.any():
+        raise ValueError(f"Eu blends no tent cell at lambda={lam!r}, n={n},"
+                         f" h={h!r}; no ratio")
     geu = gradient(GridField(bbox=eu.bbox[0] + ends, h=eu.h,
                              values=eu.values[box], mask=tent_only,
                              kind="scalar"))
@@ -353,22 +360,29 @@ def jump_ratio(lam: float, n: int, p: float, h: float,
 # pointwise evaluation and the trace refinement study
 
 
+def _point_weights(x: np.ndarray, w: WhitneyDecomposition):
+    """Rows and raw bumps of the cubes of w weighted at x: the positive
+    entries of the partition_of_unity table of a one-cell grid centred at
+    x, at the coarsest spacing w accepts."""
+    h = 2.0 ** -(int(w.gen.max(initial=0)) + 3)
+    pou = partition_of_unity(w, h, np.stack([x - h / 2.0, x + h / 2.0]))
+    live = pou.phi > 0.0            # the table also lists support-edge zeros
+    return pou.rows[live], pou.phi[live]
+
+
 def point_extend(x, asm: ExtensionAssembly, u_fn) -> float:
     """Eu at a single tent point, with analytic averages of u.
 
-    The weights at x are the partition_of_unity table of a one-cell grid
-    centred at x, at the coarsest spacing the decomposition accepts.  Cube
-    averages use a fixed 4 x 4 midpoint rule on the reflected cube (exact
-    for affine u, O(side^2) otherwise).
+    The weights at x are _point_weights'.  Cube averages use a fixed 4 x 4
+    midpoint rule on the reflected cube (exact for affine u, O(side^2)
+    otherwise).
     """
     x = np.asarray(x, dtype=float)
-    h = 2.0 ** -(int(asm.w.gen.max(initial=0)) + 3)
-    pou = partition_of_unity(asm.w, h, np.stack([x - h / 2.0, x + h / 2.0]))
-    live = pou.phi > 0.0            # the table also lists support-edge zeros
-    if not live.any():
+    rows, phis = _point_weights(x, asm.w)
+    if not len(rows):
         raise ValueError(f"no resolved tent cube covers {x}")
     num = den = 0.0
-    for row, phi in zip(pou.rows[live].tolist(), pou.phi[live].tolist()):
+    for row, phi in zip(rows.tolist(), phis.tolist()):
         rid = int(asm.reflect.target[row])
         if rid == UNASSIGNED:
             raise ValueError(f"unassigned tent cube {asm.w.cubes[row]} at {x}")
@@ -395,18 +409,28 @@ def gap_midpoints(spec: CantorSpec, depth: int) -> np.ndarray:
 def trace_mismatch(lam: float, hs: list[float]) -> dict:
     """Planar pointwise trace study at the tent surface over gap midpoints.
 
-    For each grid scale h, Eu of u(x) = x_1 + sin(3 x_2)/2 is evaluated at
-    x = (m, g - 2h) below every depth <= 3 gap midpoint (m, g) and compared
-    with u at (m, g).  One assembly per h, from the decompositions of N and
-    Omega windowed to the stack of boxes of half-width 16h around the
-    surface points, serves every point with its own box's value:
-      - a resolved cube of side s whose 9/8 bump reaches x lies within
-        sqrt(2) s/16 + 2h of the boundary and at least sqrt(2) s from it,
-        so s < 2h, and it would need s/16 >= 14h to reach x from outside
-        the box: the weights at x are the box's;
-      - a reflected target is the nearest complement cube in its source's
-        column; other boxes add candidates at least about 14h from x, and
-        the box's own nearest one sits a few h above the surface.
+    For each grid scale h, which must be a power of two, Eu of u(x) = x_1 +
+    sin(3 x_2)/2 is evaluated at x = (m, g - 2h) below every depth <= 3 gap
+    midpoint (m, g) with g > 8h (a scale without one raises) and compared
+    with u at (m, g).  One assembly per h, from N and Omega windowed to the
+    stack of boxes B = (m, g) +- P h, P = _TRACE_PAD = 3, gives each point
+    its unwindowed value, as the stack keeps exactly the unwindowed cubes
+    that meet a box (whitney_decompose):
+      - weights: x lies sqrt(2) h from the boundary, under its gap's apex.
+        A resolved cube Q of side s whose 9/8 bump reaches x has sqrt(2) s
+        <= dist(Q, boundary) <= sqrt(2) h + sqrt(2) s/16, so s <= 16h/15,
+        and s <= h as both are powers of two.  Q's closure comes within
+        s/16 of x, which lies (P - 2) h inside B, so Q meets B;
+      - targets: Q's reflect_assign candidates (side s or 2s, in the closed
+        upper half-space, projecting onto a superset of Q's projection) lie
+        within m +- (2 + 1/16) h, inside B's horizontal range and the gap,
+        which is tent there below height g - 3h.  One that misses B lies
+        above B's top face, its centre farther than g + P h - c_2(Q) from
+        Q's centre c(Q);
+      - certificate, run on every weighted Q: its target's centre lies
+        within g + P h - c_2(Q) of c(Q), so no candidate outside the stack
+        beats it, not even on a tie; otherwise, or with no target, the
+        point raises ValueError instead of returning an unvouched value.
     Returns the per-h mean mismatches and the fitted decay order in h.
     """
     def u_fn(X):
@@ -415,17 +439,31 @@ def trace_mismatch(lam: float, hs: list[float]) -> dict:
     rn = region_spec("N_lambda", lam=lam, n=2)
     ro = region_spec("Omega_lambda", lam=lam, n=2)
     mids = gap_midpoints(CantorSpec(lam=lam), 3)
+    scales = [(h, [(m, g) for m, g in mids if g > 8.0 * h]) for h in hs]
+    for h, pts in scales:
+        if not h > 0.0 or math.frexp(h)[0] != 0.5:
+            raise ValueError(f"trace scale h={h!r} is not a power of two")
+        if not pts:
+            raise ValueError(f"trace scale h={h!r} has no gap midpoint g > 8h")
     errs = []
-    for h in hs:
+    for h, pts in scales:
         max_gen = int(round(math.log2(1.0 / h))) + 3
-        pad = 16.0 * h
-        pts = [(m, g) for m, g in mids if g > 8.0 * h]
+        pad = _TRACE_PAD * h
         boxes = [((m - pad, g - pad), (m + pad, g + pad)) for m, g in pts]
         asm = ExtensionAssembly.of(whitney_decompose(rn, max_gen, window=boxes),
                                    whitney_decompose(ro, max_gen, window=boxes))
-        errs.append(float(np.mean(
-            [abs(point_extend(np.array([m, g - 2.0 * h]), asm, u_fn)
-                 - float(u_fn(np.array([[m, g]]))[0])) for m, g in pts])))
+        mis = []
+        for m, g in pts:
+            x = np.array([m, g - 2.0 * h])
+            for row in _point_weights(x, asm.w)[0].tolist():
+                t, c = int(asm.reflect.target[row]), asm.w.cubes[row].center
+                if t < 0 or (np.linalg.norm(asm.wt.cubes[t].center - c)
+                             > g + pad - c[1]):
+                    raise ValueError(f"trace point {x.tolist()} at h={h!r}: "
+                                     "a reflected target is not certified")
+            mis.append(abs(point_extend(x, asm, u_fn)
+                           - float(u_fn(np.array([[m, g]]))[0])))
+        errs.append(float(np.mean(mis)))
         del asm                 # before the next scale's decompositions
     order = float(np.polyfit(np.log2(hs), np.log2(errs), 1)[0]) \
         if len(hs) >= 2 else math.nan

@@ -294,6 +294,19 @@ def test_sweep_schema(tmp_path):
         assert len(line.split(",")) == 6
 
 
+def test_sweep_without_blended_tent_cell_exits_1(tmp_path):
+    """At lambda 1/4 the 2^-7 grid decomposes at max_gen 4, where no tent
+    cube is resolved, so Eu blends no tent cell: the sweep ends in one line
+    naming the input, exit status 1, and no report, instead of a ratio 0."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--lambdas", "1/4", "--grid", "2^-7",
+                 "--out", str(tmp_path / "f.csv")])
+    msg = exc.value.code
+    assert isinstance(msg, str) and "\n" not in msg
+    assert msg.startswith("sweep: Eu blends no tent cell at lambda=0.25")
+    assert not list(tmp_path.iterdir())
+
+
 def test_dim_estimate_command(tmp_path):
     out = tmp_path / "cert.json"
     rc = run_cli(["dim", "estimate", "--set", "cantor-slit",

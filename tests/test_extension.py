@@ -555,16 +555,8 @@ def test_trace_mismatch_pinned():
     assert tr["order"] == 0.9975102185243298
 
 
-# scales with 3 to 7 points each, so every stack holds several boxes
-@pytest.mark.parametrize("lam, hs", [
-    (1.0 / 16.0, [2.0 ** -9]),
-    (1.0 / 8.0, [2.0 ** -8, 2.0 ** -9]),
-    (0.25, [2.0 ** -8, 2.0 ** -10]),
-    (0.4, [2.0 ** -8]),
-])
-def test_trace_points_match_per_window(lam, hs, monkeypatch):
-    """Each trace point reads off its scale's stacked assembly the value of
-    the assembly windowed to its own box alone, exactly."""
+def _trace_calls(lam, hs, monkeypatch):
+    """(x, u_fn, value) of each point_extend call of trace_mismatch(lam, hs)."""
     calls = []
 
     def record(x, asm, u_fn):
@@ -573,6 +565,23 @@ def test_trace_points_match_per_window(lam, hs, monkeypatch):
         return val
     monkeypatch.setattr(extension, "point_extend", record)
     trace_mismatch(lam, hs)
+    return calls
+
+
+# scales with 3 to 7 points each, so every stack holds several boxes
+@pytest.mark.parametrize("lam, hs", [
+    (1.0 / 16.0, [2.0 ** -9]),
+    (1.0 / 8.0, [2.0 ** -8, 2.0 ** -9]),
+    (0.25, [2.0 ** -8, 2.0 ** -10]),
+    (0.4, [2.0 ** -8]),
+])
+def test_trace_points_match_per_window(lam, hs, monkeypatch):
+    """Each trace point reads off its scale's stacked assembly, whose boxes
+    have half-width _TRACE_PAD h, the value of the assembly windowed to its
+    own box of half-width 16h alone, exactly: the shrunk windows against
+    the old ones, point by point."""
+    assert extension._TRACE_PAD < 16.0
+    calls = _trace_calls(lam, hs, monkeypatch)
     rn = region_spec("N_lambda", lam=lam, n=2)
     ro = region_spec("Omega_lambda", lam=lam, n=2)
     want = []
@@ -589,3 +598,44 @@ def test_trace_points_match_per_window(lam, hs, monkeypatch):
     for (x, u_fn, got), (y, asm) in zip(calls, want):
         assert np.array_equal(x, y)
         assert got == point_extend(y, asm, u_fn), (lam, x)
+
+
+def test_trace_points_match_unwindowed(monkeypatch):
+    """At lambda 1/4, h = 2^-8 every trace point equals point_extend on the
+    unwindowed max_gen=11 assembly, exactly."""
+    calls = _trace_calls(0.25, [2.0 ** -8], monkeypatch)
+    full = assemble(0.25, n=2, max_gen=11)
+    assert len(calls) == 3
+    for x, u_fn, got in calls:
+        assert got == point_extend(x, full, u_fn), x
+
+
+def test_trace_certificate_fires_when_pad_too_small(monkeypatch):
+    """The run-time check on the reflected targets raises instead of
+    returning a value once the windows are too small to vouch for them.
+
+    At lambda 0.4, h = 2^-11 the targets hold with the least slack over
+    lambda 1/16, 1/8, 1/4, 0.4 at h = 2^-8..2^-11, 1.05h at the pad of 3h,
+    so the check fails just below a pad of 1.95h (below about 1.9h the
+    weighted cubes run out first, and point_extend finds no cube covering
+    the point).
+    """
+    assert trace_mismatch(0.4, [2.0 ** -11])["mismatch"][0] > 0.0
+    monkeypatch.setattr(extension, "_TRACE_PAD", 1.94)
+    with pytest.raises(ValueError, match="reflected target is not certified"):
+        trace_mismatch(0.4, [2.0 ** -11])
+
+
+@pytest.mark.parametrize("hs, match", [
+    ([2.0 ** -3], r"h=0\.125 has no gap midpoint"),
+    ([0.003, 0.0015], r"h=0\.003 is not a power of two"),
+    ([2.0 ** -8, 0.0], r"h=0\.0 is not a power of two"),
+])
+def test_trace_rejects_bad_scales_before_any_work(hs, match, monkeypatch):
+    """A scale the window argument does not cover fails loudly, naming it,
+    before any scale is decomposed."""
+    def no_work(*a, **kw):
+        raise AssertionError("decomposed before checking the scales")
+    monkeypatch.setattr(extension, "whitney_decompose", no_work)
+    with pytest.raises(ValueError, match=match):
+        trace_mismatch(0.25, hs)
