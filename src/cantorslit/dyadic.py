@@ -174,3 +174,16 @@ class CubeIndex:
         k = (np.where(inside[:, None], q, lo) - lo) @ strides
         pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
         return np.where(inside & (keys[pos] == k), pos + self.blocks[g][0], -1)
+
+    def column(self, g: int, h: np.ndarray) -> tuple[int, int]:
+        """(start, stop) rows of the generation-g cubes over the horizontal
+        index h, empty where there is none: the last axis is the least
+        significant in the key, so they hold the keys (h, lo_n) .. (h, hi_n).
+        """
+        key = self._keys.get(g)
+        if key is None or np.any((h < key[0][:-1]) | (h > key[1][:-1])):
+            return 0, 0
+        lo, hi, strides, keys = key
+        k = int((h - lo[:-1]) @ strides[:-1])
+        ends = np.searchsorted(keys, [k, k + hi[-1] - lo[-1] + 1])
+        return tuple((self.blocks[g][0] + ends).tolist())

@@ -82,7 +82,7 @@ def _check_dim(spec: RegionSpec, x: np.ndarray):
         raise ValueError(f"point has shape {x.shape}, expected ({spec.n},)")
 
 
-def _in_region(spec: RegionSpec, coords) -> np.ndarray:
+def _in_region(spec: RegionSpec, coords, tent=None) -> np.ndarray:
     """Membership from n coordinate arrays that broadcast against each other.
 
     The one membership routine: points pass their columns, grids pass each
@@ -90,8 +90,9 @@ def _in_region(spec: RegionSpec, coords) -> np.ndarray:
     per-axis descents and no (cells, n) point array is built.  D, Omega and
     Q0_tilde are open, N is closed; points within the distance tolerance of
     the tent graph are classified by the <= inequality on the height
-    resolved to 2^-40.  Omega_2 uses its variable-ratio set at the spec's
-    full depth.
+    resolved to 2^-40; tent, when given, is that height already computed
+    as _product_distance does.  Omega_2 uses its variable-ratio set at the
+    spec's full depth.
     """
     n = spec.n
     a, b = coords[n - 2], coords[n - 1]
@@ -106,7 +107,9 @@ def _in_region(spec: RegionSpec, coords) -> np.ndarray:
         in_n = h <= 1.0
         for x in coords[: n - 1]:
             in_n = in_n & ((x >= 0.0) & (x <= 1.0))
-        in_n = in_n & (h <= _product_distance(coords[: n - 1], spec.cantor))
+        if tent is None:
+            tent = _product_distance(coords[: n - 1], spec.cantor)
+        in_n = in_n & (h <= tent)
         if spec.kind == "N_lambda":
             return in_n
     (blo, bhi), (hlo, hhi) = D_BOX, Q0_HOLE if spec.kind == "Q0_tilde" else D_NOTCH

@@ -79,7 +79,9 @@ class RegionOracle:
 
     bracket_many brackets the distance to the tent boundary; for Omega it
     then takes in the distance to the rectilinear boundary of D.  Brackets
-    hold to the descent tolerance 2^-40.
+    hold to the descent tolerance 2^-40.  It also returns membership from
+    its own descent, member_many's bit for bit: the tent height takes the
+    per-axis tolerance and summation order of _product_distance.
     """
 
     def __init__(self, region: RegionSpec):
@@ -99,7 +101,8 @@ class RegionOracle:
     def member_many(self, X: np.ndarray) -> np.ndarray:
         return _in_region(self.region, list(X.T))
 
-    def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                    np.ndarray]:
         n, tol = self.n, DEFAULT_TOL
         XP, xn = X[:, :-1], X[:, -1]
         # height, nearest Cantor point and gap midpoint from one descent
@@ -150,15 +153,16 @@ class RegionOracle:
             dist = np.sum((XP - foot) ** 2, axis=1) + (xn - sgn * gp) ** 2
             hi = np.minimum(hi, np.sqrt(dist))
         hi = hi + tol
+        member = _in_region(self.region, list(X.T), g)
         if self.region.kind == "N_lambda":
-            return lo, hi
+            return lo, hi, member
         d_d = _d_boundary_dist(X)
         if n == 2:
             hi = np.minimum(hi, d_d + tol)
         # for n >= 3 the min formula can underestimate the distance to the
         # boundary of D from outside, and notch faces may dip into the tent;
         # keep only the always-valid tent witness for the upper bound
-        return np.minimum(lo, d_d), hi
+        return np.minimum(lo, d_d), hi, member
 
 
 def oracle_for(region: RegionSpec) -> RegionOracle:
@@ -252,6 +256,8 @@ def _bracket_cubes(oracle, gen, idx: np.ndarray, corners=None):
     membership: where lo_q > 0 the closed cube misses the boundary and lies
     wholly inside or outside the region, and every sample, a quarter
     diagonal (far above 2^-40) from the boundary, computes the center's.
+    The center is the sample at the odd offset (1, ..., 1), always sent, so
+    bracket_many's membership gives it.
     """
     m, n = idx.shape
     offs = np.array(list(product((0, 1, 2), repeat=n)), dtype=np.int64)
@@ -261,6 +267,7 @@ def _bracket_cubes(oracle, gen, idx: np.ndarray, corners=None):
     if corners is not None:
         samples[:, ~new] = corners
     lo_q, hi_q, center = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+    mid = np.count_nonzero(new[: len(offs) // 2])     # the center's column
     step = max(1, _BLOCK_SAMPLES // len(offs))
     for a in range(0, m, step):
         blk = slice(a, a + step)
@@ -273,14 +280,14 @@ def _bracket_cubes(oracle, gen, idx: np.ndarray, corners=None):
         Z = (base[:, None, :] + (offs[new] << shift[:, None])).reshape(-1, n)
         _, first, inv = np.unique((Z - zlo) @ radix_strides(zlo, zhi),
                                   return_index=True, return_inverse=True)
+        lo, hi, inside = oracle.bracket_many(np.ldexp(Z[first], -(top + 1)))
         # samples down the rows: np.min over a short last axis is ~2x slower
-        s[:, new] = np.stack(oracle.bracket_many(
-            np.ldexp(Z[first], -(top + 1))))[:, inv.reshape(len(q), -1).T]
+        at = inv.reshape(len(q), -1).T
+        s[:, new] = np.stack((lo, hi))[:, at]
         lo_q[blk] = np.maximum(0.0, reduce(np.minimum, s[0])
                                - math.sqrt(n) * sides(g) / 4.0)
         hi_q[blk] = reduce(np.minimum, s[1])
-        center[blk] = oracle.member_many(np.ldexp(2 * q + 1,
-                                                  -(g + 1)[:, None]))
+        center[blk] = inside[at[mid]]
     return lo_q, hi_q, center, samples
 
 
@@ -330,6 +337,13 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
         and each descendant's centre computes inside (as in _bracket_cubes).
     The passive cubes that reach the frontier are flagged in
     frontier_stranded and counted in stranded.
+
+    The max_gen round feeds no children, so it brackets only the cubes a
+    bracket can still accept or drop.  lo_q = max(0, min over the 3^n
+    samples - sqrt(n) l/4) is at most ub, the same over the 2^n inherited
+    corners, bit for bit (a min over a superset; rounding is monotone).  A
+    cube with ub < sqrt(n) l and ub = 0 or its centre inside (one
+    member_many call) joins the frontier unbracketed and not stranded.
     """
     if max_gen < 4:
         raise ValueError("max_gen must be >= 4")
@@ -345,7 +359,7 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
     # inherited certified lower bound per active cube
     active, corners = oracle.roots(), None
     L = np.zeros(len(active))
-    passive = np.zeros((0, n), dtype=np.int64)
+    passive = fixed = np.zeros((0, n), dtype=np.int64)
     # (gen, idx, lo_q, hi_q) of the accepted cubes, one entry per round
     found = [(np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64),
               np.zeros(0), np.zeros(0))]
@@ -356,17 +370,25 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
             if corners is not None:
                 corners = corners[..., meets]
             passive = passive[meets_window(g, passive, lo, hi)]
-        live = L - margin <= 4.0 * sqrtn * math.ldexp(1.0, -g)
+        l = math.ldexp(1.0, -g)
+        live = L - margin <= 4.0 * sqrtn * l
         if not live.all():
             passive = np.concatenate([passive, active[~live]])
             active, L = active[live], L[live]
             corners = corners[..., live]
+        if g == max_gen and len(active):
+            # cubes no bracket can accept or drop (see above)
+            ub = np.maximum(0.0, reduce(np.minimum, corners[0]) - sqrtn * l / 4.0)
+            ask = ub >= sqrtn * l
+            near = ~ask & (ub > 0.0)
+            ask[near] = ~oracle.member_many(np.ldexp(2 * active[near] + 1,
+                                                     -(g + 1)))
+            fixed = active[~ask]
+            active, L, corners = active[ask], L[ask], corners[..., ask]
         if len(active):
-            side = sides(np.full(len(active), g))
             lo_q, hi_q, center, samples = _bracket_cubes(oracle, g, active,
                                                          corners)
-            accept = ((lo_q >= sqrtn * side) & (hi_q <= 4.0 * sqrtn * side)
-                      & center)
+            accept = (lo_q >= sqrtn * l) & (hi_q <= 4.0 * sqrtn * l) & center
             drop = ~center & (lo_q > 0.0)
             found.append((np.full(int(accept.sum()), g), active[accept],
                           lo_q[accept], hi_q[accept]))
@@ -381,10 +403,10 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
     # what is left after the max_gen round is the frontier
     gen, idx, lo_q, hi_q = (np.concatenate(col) for col in zip(*found))
     perm = order(gen, idx)
-    fidx = np.concatenate([active, passive])
+    fidx = np.concatenate([active, fixed, passive])
     fgen = np.full(len(fidx), max_gen, dtype=np.int64)
     fperm = order(fgen, fidx)
-    stranded = np.arange(len(fidx)) >= len(active)
+    stranded = np.arange(len(fidx)) >= len(active) + len(fixed)
     return WhitneyDecomposition(oracle=oracle, n=n, gen=gen[perm],
                                 idx=idx[perm], lo_q=lo_q[perm], hi_q=hi_q[perm],
                                 frontier_gen=fgen[fperm],
@@ -614,14 +636,14 @@ def chain(wt: WhitneyDecomposition, a: int) -> Chain:
     nested, so the members form one column and touch exactly when their x_n
     intervals share an endpoint: a chain runs straight up or down.  The
     shorter run wins, ties to the smaller first step (the choice of a
-    breadth-first search with neighbours in ascending row order).
+    breadth-first search with neighbours in ascending row order).  Each
+    generation's part of the column is one CubeIndex.column run of rows.
     """
-    shift = int(wt.gen[a]) - wt.gen
-    ok = shift >= 0
-    anc = wt.idx[a, :-1] >> np.where(ok, shift, 0)[:, None]
-    rows = np.flatnonzero(ok & np.all(wt.idx[:, :-1] == anc, axis=1))
+    ga, h = int(wt.gen[a]), wt.idx[a, :-1]
+    rows = np.concatenate([np.arange(*wt.index.column(g, h >> (ga - g)))
+                           for g in wt.index.blocks if g <= ga])
     # x_n intervals in units of the source's side, bottom to top
-    s = shift[rows]
+    s = ga - wt.gen[rows]
     bot = wt.idx[rows, -1] << s
     perm = np.argsort(bot)
     rows, s, bot = rows[perm], s[perm], bot[perm]

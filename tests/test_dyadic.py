@@ -1,7 +1,11 @@
 """Tests for exact dyadic cube arithmetic."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorslit.dyadic import (
     CubeIndex,
@@ -104,6 +108,45 @@ def test_cube_index_lookup():
         got = index.find(g, q).tolist()
         assert got == [rows.get((g, tuple(r)), -1) for r in q.tolist()]
     assert np.array_equal(sides(np.array([0, 3])), [1.0, 0.125])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from((2, 3)), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.integers(1, 300), span=st.integers(1, 5))
+def test_cube_index_column(n, seed, size, span):
+    """column(g, h) is the run of rows a full scan of g's block finds.
+
+    Random cube sets of generations 0..3 in (gen, idx) order; generation 1
+    holds cubes over h_0 = -1 and 1 but none over h_0 = 0, so some h inside
+    its horizontal range has no cube.  Every h over the range grown by one
+    on each side is asked, and generations -1 and 4 have no block: all
+    those runs must be empty.
+    """
+    rng = np.random.default_rng(seed)
+    gen = rng.integers(0, 4, size=size)
+    idx = rng.integers(-span, span + 1, size=(size, n))
+    idx[gen == 1, 0] = np.where(idx[gen == 1, 0] == 0, 1, idx[gen == 1, 0])
+    gen = np.append(gen, [1, 1])
+    idx = np.concatenate([idx, np.full((2, n), -1)])
+    idx[-1, 0] = 1
+    keep = np.unique(np.column_stack([gen, idx]), axis=0, return_index=True)[1]
+    perm = order(gen[keep], idx[keep])
+    gen, idx = gen[keep][perm], idx[keep][perm]
+    index = CubeIndex(gen, idx)
+    empty_inside = outside = 0
+    for g in range(-1, 5):
+        a, b = index.blocks.get(g, (0, 0))
+        for h in product(range(-span - 1, span + 2), repeat=n - 1):
+            h = np.array(h, dtype=np.int64)
+            want = a + np.flatnonzero(np.all(idx[a:b, :-1] == h, axis=1))
+            start, stop = index.column(g, h)
+            assert np.array_equal(np.arange(start, stop), want)
+            if b > a and not len(want):
+                lo, hi = idx[a:b, :-1].min(axis=0), idx[a:b, :-1].max(axis=0)
+                inside = np.all((lo <= h) & (h <= hi))
+                empty_inside += int(inside)
+                outside += int(not inside)
+    assert empty_inside > 0 and outside > 0
 
 
 def test_cube_index_refuses_to_wrap():

@@ -90,7 +90,7 @@ def test_q0_profile():
 def test_boundary_distance_bracket(n, lam, step, box, size, seed):
     nl = region_spec("N_lambda", lam=lam, n=n)
     X = np.random.default_rng(seed).uniform(*box, size=(size, n))
-    lo, hi = oracle_for(nl).bracket_many(X)
+    lo, hi, _ = oracle_for(nl).bracket_many(X)
     assert np.all((0.0 <= lo) & (lo <= hi))
     # brute force over the tent boundary: the graph {|x_n| = g(x')} sampled
     # on [0,1]^(n-1), and the lateral faces x_i in {0,1}, |x_n| <= g, as

@@ -91,7 +91,8 @@ def test_traced_decompose_matches_untraced(monkeypatch):
     A round brackets cubes only while some cube is live (not passive); here
     live cubes near the slit reach the max_gen round.  Each round's cubes go
     to bracket_many in blocks of _BLOCK_SAMPLES // 3^n, one call per block:
-    10 calls over the 7 rounds, as rounds 5 and 6 split.
+    9 calls over the 7 rounds, as rounds 5 and 6 split (round 6 sends
+    4,574 of the 9,152 cubes it holds).
     """
     spans = _spans_module()
     whitney = cantorslit.whitney
@@ -121,23 +122,26 @@ def test_traced_decompose_matches_untraced(monkeypatch):
 
 @pytest.mark.parametrize("n, max_gen", [(2, 6), (3, 4)])
 def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
-    """Per block, one descent brackets the samples and centers decide sides.
+    """Per block, one descent brackets the samples and decides the centers.
 
-    Each round's cubes go in blocks of _BLOCK_SAMPLES // 3^n (N at n = 3
-    splits its max_gen round of 2,944 cubes in 3).  Under each bracket_many
-    span only the slid-cone and gap-peak witnesses ask for heights, one
-    k_distance_many per horizontal axis each: 2(n-1) spans.  The
-    lateral-face witnesses read the batch's own descent.  Under each
-    member_many span every k_distance_many sees one point per cube of the
-    block, its center.  Each lattice point is bracketed once per block and
-    in one round only: after round 0 a cube's corners (all lattice
-    coordinates even) were its parent's samples, so no batch holds one.
+    Each round's cubes go in blocks of _BLOCK_SAMPLES // 3^n, here 2^14 //
+    3^n (N at n = 3 splits its max_gen round of 864 cubes in 2).  Under
+    each bracket_many span only the slid-cone and gap-peak witnesses ask
+    for heights, one k_distance_many per horizontal axis each: 2(n-1)
+    spans.  The lateral-face witnesses and the memberships, centers
+    included, read the batch's own descent.  The one member_many span is
+    the max_gen round's center pre-test, before that round's first block:
+    one point per cube with 0 < ub < sqrt(n) l.  Each lattice point is
+    bracketed once per block and in one round only: after round 0 a cube's
+    corners (all lattice coordinates even) were its parent's samples, so no
+    batch holds one.
     """
     spans = _spans_module()
     whitney = cantorslit.whitney
     calls, batches = [], []   # per round and per block, in call order
     bracket_cubes = whitney._bracket_cubes
     bracket_many = whitney.RegionOracle.bracket_many
+    monkeypatch.setattr(whitney, "_BLOCK_SAMPLES", 1 << 14)
     block = whitney._BLOCK_SAMPLES // 3 ** n
 
     def record(oracle, gen, idx, corners=None):
@@ -166,9 +170,18 @@ def test_traced_decompose_asks_each_question_once(n, max_gen, monkeypatch):
                 for s in tracer.spans if s["name"] == name]
     brackets = descents_under("whitney.oracle.bracket_many")
     members = descents_under("whitney.oracle.member_many")
-    assert len(brackets) == len(members) == len(cubes) == len(batches)
+    assert len(brackets) == len(cubes) == len(batches)
     assert [len(b) for b in brackets] == [2 * (n - 1)] * len(cubes)
-    assert members == [[m] * (n - 1) for m in cubes]
+    assert len(members) == 1
+    assert members[0] == [members[0][0]] * (n - 1) and members[0][0] > 0
+    # the pre-test runs between the last two rounds' blocks
+    ids = {name: [s["id"] for s in tracer.spans if s["name"] == name]
+           for name in ("whitney.oracle.bracket_many",
+                        "whitney.oracle.member_many")}
+    first = gens.index(max_gen)
+    assert (ids["whitney.oracle.bracket_many"][first - 1]
+            < ids["whitney.oracle.member_many"][0]
+            < ids["whitney.oracle.bracket_many"][first])
 
     # one _bracket_cubes call per round, in round order
     assert [g for g, _ in calls] == list(range(max_gen + 1))

@@ -126,7 +126,7 @@ def _bracket_cubes_reference(oracle, gen, idx):
     offs = np.array(list(product((0.0, 0.5, 1.0), repeat=n)))
     X = ((idx * side[:, None])[:, None, :]
          + side[:, None, None] * offs).reshape(-1, n)
-    lo_s, hi_s = oracle.bracket_many(X)
+    lo_s, hi_s, _ = oracle.bracket_many(X)
     mem = oracle.member_many(X).reshape(m, -1)
     lo_q = np.maximum(0.0, lo_s.reshape(m, -1).min(axis=1)
                       - math.sqrt(n) * side / 4.0)
@@ -170,6 +170,14 @@ def _whitney_decompose_reference(region, max_gen, window=None):
 
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _unsent(dec, sent, max_gen):
+    """How many active frontier cubes the max_gen round held but did not
+    send to _bracket_cubes; sent maps each round to the cubes it sent."""
+    asked = set(map(tuple, sent[max_gen].tolist())) if max_gen in sent else ()
+    return sum(tuple(r) not in asked
+               for r in dec.frontier_idx[~dec.frontier_stranded].tolist())
 
 
 BRACKET_CASES = [
@@ -232,16 +240,28 @@ def test_bracket_cubes_matches_reference(kind, lam, n, max_gen, window):
     # ones are carried down to max_gen
     ("Omega_lambda", 0.25, 2, 9, ((-1.50390625, -1.12890625),
                                   (-1.49609375, -1.12109375))),
+    ("Omega_lambda", 0.4, 2, 8, None),
+    ("Omega_lambda", 0.25, 3, 5, None),
 ])
-def test_decompose_matches_reference(kind, lam, n, max_gen, window):
-    """Inherited corner brackets and the passive set give the decomposition
-    bitwise.
+def test_decompose_matches_reference(kind, lam, n, max_gen, window,
+                                     monkeypatch):
+    """Inherited corner brackets, the passive set and the max_gen round's
+    skip give the decomposition bitwise.
 
-    whitney_decompose brackets each lattice point once across its rounds
-    and never brackets a cube whose inherited lower bound rules it out; the
-    reference brackets all 3^n samples of every unresolved cube in every
-    round.
+    whitney_decompose brackets each lattice point once across its rounds,
+    never brackets a cube whose inherited lower bound rules it out, and in
+    the max_gen round brackets only the cubes a bracket can still accept or
+    drop; the reference brackets all 3^n samples of every unresolved cube
+    in every round.  Whenever the max_gen round holds a cube it leaves on
+    the frontier, it leaves some unbracketed, so the skip is exercised.
     """
+    whitney = cantorslit.whitney
+    bracket_cubes, sent = whitney._bracket_cubes, {}
+
+    def record(oracle, gen, idx, corners=None):
+        sent[gen] = idx
+        return bracket_cubes(oracle, gen, idx, corners)
+    monkeypatch.setattr(whitney, "_bracket_cubes", record)
     region = region_spec(kind, lam=lam, n=n)
     dec = whitney_decompose(region, max_gen, window=window)
     want = _whitney_decompose_reference(region, max_gen, window)
@@ -250,9 +270,19 @@ def test_decompose_matches_reference(kind, lam, n, max_gen, window):
     assert len(dec) > 0 and len(dec.frontier) > 0
     for a, b in zip(got, want):
         assert _same_bits(a, b)
+    assert ((_unsent(dec, sent, max_gen) > 0)
+            == bool(np.any(~dec.frontier_stranded)))
 
 
-@pytest.mark.parametrize("kind, lam, n, max_gen, stranded, bracketed", [
+# cubes sent to _bracket_cubes over all rounds, per case below
+SENT = {("Omega_lambda", 0.25, 2, 9): 115246,
+        ("Omega_lambda", 0.25, 2, 10): 236010,
+        ("Omega_lambda", 0.25, 3, 5): 166008,
+        ("N_lambda", 0.25, 2, 9): 11410,
+        ("N_lambda", 0.125, 2, 9): 13282}
+
+
+@pytest.mark.parametrize("kind, lam, n, max_gen, stranded, held", [
     ("Omega_lambda", 0.25, 2, 9, 67960, 152908),
     ("Omega_lambda", 0.25, 2, 10, 292904, 311436),
     ("Omega_lambda", 0.25, 3, 5, 24320, 296140),
@@ -260,22 +290,27 @@ def test_decompose_matches_reference(kind, lam, n, max_gen, window):
     ("N_lambda", 0.125, 2, 9, 0, 18170),
 ])
 def test_passive_cubes_are_never_bracketed(kind, lam, n, max_gen, stranded,
-                                           bracketed, monkeypatch):
-    """The cubes sent to _bracket_cubes and the stranded frontier, pinned.
+                                           held, monkeypatch):
+    """The cubes the rounds hold and send, and the stranded frontier, pinned.
 
-    Without the passive set the rounds send 238,276 cubes for Omega at
-    lambda = 1/4, max_gen = 9, and 689,708 at max_gen = 10; N has no
-    passive cube here.
+    held counts each round's live cubes: those sent to _bracket_cubes and
+    those the max_gen round leaves on the frontier unbracketed.  Without
+    the passive set the rounds hold 238,276 cubes for Omega at lambda =
+    1/4, max_gen = 9, and 689,708 at max_gen = 10; N has no passive cube
+    here.  The max_gen round sends only the cubes a bracket can still
+    accept or drop: for Omega at lambda = 1/4, max_gen = 9, 41,010 of the
+    78,672 it holds.
     """
     whitney = cantorslit.whitney
-    bracket_cubes, sent = whitney._bracket_cubes, []
+    bracket_cubes, sent = whitney._bracket_cubes, {}
 
     def record(oracle, gen, idx, corners=None):
-        sent.append(len(idx))
+        sent[gen] = idx
         return bracket_cubes(oracle, gen, idx, corners)
     monkeypatch.setattr(whitney, "_bracket_cubes", record)
     dec = whitney.whitney_decompose(region_spec(kind, lam=lam, n=n), max_gen)
-    assert sum(sent) == bracketed
+    assert sum(map(len, sent.values())) == SENT[kind, lam, n, max_gen]
+    assert SENT[kind, lam, n, max_gen] + _unsent(dec, sent, max_gen) == held
     assert dec.stranded == stranded
     assert dec.stranded <= len(dec.frontier)
 
@@ -613,6 +648,9 @@ def _oracle_reference(region, X):
 def test_oracle_matches_reference(kind, n, lam):
     """oracle_for's brackets and membership equal the reference bitwise.
 
+    The membership bracket_many reads off its own descent equals both the
+    reference and member_many.
+
     Inputs: uniform points over Omega's box grown by 0.1, their 2^-12
     dyadic roundings, rows with a coordinate of x' on {0, 1}, rows with x'
     outside the column [0,1]^{n-1}, and rows on the tent graph |x_n| = g.
@@ -636,9 +674,11 @@ def test_oracle_matches_reference(kind, n, lam):
                       axis=1).any()
     oracle = oracle_for(region)
     for X in (U, dyadic, face, outside, graph):
-        got = (*oracle.bracket_many(X), oracle.member_many(X))
-        for a, b in zip(got, _oracle_reference(region, X)):
+        lo, hi, inside = oracle.bracket_many(X)
+        want = _oracle_reference(region, X)
+        for a, b in zip((lo, hi, inside), want):
             assert np.array_equal(a, b)
+        assert np.array_equal(inside, oracle.member_many(X))
 
 
 def test_oracle_for_rejects_other_kinds():
