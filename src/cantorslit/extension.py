@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import CantorSpec, cantor_dim, cell_endpoints
-from .fields import (GridField, _cells_in_box, _grid_axes, _stack_centers,
-                     grid_sample, gradient, seminorm_p)
-from .regions import (RegionSpec, component_label, membership_grid,
-                      region_membership_many, region_spec)
+from .fields import (GridField, _cells_in_box, _grid_axes, _read,
+                     _stack_centers, grid_sample, gradient, seminorm_p)
+from .regions import (D_BOX, Q0_HOLE, RegionSpec, component_label,
+                      membership_grid, region_membership_many, region_spec)
 from .whitney import (Q0_ID, UNASSIGNED, ReflectAssignment,
                       WhitneyDecomposition, reflect_assign, whitney_decompose)
 
@@ -123,20 +123,32 @@ def assemble(lam: float, n: int, max_gen: int) -> ExtensionAssembly:
         whitney_decompose(region_spec("Omega_lambda", lam=lam, n=n), max_gen))
 
 
+def _reservoir(axes: list[np.ndarray], mask: np.ndarray) -> np.ndarray:
+    """mask & Q0_tilde on the grid of the cell-center axes, from index boxes:
+    the open D_BOX, open (0, 1) on leading axes, less the closed Q0_HOLE."""
+    lo, hi = np.zeros(len(axes)), np.ones(len(axes))
+    lo[-2:], hi[-2:] = D_BOX
+    q0 = np.zeros(mask.shape, dtype=bool)
+    q0[_cells_in_box(axes, np.nextafter(lo, hi), np.nextafter(hi, lo))] = True
+    lo[-2:], hi[-2:] = Q0_HOLE
+    q0[_cells_in_box(axes, lo, hi)] = False
+    return q0 & mask
+
+
 def cube_average(u: GridField, Q) -> float:
     """Mean of u over the masked-in cells whose centers lie in the closed
     cube Q (anything with lo, hi); raises if the grid has no such cell.
 
     Q None means the reservoir region (the box minus the enlarged notch).
+    Values are read only inside u.support.
     """
-    if Q is None:
-        q0 = membership_grid(RegionSpec(kind="Q0_tilde", n=u.n), u.axes())
-        vals = u.values[u.mask & q0]
-    else:
-        sls = _cells_in_box(u.axes(), Q.lo, Q.hi)
-        vals = u.values[sls][u.mask[sls]]
-    if vals.size == 0:
+    box = _cells_in_box(u.axes(), *(u.bbox if Q is None else (Q.lo, Q.hi)))
+    sel = _reservoir(u.axes(), u.mask) if Q is None else u.mask[box]
+    if not sel.any():
         raise ValueError("cube has no masked-in cells to average over")
+    if Q is None and not sel[u.support].any():
+        return 0.0          # every reservoir value is +0.0
+    vals = _read(u, box)[sel]
     return float(np.sum(vals) / vals.size)
 
 
@@ -151,7 +163,7 @@ def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
     Blending and flagging run on the index box of the tent's bounding box,
     outside which no cell is in the tent: only the cubes whose support
     meets that box are averaged, and a blended cell's weights are those of
-    the whole grid's table.
+    the whole grid's table.  u is read only on u.support.
     """
     axes = u.axes()
     box = _cells_in_box(axes, *asm.region_n.bbox)
@@ -172,7 +184,8 @@ def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
     num = np.bincount(pou.cells, a[pou.rows] * pou.phi,
                       minlength=pou.total.size).reshape(pou.total.shape)
     covered = pou.total > 0.0
-    vals = np.where(u.mask, u.values, 0.0)
+    vals = np.zeros(u.grid_shape)
+    np.copyto(vals[u.support], u.values[u.support], where=u.mask[u.support])
     out_mask = u.mask.copy()
     flags = np.zeros(u.grid_shape, dtype=bool)
     tent_out = n_mask & ~u.mask[box]
@@ -181,7 +194,9 @@ def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
     out_mask[box] |= blend
     flags[box] = tent_out & ~covered
     return GridField(bbox=u.bbox.copy(), h=u.h, values=vals, mask=out_mask,
-                     kind="scalar", flags=flags)
+                     kind="scalar", flags=flags, support=tuple(
+                         slice(min(s.start, b.start), max(s.stop, b.stop))
+                         for s, b in zip(u.support, box)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +340,8 @@ def bound_report(n: int, p: float, lams: list[float],
     """Closed-form norm factors and effective constants per lambda.
 
     When h is given, an empirical ratio for the jump test function at the
-    origin pinch point is included; otherwise that column is NaN.
+    origin pinch point is included, and a ratio of 0 (Eu has no gradient
+    on its blended tent cells) raises; otherwise that column is NaN.
     """
     rep = BoundReport(n=n, p=p)
     for lam in lams:
@@ -336,6 +352,9 @@ def bound_report(n: int, p: float, lams: list[float],
         emp = math.nan
         if h is not None:
             emp = jump_ratio(lam, n, p, h)
+            if emp == 0.0:
+                raise ValueError(f"empirical ratio 0 at lambda={lam!r}, n={n},"
+                                 f" h={h!r}; no ratio")
         upper = thm_upper_curve(nf, n, p) if math.isfinite(nf) else math.nan
         rep.rows.append({"lambda": lam, "dim": dim, "norm_factor": nf,
                          "empirical_ratio": emp, "C_eff": c_eff,

@@ -26,7 +26,8 @@ class GridField:
 
     values has shape grid_shape for scalars and grid_shape + (n,) for
     vectors.  flags, set by extension.extend only, marks its uncovered tent
-    cells.
+    cells.  support (int-bounded index slices; default: the whole grid)
+    holds every cell whose value may differ from +0.0; passes read only it.
     """
 
     bbox: np.ndarray            # (2, n): lower and upper corners
@@ -36,6 +37,10 @@ class GridField:
     kind: str = "scalar"
     flags: np.ndarray | None = None
     region: RegionSpec | None = None
+    support: tuple[slice, ...] | None = None
+
+    def __post_init__(self):
+        self.support = self.support or tuple(slice(0, m) for m in self.mask.shape)
 
     @property
     def n(self) -> int:
@@ -100,7 +105,7 @@ def grid_sample(f, region: RegionSpec, h: float,
     axes = _grid_axes(bbox, h)
     mask = membership_grid(region, axes)
     support = getattr(f, "support", None)
-    box = ((slice(None),) * len(axes) if support is None
+    box = (tuple(slice(0, len(a)) for a in axes) if support is None
            else _cells_in_box(axes, support[0] - h, support[1] + h))
     sub = mask[box]
     pts = _stack_centers([a[s] for a, s in zip(axes, box)])
@@ -111,24 +116,22 @@ def grid_sample(f, region: RegionSpec, h: float,
     values = np.zeros(mask.shape)
     np.copyto(values[box], vals, where=sub)
     return GridField(bbox=bbox, h=h, values=values, mask=mask, kind="scalar",
-                     region=region)
+                     region=region, support=box)
+
+
+def _read(u: GridField, box: tuple[slice, ...]) -> np.ndarray:
+    """u.values[box] (int-bounded slices), reading no cell off u.support."""
+    cut = tuple(slice(lo := max(b.start, s.start), max(lo, min(b.stop, s.stop)))
+                for b, s in zip(box, u.support))
+    if cut == box:
+        return u.values[box]
+    out = np.zeros(tuple(b.stop - b.start for b in box) + u.values.shape[u.n:])
+    out[tuple(slice(c.start - b.start, c.stop - b.start)
+              for c, b in zip(cut, box))] = u.values[cut]
+    return out
 
 
 _STENCIL_PAD = 2     # cells by which gradient widens its nonzero values' box
-
-
-def _support_box(nz: np.ndarray) -> tuple[slice, ...] | None:
-    """Index box of the True cells of nz, widened by _STENCIL_PAD cells on
-    every side (slicing clips the stops); None if nz has no True cell."""
-    box = []
-    for ax in range(nz.ndim):
-        others = tuple(a for a in range(nz.ndim) if a != ax)
-        hit = np.flatnonzero(np.any(nz, axis=others))
-        if hit.size == 0:
-            return None
-        box.append(slice(max(int(hit[0]) - _STENCIL_PAD, 0),
-                         int(hit[-1]) + _STENCIL_PAD + 1))
-    return tuple(box)
 
 
 def gradient(u: GridField) -> GridField:
@@ -147,16 +150,23 @@ def gradient(u: GridField) -> GridField:
     so outside that box it is +0.0, and on the box's edge the cut-off
     neighbours and the cell itself are all +0.0 either way.  Face midpoints
     come from slices of the full grid's axes, so every bit matches the
-    whole-grid stencil.
+    whole-grid stencil.  The box is the result's support.
     """
     if u.kind != "scalar":
         raise ValueError("gradient expects a scalar field")
     n = u.n
     h = u.h
     out = np.zeros(u.values.shape + (n,))
-    box = _support_box(u.mask & ((u.values != 0) | np.signbit(u.values)))
-    if box is not None:
-        vals, mask = u.values[box], u.mask[box]
+    v = u.values[u.support]
+    nz = u.mask[u.support] & ((v != 0) | np.signbit(v))
+    others = [tuple(a for a in range(n) if a != ax) for ax in range(n)]
+    hit = [np.flatnonzero(np.any(nz, axis=o)) for o in others]
+    box = tuple(slice(max(s.start + int(t[0]) - _STENCIL_PAD, 0),
+                      min(s.start + int(t[-1]) + _STENCIL_PAD + 1, m))
+                if t.size else slice(0, 0)
+                for t, s, m in zip(hit, u.support, u.grid_shape))
+    if hit[0].size:
+        vals, mask = _read(u, box), u.mask[box]
         axes = ([a[s] for a, s in zip(u.axes(), box)]
                 if u.region is not None else None)
         for ax in range(n):
@@ -185,7 +195,7 @@ def gradient(u: GridField) -> GridField:
             comp[only_up] = (up[only_up] - vals[only_up]) / h
             comp[only_dn] = (vals[only_dn] - dn[only_dn]) / h
     return GridField(bbox=u.bbox, h=h, values=out, mask=u.mask.copy(),
-                     kind="vector", region=u.region)
+                     kind="vector", region=u.region, support=box)
 
 
 def seminorm_p(g: GridField, p: float, submask: np.ndarray | None = None) -> float:
@@ -193,8 +203,8 @@ def seminorm_p(g: GridField, p: float, submask: np.ndarray | None = None) -> flo
 
     The sum is math.fsum's correctly rounded one, which does not depend on
     the order of the terms; a zero cell adds nothing, so only the selected
-    cells with a nonzero value are gathered.  A sum past the float range
-    is inf.
+    cells of g.support with a nonzero value are gathered.  A sum past the
+    float range is inf.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -202,17 +212,18 @@ def seminorm_p(g: GridField, p: float, submask: np.ndarray | None = None) -> flo
     if not np.any(sel):
         warnings.warn("seminorm over an empty mask", stacklevel=2)
         return 0.0
+    sel, vals = sel[g.support], g.values[g.support]
     if g.kind == "vector":
         # component by component, then rows of a (cells, n) view: any()
         # over the short last axis and a boolean mask over the grid's axes
         # are several times slower
-        nonzero = g.values[..., 0] != 0
+        nonzero = vals[..., 0] != 0
         for k in range(1, g.n):
-            nonzero |= g.values[..., k] != 0
-        vals = g.values.reshape(-1, g.n)[np.flatnonzero(sel & nonzero)]
+            nonzero |= vals[..., k] != 0
+        vals = vals.reshape(-1, g.n)[np.flatnonzero(sel & nonzero)]
         mag = np.sqrt(np.sum(vals ** 2, axis=-1))
     else:
-        mag = np.abs(g.values[sel & (g.values != 0)])
+        mag = np.abs(vals[sel & (vals != 0)])
     try:
         total = math.fsum(mag ** p)
     except OverflowError:

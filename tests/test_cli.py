@@ -307,6 +307,19 @@ def test_sweep_without_blended_tent_cell_exits_1(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_sweep_with_all_zero_blend_exits_1(tmp_path):
+    """At lambda 1/8 the 2^-7 grid blends 768 tent cells, but every blended
+    value of the jump's extension is 0: the sweep ends in one line, exit
+    status 1 and no report, instead of printing a ratio 0."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--lambdas", "1/8", "--grid", "2^-7",
+                 "--out", str(tmp_path / "f.csv")])
+    msg = exc.value.code
+    assert isinstance(msg, str) and "\n" not in msg
+    assert msg.startswith("sweep: empirical ratio 0 at lambda=0.125")
+    assert not list(tmp_path.iterdir())
+
+
 def test_dim_estimate_command(tmp_path):
     out = tmp_path / "cert.json"
     rc = run_cli(["dim", "estimate", "--set", "cantor-slit",
@@ -369,7 +382,7 @@ def test_field_sample_without_out_writes_stdout(capsys):
     (["field", "sample", "--h", "2^-3"], "field sample", None),
     (["field", "grad", "--h", "2^-3"], "field grad", None),
     (["extend", "--grid", "2^-7", "--max-gen", "4"], "extend", None),
-    (["sweep", "--lambdas", "1/8", "--grid", "2^-7", "--seed", "5"],
+    (["sweep", "--lambdas", "1/8", "--grid", "2^-9", "--seed", "5"],
      "sweep", 5),
     (["dim", "estimate", "--lambda", "1/4", "--levels", "3"],
      "dim estimate", None),

@@ -2,11 +2,15 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cantorslit.extension as extension
 from cantorslit.cantor import CantorSpec
@@ -29,9 +33,10 @@ from cantorslit.extension import (
     thm_upper_curve,
     trace_mismatch,
 )
-from cantorslit.fields import GridField, _cells_in_box, _grid_axes, grid_sample
-from cantorslit.regions import (membership_grid, region_membership_many,
-                                region_spec)
+from cantorslit.fields import (GridField, _cells_in_box, _grid_axes,
+                               grid_sample, gradient, seminorm_p)
+from cantorslit.regions import (RegionSpec, membership_grid,
+                                region_membership_many, region_spec)
 from cantorslit.whitney import Q0_ID, UNASSIGNED, whitney_decompose
 
 LAM = 0.25
@@ -184,6 +189,39 @@ def test_extend_averages_each_reflected_cube_once(asm, monkeypatch):
     assert len(seen) == len(set(seen)) < len(asm.w)
 
 
+def _cube_average_reference(u, Q):
+    """The whole-grid mean: the reservoir classified by membership_grid over
+    the whole grid, a cube by its closed index box; every value gathered."""
+    if Q is None:
+        q0 = membership_grid(RegionSpec(kind="Q0_tilde", n=u.n), u.axes())
+        vals = u.values[u.mask & q0]
+    else:
+        sls = _cells_in_box(u.axes(), Q.lo, Q.hi)
+        vals = u.values[sls][u.mask[sls]]
+    if vals.size == 0:
+        raise ValueError("cube has no masked-in cells to average over")
+    return float(np.sum(vals) / vals.size)
+
+
+@pytest.mark.parametrize("n, h, lo, hi", [
+    (2, 2.0 ** -4, (-2.0, -1.5), (1.0, 1.5)),           # D's box
+    # centres on the hole's and D's faces, and outside D_BOX
+    (2, 0.25, (-2.625, -2.125), (1.625, 2.125)),
+    (2, 0.1, (-2.05, -1.55), (1.05, 1.55)),             # non-dyadic centres
+    (3, 0.25, (-0.375, -2.625, -2.125), (1.375, 1.625, 2.125)),
+    (3, 0.125, (0.0, -0.5, 0.75), (1.0, 1.25, 1.75)),
+])
+def test_reservoir_matches_membership(n, h, lo, hi):
+    """The reservoir's index boxes select exactly the masked-in cells that
+    membership_grid puts in Q0_tilde, faces included."""
+    axes = _grid_axes(np.array([lo, hi]), h)
+    mask = np.random.default_rng(3).random([len(a) for a in axes]) < 0.8
+    want = mask & membership_grid(RegionSpec(kind="Q0_tilde", n=n), axes)
+    got = extension._reservoir(axes, mask)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert 0 < np.count_nonzero(want) < np.count_nonzero(mask)
+
+
 def _extend_reference(u, asm):
     """The whole-grid extension: every cube whose support meets the grid,
     tent membership over the whole grid, a zero-fill and a gather."""
@@ -196,8 +234,8 @@ def _extend_reference(u, asm):
         raise ValueError(f"unassigned tent cube {asm.w.cubes[missing[0]]}"
                          " inside the support")
     targets, which = np.unique(rid, return_inverse=True)
-    avg = np.array([cube_average(u, None if t == Q0_ID else asm.wt.cubes[t])
-                    for t in targets.tolist()])
+    avg = np.array([_cube_average_reference(
+        u, None if t == Q0_ID else asm.wt.cubes[t]) for t in targets.tolist()])
     a = np.zeros(len(asm.w))
     a[tent] = avg[which]
     num = np.bincount(pou.cells, a[pou.rows] * pou.phi,
@@ -227,7 +265,8 @@ def test_extend_matches_reference(asm, monkeypatch):
     Random values, also on masked-out cells, with -0.0 entries; at n = 2
     on the slit domain's box, on grids that hold, straddle or miss the
     tent's box, at a non-dyadic spacing, with a windowed assembly and with
-    a random mask, and at n = 3.  Tent membership is classified on the
+    a random mask, and at n = 3; and a grid_sample'd jump, whose support
+    is a proper sub-box of the grid.  Tent membership is classified on the
     tent's box only.
     """
     box = ((0.25, -0.5), (0.5, 0.5))
@@ -273,6 +312,128 @@ def test_extend_matches_reference(asm, monkeypatch):
             assert seen == [tent_box]
         outcomes.add(isinstance(got, str))
     assert outcomes == {True, False}
+    u = grid_sample(origin_jump(LAM, 2, 1.0 / 8.0), asm.region_omega, H)
+    assert math.prod(s.stop - s.start for s in u.support) < u.mask.size
+    got = _extend_outcome(extend, u, asm)
+    assert not isinstance(got, str)
+    assert got == _extend_outcome(_extend_reference, u, asm)
+
+
+def _poisoned(f):
+    """f with NaN on every value outside its support."""
+    vals = np.full_like(f.values, np.nan)
+    vals[f.support] = f.values[f.support]
+    return replace(f, values=vals)
+
+
+def _field_bits(f):
+    return (f.values.tobytes(), f.mask.tobytes(),
+            None if f.flags is None else f.flags.tobytes(), f.kind)
+
+
+def test_passes_never_read_outside_support(asm):
+    """With every value outside support set to NaN, gradient, seminorm_p
+    and extend return the clean field's bits, so they never read there.
+
+    The jump's support is a proper sub-box of the grid; the reflected cubes
+    lie inside it, across its faces and outside it, and the reservoir holds
+    none of its cells.
+    """
+    u = grid_sample(origin_jump(LAM, 2, 1.0 / 8.0), asm.region_omega, H)
+    axes = u.axes()
+    overlap = set()
+    for t in np.unique(asm.reflect.target[asm.reflect.target >= 0]):
+        q = asm.wt.cubes[int(t)]
+        box = _cells_in_box(axes, q.lo, q.hi)
+        cells = [(max(b.start, s.start) < min(b.stop, s.stop),
+                  s.start <= b.start and b.stop <= s.stop)
+                 for b, s in zip(box, u.support)]
+        overlap.add("inside" if all(c[1] for c in cells) else
+                    "across" if all(c[0] for c in cells) else "outside")
+    assert overlap == {"inside", "across", "outside"}
+    assert Q0_ID in asm.reflect.target
+    eu, g = extend(u, asm), gradient(u)
+    geu = gradient(eu)
+    assert _field_bits(extend(_poisoned(u), asm)) == _field_bits(eu)
+    assert _field_bits(gradient(_poisoned(u))) == _field_bits(g)
+    assert _field_bits(gradient(_poisoned(eu))) == _field_bits(geu)
+    for f in (u, g, eu, geu):
+        assert np.isnan(_poisoned(f).values).any()
+        assert seminorm_p(_poisoned(f), 1.5) == seminorm_p(f, 1.5)
+
+
+@lru_cache
+def _assembled(n, max_gen):
+    return assemble(LAM, n=n, max_gen=max_gen)
+
+
+# (max_gen, h, bbox): grids with reservoir cells at n = 2 and 3, and one
+# without any
+_GRIDS = [(5, 2.0 ** -8, ((-0.5, -1.5), (1.0, 1.5))),
+          (5, 2.0 ** -8, ((-0.25, -0.5), (1.0, 0.5))),
+          (4, 2.0 ** -7, ((0.0, 0.0, -0.25), (0.25, 0.25, 1.25)))]
+
+
+def _result(fn, *args):
+    """fn's result bits or error, with the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+            out = _field_bits(out) if isinstance(out, GridField) else out
+        except ValueError as err:
+            out = f"ValueError: {err}"
+    return out, [str(w.message) for w in caught]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_support_matches_whole_grid(data):
+    """A producer-set support gives the results, warnings and errors of the
+    whole-grid default, and each producer leaves +0.0 outside its support.
+
+    The sampled function has a random support box, possibly off the grid,
+    and values 0, -0.0 and +-1/2, +-1; masks are the region's or random,
+    seminorms run with and without a random submask.
+    """
+    max_gen, h, bbox = data.draw(st.sampled_from(_GRIDS))
+    bbox = np.array(bbox)
+    n = bbox.shape[1]
+    a = _assembled(n, max_gen)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pad = 0.1 * (bbox[1] - bbox[0])
+    ends = np.sort(rng.uniform(bbox[0] - pad, bbox[1] + pad, (2, n)), axis=0)
+    if data.draw(st.integers(0, 3)) == 0:
+        ends = np.stack([bbox[1] + 0.1, bbox[1] + 0.2])     # off the grid
+
+    def f(X):
+        inside = np.all((X >= ends[0]) & (X <= ends[1]), axis=1)
+        v = np.round(2.0 * np.sin(41.0 * X[:, 0] + 29.0 * X[:, -1])) / 2.0
+        return np.where(inside, v, 0.0)
+    f.support = ends
+
+    u = grid_sample(f, a.region_omega, h, bbox)
+    if data.draw(st.booleans()):
+        u = replace(u, mask=rng.random(u.grid_shape) < 0.8)
+    submask = rng.random(u.grid_shape) < 0.5 if data.draw(st.booleans()) else None
+    p = data.draw(st.sampled_from((1.0, 1.5, 3.0)))
+    fields = [u]
+    for produce in (gradient, lambda v: extend(v, a)):
+        got = _result(produce, u)
+        assert got == _result(produce, replace(u, support=None))
+        if not isinstance(got[0], str):
+            fields.append(produce(u))
+    if len(fields) == 3:
+        fields.append(gradient(fields[2]))
+        assert _result(gradient, fields[2]) == _result(
+            gradient, replace(fields[2], support=None))
+    for v in fields:
+        outside = np.ones(v.grid_shape, dtype=bool)
+        outside[v.support] = False
+        rest = v.values[outside]
+        assert not np.any(rest != 0) and not np.any(np.signbit(rest))
+        assert _result(seminorm_p, v, p, submask) == _result(
+            seminorm_p, replace(v, support=None), p, submask)
 
 
 def test_extend_names_unassigned_tent_cube(asm):
