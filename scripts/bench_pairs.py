@@ -16,9 +16,17 @@ away with the worktree, so nothing is written under perfbench/ here.
 The record goes into workloads[NAME] (default NAME: the workload) of the
 --out file, which is created or updated in place: each run's metrics, each
 side's median and quartiles over its runs, the change's win count per
-end-to-end metric, and whether every iteration's result summary is the
-same record on both sides.  With --traced, one `--trace 1` run per side
-adds the named per-layer metrics under traced_NAME.  Standard library only.
+end-to-end metric, a regression verdict per end-to-end metric, and whether
+every iteration's result summary is the same record on both sides.  With
+--traced, one `--trace 1` run per side adds the named per-layer metrics
+under traced_NAME.  Standard library only.
+
+The verdict reads the metrics, their direction and their bounds from
+BENCHMARK.json's end_to_end list.  A metric regressed ("yes") when the
+change's median is worse than the parent's median by more than bound x the
+parent's median; "no" when it is not, or when every change run beats every
+parent run; "unresolved" when neither holds and the parent's quartile
+spread is wider than that margin, so the runs cannot tell.
 """
 
 from __future__ import annotations
@@ -33,9 +41,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# end-to-end metrics and whether lower is better
-METRICS = {"run_s": True, "setup_s": True, "peak_rss_mib": True,
-           "pass_frac": False}
+# end-to-end metric -> (lower is better, relative regression bound)
+METRICS = {m["name"]: (m["better"] == "lower", m["bound"]) for m in
+           json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def git(*args: str) -> str:
@@ -71,6 +79,22 @@ def spread(xs: list[float]) -> dict:
         return {"median": xs[0], "quartiles": [xs[0], xs[0]]}
     q1, _, q3 = statistics.quantiles(xs, n=4)
     return {"median": statistics.median(xs), "quartiles": [q1, q3]}
+
+
+def regressed(parent: list[float], change: list[float], lower: bool,
+              bound: float) -> str:
+    """Verdict "yes", "no" or "unresolved": is the change's median worse
+    than the parent's by more than bound x the parent's median?"""
+    sign = 1.0 if lower else -1.0       # flip so that lower is better
+    p, c = [sign * x for x in parent], [sign * x for x in change]
+    if max(c) < min(p):
+        return "no"
+    margin = bound * abs(statistics.median(p))
+    q1, q3 = spread(p)["quartiles"]
+    if q3 - q1 > margin:
+        return "unresolved"
+    worse = statistics.median(c) - statistics.median(p)
+    return "yes" if worse > margin else "no"
 
 
 def main(argv=None) -> int:
@@ -121,7 +145,10 @@ def main(argv=None) -> int:
                       file=sys.stderr)
         wins = {m: sum((c[m] < p[m]) if lower else (c[m] > p[m])
                        for p, c in zip(runs["parent"], runs["change"]))
-                for m, lower in METRICS.items()}
+                for m, (lower, _) in METRICS.items()}
+        verdicts = {m: regressed([r[m] for r in runs["parent"]],
+                                 [r[m] for r in runs["change"]], lower, bound)
+                    for m, (lower, bound) in METRICS.items()}
         distinct = {json.dumps(s, sort_keys=True)
                     for side in revs for s in summaries[side]}
         record = {
@@ -134,6 +161,7 @@ def main(argv=None) -> int:
                                   for m in METRICS}}
                for side in revs},
             "change_better_pairs": wins,
+            "regressed": verdicts,
             "pairs": args.pairs,
             "results_identical": len(distinct) == 1,
         }

@@ -119,7 +119,7 @@ def _descend(x, spec: CantorSpec, tol: float, full: bool = False):
         hi = t > 1.0 - lam
         if full:
             offset = offset[go] + np.where(hi, scale * (1.0 - lam), 0.0)
-        t = np.where(hi, (t - (1.0 - lam)) / lam, t / lam)
+        t = (t - np.where(hi, 1.0 - lam, 0.0)) / lam
         scale = scale * lam
         level += 1
     if full:

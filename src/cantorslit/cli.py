@@ -271,11 +271,8 @@ def cmd_field(args) -> Output:
 
 def _decomposition_gen(args) -> int:
     """The max_gen that extend and sweep decompose at for their --grid."""
-    if args.cmd == "sweep":
-        return finest_gen(args.grid)      # jump_ratio's default
-    if args.max_gen is not None:
-        return args.max_gen
-    return max(4, finest_gen(args.grid))
+    gen = getattr(args, "max_gen", None)      # sweep has no --max-gen
+    return finest_gen(args.grid) if gen is None else gen
 
 
 def cmd_extend(args) -> Output:
@@ -503,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"argument --{key}: {e}")
         if key == "grid":
             gen = _decomposition_gen(args)
-            if gen < 4 or h > 2.0 ** -gen / 8.0 + 1e-15:
+            if not 4 <= gen <= finest_gen(h):
                 parser.error(f"argument --grid: {h:g} needs max_gen >= 4 and a "
                              f"grid <= 2^-(max_gen+3); max_gen is {gen}")
     for key in ("func", "u"):

@@ -64,8 +64,9 @@ def partition_of_unity(dec: WhitneyDecomposition, h: float,
     them in C order within the box and total has the box's shape.  The
     profiles still read the full grid's axes, and the kept entries keep
     their order, so each cell's total is bit for bit the whole grid's.
+    Raises when dec is finer than finest_gen(h), the spacing rule's home.
     """
-    if len(dec) and h > 2.0 ** -int(dec.gen.max()) / 8.0 + 1e-15:
+    if len(dec) and int(dec.gen.max()) > finest_gen(h):
         raise ValueError("h must be at most the smallest cube side over 8")
     bbox = np.asarray(bbox, dtype=float)
     axes = _grid_axes(bbox, h)
@@ -264,8 +265,9 @@ def origin_jump(lam: float, n: int, r: float):
 
 
 def finest_gen(h: float) -> int:
-    """Finest generation partition_of_unity accepts at spacing h (h <= side/8)."""
-    return int(round(math.log2(1.0 / h))) - 3
+    """Largest g with h <= 2^-g/8 + 1e-15; the one home of this spacing rule."""
+    g = -math.frexp(h)[1] - 2           # 2^-(g+3) <= h < 2^-(g+2)
+    return g if h <= 2.0 ** -g / 8.0 + 1e-15 else g - 1
 
 
 def ratio_p(u_fn, lam: float, n: int, p: float, h: float,

@@ -1,6 +1,7 @@
 """Tests for the Cantor set distance and construction helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,32 @@ def test_descent_nearest_point_property(lam, x):
     near = float(k_nearest_many(np.array([x]), spec)[0])
     assert abs(abs(x - near) - k_distance(x, spec)) <= 2.0 ** -38
     assert k_distance(near, spec) <= 2.0 ** -38
+
+
+def test_descent_of_subnormal_ratio_does_not_overflow():
+    """Each level rescales only the surviving branch, so tiny x under a
+    subnormal lambda neither overflows nor warns."""
+    spec = CantorSpec(lam=2.2e-310)
+    xs = np.array([1e-320, 5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = k_distance_many(xs, spec)
+        near = k_nearest_many(xs, spec)
+    assert np.all(np.isfinite(dist)) and np.all(np.isfinite(near))
+    assert np.all(dist <= 2.0 ** -39)
+
+
+@pytest.mark.parametrize("spec", [
+    fat_thin_cantor(3), fat_thin_cantor(8), fat_thin_cantor(12),
+    CantorSpec(kind="variable", ratios=(0.25, 0.4, 0.1, 0.5, 0.3)),
+], ids=["fat_thin_3", "fat_thin_8", "fat_thin_12", "variable_5"])
+def test_descent_stops_at_the_spec_depth(spec):
+    """A variable spec's cells stay longer than 2^-40, so the descent ends
+    at its depth: the distance is then to the depth-level interval union."""
+    xs = np.concatenate([np.linspace(-0.2, 1.2, 4001),
+                         construction_intervals(spec, spec.depth).ravel()])
+    d_ref = interval_union_distance(xs, spec, spec.depth)
+    assert np.max(np.abs(k_distance_many(xs, spec) - d_ref)) <= 2.0 ** -40
 
 
 def test_gap_midpoints_bracket_points():

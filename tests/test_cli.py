@@ -260,6 +260,8 @@ def test_claim_count_without_fit_exits_1(tmp_path, capsys):
     (["field", "norm", "--func", "const:2^5000"], "--func"),
     # a name outside the choices
     (["dim", "estimate", "--set", "bogus", "--lambda", "1/4"], "--set"),
+    # a grid too coarse for the finest generation the rule admits, 4
+    (["extend", "--grid", "2^-6"], "--grid"),
 ])
 def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
                                             monkeypatch):
@@ -292,6 +294,19 @@ def test_sweep_schema(tmp_path):
     assert len(body) == 3
     for line in body:
         assert len(line.split(",")) == 6
+
+
+def test_grid_that_is_not_a_power_of_two_runs(tmp_path):
+    """3/2560 lies between 2^-10 and 2^-9, so it resolves max_gen 6: sweep
+    and extend accept it and decompose there."""
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--lambdas", "1/4", "--grid", "3/2560",
+                    "--out", str(out)]) == 0
+    head, row = out.read_text().split("\n")[:2]
+    ratio = row.split(",")[head.split(",").index("empirical_ratio")]
+    assert float(ratio) == 0.03237472550746158
+    assert run_cli(["extend", "--grid", "3/2560",
+                    "--out", str(tmp_path / "eu.npz")]) == 0
 
 
 def test_sweep_without_blended_tent_cell_exits_1(tmp_path):

@@ -23,6 +23,7 @@ from cantorslit.extension import (
     cube_average,
     d_factor,
     extend,
+    finest_gen,
     gap_midpoints,
     jump_ratio,
     jump_test_function,
@@ -124,6 +125,27 @@ def test_pou_box_matches_whole_grid(asm):
 def test_pou_rejects_coarse_grid(asm):
     with pytest.raises(ValueError):
         partition_of_unity(asm.w, 2.0 ** -5, asm.region_n.bbox)
+
+
+@pytest.mark.parametrize("g", range(4, 21))
+def test_finest_gen_on_powers_of_two(g):
+    assert finest_gen(2.0 ** -(g + 3)) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(384, 24576))
+def test_finest_gen_is_the_largest_admitted(m):
+    """h = 3/m: finest_gen(h) satisfies h <= 2^-g/8 + 1e-15, the next does
+    not, so grids that are not powers of two keep their finest generation."""
+    h, g = 3.0 / m, finest_gen(3.0 / m)
+    assert h <= 2.0 ** -g / 8.0 + 1e-15
+    assert h > 2.0 ** -(g + 1) / 8.0 + 1e-15
+
+
+def test_jump_ratio_on_a_grid_that_is_not_a_power_of_two():
+    """3/2560 lies between 2^-10 and 2^-9: it resolves max_gen 6."""
+    assert finest_gen(3.0 / 2560.0) == 6
+    assert jump_ratio(0.25, 2, 1.5, 3.0 / 2560.0) == 0.03237472550746158
 
 
 def test_cube_average_constant(asm):
