@@ -81,7 +81,8 @@ def _checked(parse, ok, what: str):
 
 
 LAMBDA = _checked(parse_number, lambda v: 0.0 < v < 0.5, "in (0, 1/2)")
-LAMBDAS = _checked(parse_number_list, lambda vs: all(0.0 < v < 0.5 for v in vs),
+LAMBDAS = _checked(parse_number_list,
+                   lambda vs: vs and all(0.0 < v < 0.5 for v in vs),
                    "a list of numbers in (0, 1/2)")
 DIM = _checked(int, lambda v: v >= 2, "an integer >= 2")
 MAX_GEN = _checked(int, lambda v: v >= 4, "an integer >= 4")

@@ -175,15 +175,17 @@ class CubeIndex:
         pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
         return np.where(inside & (keys[pos] == k), pos + self.blocks[g][0], -1)
 
-    def column(self, g: int, h: np.ndarray) -> tuple[int, int]:
-        """(start, stop) rows of the generation-g cubes over the horizontal
-        index h, empty where there is none: the last axis is the least
-        significant in the key, so they hold the keys (h, lo_n) .. (h, hi_n).
+    def column(self, g: int, h: np.ndarray) -> np.ndarray:
+        """Start and stop rows, shape (2,) + h.shape[:-1], of the generation-g
+        cubes over each horizontal index h (..., n-1); empty where there is
+        none.  The last axis is the least significant in the key, so a
+        column is the one run of keys (h, lo_n) .. (h, hi_n).
         """
-        key = self._keys.get(g)
-        if key is None or np.any((h < key[0][:-1]) | (h > key[1][:-1])):
-            return 0, 0
-        lo, hi, strides, keys = key
-        k = int((h - lo[:-1]) @ strides[:-1])
-        ends = np.searchsorted(keys, [k, k + hi[-1] - lo[-1] + 1])
-        return tuple((self.blocks[g][0] + ends).tolist())
+        if g not in self.blocks:
+            return np.zeros((2,) + h.shape[:-1], dtype=np.int64)
+        lo, hi, strides, keys = self._keys[g]
+        # clipped into the block's range, h keys fit int64; moved h read empty
+        c = np.minimum(np.maximum(h, lo[:-1]), hi[:-1])
+        k = (c - lo[:-1]) @ strides[:-1]
+        ends = keys.searchsorted(np.stack((k, k + hi[-1] - lo[-1] + 1)))
+        return self.blocks[g][0] + ends * (c == h).all(axis=-1)

@@ -38,8 +38,8 @@ def _bump_profile(x, center, side: float) -> np.ndarray:
 class PartitionOfUnity:
     """Bump weights of the resolved cubes on a regular grid, as a flat table.
 
-    Entry e is the raw bump phi[e] of cube row rows[e] at the C-order cell
-    cells[e]; entries run in (gen, idx) cube order.  total is the
+    Entry e is the raw bump phi[e] > 0 of cube row rows[e] at the C-order
+    cell cells[e]; entries run in (gen, idx) cube order.  total is the
     grid-shaped sum of phi per cell, so covered cells are those with total >
     0 and the normalised weights are phi / total.ravel()[cells].
     """
@@ -57,7 +57,8 @@ def partition_of_unity(dec: WhitneyDecomposition, h: float,
 
     A bump is the product of one _bump_profile per axis, so each generation
     is one array pass: per cube and axis, the profile over the grid indices
-    its (9/8)-support meets, then the outer product over the axes.
+    its (9/8)-support meets, then the outer product over the axes, less
+    the support's edge cells, where the bump is 0.
 
     box, index slices of the bbox grid with int bounds (as _cells_in_box
     gives them), restricts the table to the box's cells: cells then numbers
@@ -93,6 +94,7 @@ def partition_of_unity(dec: WhitneyDecomposition, h: float,
             bump = bump * prof.reshape(dims)
             key = key * shape[ax] + (j - i0[ax]).reshape(dims)
             ok = ok & (j < b[:, ax, None]).reshape(dims)
+        ok = ok & (bump > 0.0)
         parts.append((key[ok], bump[ok], np.broadcast_to(row, ok.shape)[ok]))
     cells, phi, rows = (np.concatenate(c) for c in zip(*parts))
     total = np.bincount(cells, phi, minlength=math.prod(shape)).reshape(shape)
@@ -162,15 +164,15 @@ def extend(u: GridField, asm: ExtensionAssembly) -> GridField:
     tent cells are flagged.  Each reflected cube is averaged once.
 
     Blending and flagging run on the index box of the tent's bounding box,
-    outside which no cell is in the tent: only the cubes whose support
-    meets that box are averaged, and a blended cell's weights are those of
-    the whole grid's table.  u is read only on u.support.
+    outside which no cell is in the tent: only the cubes that weigh some
+    cell of that box are averaged, and a blended cell's weights are those
+    of the whole grid's table.  u is read only on u.support.
     """
     axes = u.axes()
     box = _cells_in_box(axes, *asm.region_n.bbox)
     pou = partition_of_unity(asm.w, u.h, u.bbox, box)
     n_mask = membership_grid(asm.region_n, [a[s] for a, s in zip(axes, box)])
-    # the tent cubes whose support meets the box, and their reflected cubes
+    # the tent cubes that weigh a cell of the box, and their reflected cubes
     tent = np.unique(pou.rows)
     rid = asm.reflect.target[tent]
     missing = tent[rid == UNASSIGNED]
@@ -382,13 +384,12 @@ def jump_ratio(lam: float, n: int, p: float, h: float,
 
 
 def _point_weights(x: np.ndarray, w: WhitneyDecomposition):
-    """Rows and raw bumps of the cubes of w weighted at x: the positive
-    entries of the partition_of_unity table of a one-cell grid centred at
-    x, at the coarsest spacing w accepts."""
+    """Rows and raw bumps of the cubes of w weighted at x: the
+    partition_of_unity table of a one-cell grid centred at x, at the
+    coarsest spacing w accepts."""
     h = 2.0 ** -(int(w.gen.max(initial=0)) + 3)
     pou = partition_of_unity(w, h, np.stack([x - h / 2.0, x + h / 2.0]))
-    live = pou.phi > 0.0            # the table also lists support-edge zeros
-    return pou.rows[live], pou.phi[live]
+    return pou.rows, pou.phi
 
 
 def point_extend(x, asm: ExtensionAssembly, u_fn) -> float:

@@ -560,34 +560,29 @@ def reflect_assign(w: WhitneyDecomposition,
     closed half-space whose drop-axis projection contains the cube's and
     whose side is at most twice the cube's; ties go to the smaller
     (gen, idx).  Containment forces the candidate generation into
-    {gen-1, gen}, so candidates are two vertical stacks.  A generation block
-    of wt is sorted with the horizontal axes most significant, so each
-    half-stack is one run of rows, found by searchsorted on the key
-    (horizontal index, x_n >= 0).  Cubes with no candidate get UNASSIGNED.
+    {gen-1, gen}, so candidates are two vertical stacks, each one
+    CubeIndex.column run; its cubes below x_n = 0 come first (x_n is the
+    key's last axis), and a prefix count of them splits it at the pinch
+    plane.  Cubes with no candidate get UNASSIGNED.
     """
     central = central_mask(w)
     cen_w = (w.idx + 0.5) * sides(w.gen)[:, None]
     cen_t = (wt.idx + 0.5) * sides(wt.gen)[:, None]
-    up_w, up_t = w.idx[:, -1:] >= 0, wt.idx[:, -1:] >= 0
+    # wt rows before each row that lie below x_n = 0
+    below = np.concatenate([[0], np.cumsum(wt.idx[:, -1] < 0)])
     # candidate pairs (W row, W-tilde row), one run per W cube and stack
     pw, pt = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for gc, (a, b) in wt.index.blocks.items():
-        stack = np.hstack([wt.idx[a:b, :-1], up_t[a:b]])
-        lo, hi = stack.min(axis=0), stack.max(axis=0)
-        strides = radix_strides(lo, hi)
-        keys = (stack - lo) @ strides
-        for gshift in (1, 0):          # W gen = gc + gshift
-            if gc + gshift not in w.index.blocks:
-                continue
-            wa, wb = w.index.blocks[gc + gshift]
-            rows = wa + np.flatnonzero(~central[wa:wb])
-            q = np.hstack([w.idx[rows, :-1] >> gshift, up_w[rows]])
-            inside = np.all((q >= lo) & (q <= hi), axis=1)
-            rows, k = rows[inside], (q[inside] - lo) @ strides
-            start = np.searchsorted(keys, k, side="left")
-            count = np.searchsorted(keys, k, side="right") - start
+    for g, (a, b) in w.index.blocks.items():
+        rows = a + np.flatnonzero(~central[a:b])
+        up = w.idx[rows, -1] >= 0
+        for gshift in (1, 0):          # candidate gen = g - gshift
+            h = w.idx[rows, :-1] >> gshift
+            start, stop = wt.index.column(g - gshift, h)
+            mid = start + below[stop] - below[start]
+            start, stop = np.where(up, mid, start), np.where(up, stop, mid)
+            count = stop - start
             pw.append(np.repeat(rows, count))
-            pt.append(a + np.arange(count.sum())
+            pt.append(np.arange(count.sum())
                       + np.repeat(start - np.cumsum(count) + count, count))
     pw, pt = np.concatenate(pw), np.concatenate(pt)
     # centers are dyadic, so each squared distance is an exact sum and its

@@ -262,6 +262,9 @@ def test_claim_count_without_fit_exits_1(tmp_path, capsys):
     (["dim", "estimate", "--set", "bogus", "--lambda", "1/4"], "--set"),
     # a grid too coarse for the finest generation the rule admits, 4
     (["extend", "--grid", "2^-6"], "--grid"),
+    # lambda lists with no entry
+    (["sweep", "--lambdas", ""], "--lambdas"),
+    (["sweep", "--lambdas", ","], "--lambdas"),
 ])
 def test_bad_arguments_exit_before_any_work(args, flag, tmp_path, capsys,
                                             monkeypatch):
@@ -494,6 +497,8 @@ def test_run_config_set_override(tmp_path):
      "unrecognized arguments: --maxgen"),
     ({"out": "x", "params": {"lambda": 0.25}}, "'kind'"),
     ({"kind": "density", "params": {"lambda": 0.25}}, "'out'"),
+    ({"kind": "bound-sweep", "out": "x", "params": {"lambdas": []}},
+     "argument --lambdas"),
 ])
 def test_bad_configs_exit_before_any_work(cfg, flag, tmp_path, capsys,
                                           monkeypatch):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import cantorslit.dimension
-from cantorslit.cantor import CantorSpec
+from cantorslit.cantor import CantorSpec, fat_thin_cantor
 from cantorslit.dimension import (
+    NetHierarchy,
     NoComponentError,
     build_net_hierarchy,
     cantor_candidates,
@@ -73,6 +74,25 @@ def test_dim_estimate_requires_levels():
     h = build_net_hierarchy(CantorSpec(lam=0.25), levels=2, n=1)
     with pytest.raises(ValueError):
         dim_upper_estimate(h)
+
+
+def test_candidates_warn_past_the_spec_depth():
+    # two construction steps leave cells of size 1/3 * 3/8 > 1e-3 / 4
+    with pytest.warns(UserWarning, match="coarser than r/4"):
+        cantor_candidates(fat_thin_cantor(2), 1e-3)
+
+
+def test_dim_estimate_uncertified_on_crowded_levels():
+    """40 nearly coincident points at every level: each deeper count is 40,
+    and from level 2 only j = 1 is available, where 40 < 4^s needs s > 2.6,
+    past the grid's 1.5."""
+    pts = np.zeros((40, 2))
+    pts[:, 0] = 0.5 + 1e-9 * np.arange(40)
+    h = NetHierarchy(cantor=CantorSpec(lam=0.25), n=2,
+                     levels={1: pts, 2: pts, 3: pts})
+    est = dim_upper_estimate(h)
+    assert est.s == 1.5 and not est.certified
+    assert est.certificate == {} and est.levels == 3
 
 
 def test_density_quick_both_sides():

@@ -134,13 +134,18 @@ def test_cube_index_column(n, seed, size, span):
     gen, idx = gen[keep][perm], idx[keep][perm]
     index = CubeIndex(gen, idx)
     empty_inside = outside = 0
+    every_h = np.array(list(product(range(-span - 1, span + 2), repeat=n - 1)),
+                       dtype=np.int64)
     for g in range(-1, 5):
         a, b = index.blocks.get(g, (0, 0))
-        for h in product(range(-span - 1, span + 2), repeat=n - 1):
-            h = np.array(h, dtype=np.int64)
+        # all of g's columns in one call: the one-row answers, row by row
+        runs = index.column(g, every_h)
+        assert runs.shape == (2, len(every_h))
+        for h, run in zip(every_h, runs.T):
             want = a + np.flatnonzero(np.all(idx[a:b, :-1] == h, axis=1))
             start, stop = index.column(g, h)
             assert np.array_equal(np.arange(start, stop), want)
+            assert np.array_equal(np.arange(*run), want)
             if b > a and not len(want):
                 lo, hi = idx[a:b, :-1].min(axis=0), idx[a:b, :-1].max(axis=0)
                 inside = np.all((lo <= h) & (h <= hi))

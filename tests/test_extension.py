@@ -31,6 +31,7 @@ from cantorslit.extension import (
     origin_jump,
     partition_of_unity,
     point_extend,
+    ratio_p,
     thm_upper_curve,
     trace_mismatch,
 )
@@ -84,6 +85,7 @@ def test_pou_matches_reference(asm):
         assert pou.total.shape == ref.shape
         assert pou.total.tobytes() == ref.tobytes()
         assert np.all(np.diff(pou.rows) >= 0)     # (gen, idx) cube order
+        assert np.all(pou.phi > 0.0)              # no support-edge zeros
         # normalised weights sum to 1 wherever the grid is covered
         total = pou.total.ravel()
         covered = total > 0.0
@@ -575,6 +577,20 @@ def test_jump_function_rejects_one_sided_point():
     with pytest.raises(ValueError):
         jump_test_function(np.array([-1.5, 0.0]), 1.0 / 8.0, ro,
                            np.array([-1.49, 1.0 / 64.0]))
+
+
+def test_jump_function_rejects_bad_radius_and_witness():
+    ro = region_spec("Omega_lambda", lam=LAM)
+    with pytest.raises(ValueError, match="r must be positive"):
+        jump_test_function(np.zeros(2), 0.0, ro, np.array([0.01, 0.05]))
+    # (5, 5) lies outside the flood-fill window of radius 3.2 r
+    with pytest.raises(ValueError, match="matches no component"):
+        jump_test_function(np.zeros(2), 1.0 / 8.0, ro, np.array([5.0, 5.0]))
+
+
+def test_ratio_p_rejects_a_constant_function():
+    with pytest.raises(ValueError, match="zero seminorm"):
+        ratio_p(lambda X: np.ones(len(X)), LAM, 2, 1.5, 2.0 ** -7)
 
 
 def test_jump_ratios_pinned():

@@ -681,6 +681,11 @@ def test_oracle_matches_reference(kind, n, lam):
         assert np.array_equal(inside, oracle.member_many(X))
 
 
+def test_decompose_rejects_max_gen_below_4():
+    with pytest.raises(ValueError, match="max_gen must be >= 4"):
+        whitney_decompose(region_spec("N_lambda", lam=LAM), max_gen=3)
+
+
 def test_oracle_for_rejects_other_kinds():
     for kind in ("D", "Q0_tilde"):
         with pytest.raises(ValueError, match="no certified distance oracle"):
@@ -807,6 +812,18 @@ def test_reflect_matches_reference(decs):
     _assert_reflect_matches_reference(
         whitney_decompose(region_spec("N_lambda", lam=LAM), 11, window=win),
         whitney_decompose(region_spec("Omega_lambda", lam=LAM), 11, window=win))
+    # hand-built: the complement has no generation-2 block, so the W
+    # generation 3 finds no candidate one level coarser; W columns 20 and
+    # -3 lie outside the complement's generation-3 range 4..6, and column 3
+    # lies outside its generation-1 range 0..1 after the shift
+    w = _hand_built([(2, (1, 1)), (2, (2, -2)), (2, (6, 3)), (3, (5, 2)),
+                     (3, (5, -3)), (3, (20, 1)), (3, (-3, -2)), (3, (6, 1))])
+    wt = _hand_built([(1, (0, 1)), (1, (0, 0)), (1, (0, -1)), (1, (1, -1)),
+                      (1, (1, 2)), (3, (5, 6)), (3, (5, -7)), (3, (4, 0)),
+                      (3, (6, 3)), (3, (6, -2))])
+    assert 2 not in wt.index.blocks
+    ra = _assert_reflect_matches_reference(w, wt)
+    assert np.count_nonzero(ra.target == UNASSIGNED) == 3
 
 
 def test_reflect_tie_goes_to_smaller_gen_idx():
