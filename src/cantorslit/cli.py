@@ -193,6 +193,7 @@ def cmd_whitney_verify(args) -> Output:
         "w2_violations": rep.w2_violations,
         "w3_violations": rep.w3_violations,
         "w4_violations": rep.w4_violations,
+        "w6_violations": rep.w6_violations,
         "boundary_crossings": rep.boundary_crossings,
         "frontier_fraction": dec.frontier_fraction,
         "resolved": len(dec.cubes),

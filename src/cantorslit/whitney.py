@@ -79,7 +79,12 @@ class RegionOracle:
 
     bracket_many brackets the distance to the tent boundary; for Omega it
     then takes in the distance to the rectilinear boundary of D.  Brackets
-    hold to the descent tolerance 2^-40.  It also returns membership from
+    hold to the descent tolerance 2^-40.  Where x' lies outside the column
+    [0,1]^{n-1}, the cone bound |g - |x_n|| / sqrt2 sees a surface |x_n| = g
+    that is no boundary there, so lo also takes dist(x, B), B = [0,1]^{n-1} x
+    [-G, G], G = sqrt(n-1) max_k.  Each axis distance to C is at most max_k,
+    so N lies in B and dist(x, boundary of N) >= dist(x, B) for x outside B:
+    the max of the two lower bounds is one.  It also returns membership from
     its own descent, member_many's bit for bit: the tent height takes the
     per-axis tolerance and summation order of _product_distance.
     """
@@ -152,6 +157,12 @@ class RegionOracle:
             gp = np.sqrt(sum(d2[:, j] for j in range(n - 1) if j != i))
             dist = np.sum((XP - foot) ** 2, axis=1) + (xn - sgn * gp) ** 2
             hi = np.minimum(hi, np.sqrt(dist))
+        # x' outside the column: the distance to the tent's box B
+        G = math.sqrt(n - 1) * self._max_k
+        blo, bhi = np.zeros(n), np.ones(n)
+        blo[n - 1], bhi[n - 1] = -G, G
+        np.maximum(lo, _box_boundary_dist(X, blo, bhi) - tol, out=lo,
+                   where=np.any((XP < 0.0) | (XP > 1.0), axis=1))
         hi = hi + tol
         member = _in_region(self.region, list(X.T), g)
         if self.region.kind == "N_lambda":
@@ -456,6 +467,7 @@ class WhitneyReport:
     w2_violations: int
     w3_violations: int
     w4_violations: int
+    w6_violations: int
     boundary_crossings: int
     coverage_checked: int
     coverage_misses: int
@@ -463,7 +475,7 @@ class WhitneyReport:
     @property
     def total_violations(self) -> int:
         return (self.w1_violations + self.w2_violations
-                + self.w3_violations + self.w4_violations)
+                + self.w3_violations + self.w4_violations + self.w6_violations)
 
 
 def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
@@ -471,12 +483,15 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
     """Recompute all Whitney properties from scratch on a decomposition.
 
     W1/W2/W4 are exact dyadic checks; W3 passes when the recomputed bracket
-    intersects [sqrt(n) l, 4 sqrt(n) l].  Optional Monte Carlo coverage check
-    verifies that random region points land in exactly one cube, resolved or
-    frontier (skipped for windowed decompositions).
+    intersects [sqrt(n) l, 4 sqrt(n) l].  W6 counts the touching components
+    of an unwindowed Omega_lambda decomposition's resolved cubes beyond the
+    first: Omega is connected, and so must its certified cubes be (N is not
+    checked; its rhombi meet only at the pinch points).  Optional Monte
+    Carlo coverage check verifies that random region points land in exactly
+    one cube, resolved or frontier (skipped for windowed decompositions).
     """
     if not len(dec):
-        return WhitneyReport(0, 0, 0, 0, 0, 0, 0)
+        return WhitneyReport(0, 0, 0, 0, 0, 0, 0, 0)
     n, side = dec.n, sides(dec.gen)
     sqrtn = math.sqrt(n)
     lo_q, hi_q, center, _ = _bracket_cubes(dec.oracle, dec.gen, dec.idx)
@@ -498,10 +513,20 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
                 has_anc[a:b] |= union.find(ga, idx[a:b] >> (g - ga)) >= 0
     w2 = int(np.sum(has_anc))
 
-    # W4 over the touching graph: side ratio > 4
-    gl = dec.gen.tolist()
-    w4 = sum(1 for r, nbrs in dec.adjacency().items() for s in nbrs
-             if s > r and abs(gl[r] - gl[s]) > 2)
+    # the touching graph's edges, both ways
+    adj = dec.adjacency()
+    u = np.repeat(np.arange(len(dec)), [len(nbrs) for nbrs in adj.values()])
+    v = np.fromiter((s for nbrs in adj.values() for s in nbrs), np.int64, len(u))
+    # W4: side ratio > 4
+    w4 = int(np.count_nonzero((u < v) & (np.abs(dec.gen[u] - dec.gen[v]) > 2)))
+    # W6: Omega's resolved cubes form one touching component
+    w6 = 0
+    if dec.oracle.region.kind == "Omega_lambda" and dec.window is None:
+        # scipy.sparse takes ~0.1 s to import, and only W6 needs it
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+        graph = coo_matrix((np.ones(len(u)), (u, v)), shape=(len(dec),) * 2)
+        w6 = int(connected_components(graph, directed=False)[0]) - 1
 
     # exact check: interiors never cross the slab boundary hyperplanes
     # x_i = 0, 1 (i < n-1) and x_n = -1, 1; corners are exact floats, and
@@ -523,7 +548,8 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
                    for g in union.blocks)
         checked, misses = len(pts), int(np.sum(hits != 1))
     return WhitneyReport(w1_violations=w1, w2_violations=w2, w3_violations=w3,
-                         w4_violations=w4, boundary_crossings=crossings,
+                         w4_violations=w4, w6_violations=w6,
+                         boundary_crossings=crossings,
                          coverage_checked=checked, coverage_misses=misses)
 
 

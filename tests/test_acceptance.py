@@ -109,6 +109,7 @@ def test_criterion_03_whitney_soundness(capsys, gen8):
         assert r.w2_violations == 0
         assert r.w3_violations == 0
         assert r.w4_violations == 0
+        assert r.w6_violations == 0
         assert r.boundary_crossings == 0
 
 

@@ -162,11 +162,12 @@ def test_whitney_build_and_verify(tmp_path):
 def test_whitney_verify_reports_stranded(capsys):
     """Omega's frontier cubes that were never bracketed show in the report."""
     rc = run_cli(["whitney", "verify", "--region", "Omega_lambda",
-                  "--lambda", "1/4", "--max-gen", "6"])
+                  "--lambda", "1/4", "--max-gen", "7"])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["stranded"] == 296
-    assert rep["stranded"] <= rep["frontier"] == 5402
+    assert rep["stranded"] == 48
+    assert rep["stranded"] <= rep["frontier"] == 7376
+    assert rep["w6_violations"] == 0
 
 
 def test_claim_count_manifest_reports_sources(tmp_path):

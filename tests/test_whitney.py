@@ -19,6 +19,7 @@ from cantorslit.dyadic import (DyadicCube, cubes_touch, meets_window, order,
 from cantorslit.regions import D_BOX, D_NOTCH, region_spec
 from cantorslit.whitney import (
     Q0_ID,
+    RegionOracle,
     _box_boundary_dist,
     _bracket_cubes,
     _child_corners,
@@ -39,7 +40,7 @@ LAM = 0.25
 # float64 bytes; any change to the decomposition or its brackets shows here
 FIXTURE_SHA = {
     "w": "cc12035dd67cbd7816795b979c78b00732a087be52fd0df535eda8c77eacd21e",
-    "wt": "11fbe9ff250bdb09ffcc1c8f1eadf06c203d4c26315835df3faec5f33ffbc1a6",
+    "wt": "39fd7b2f64b805b402d34ab75c9c4bb87f512e9831a405e3e230cfc729e88eb1",
 }
 # sha256 of the sorted (gen, idx, k, load) of claim_count's per_cube on the
 # fixture at k_max=4, keyed by complement cube rather than by row
@@ -63,6 +64,37 @@ def test_decomposition_clean(decs):
         assert rep.boundary_crossings == 0
         assert rep.coverage_misses == 0
     assert len(w) > 0 and len(wt) > 0
+
+
+class _NoColumnBoxOracle(RegionOracle):
+    """The oracle as it was without the tent's box bound outside the column
+    (_oracle_reference equals it bit for bit)."""
+
+    def bracket_many(self, X):
+        return _oracle_reference(self.region, X, column_box=False)
+
+
+@pytest.mark.parametrize("lam", [1 / 16, 1 / 8, 1 / 4, 0.4])
+def test_omega_cubes_form_one_component(lam, monkeypatch):
+    """W6 reads 0 for Omega at n = 2, and 2 without the box bound.
+
+    Without it the cone bound's phantom surface |x_2| = -x_1 left of the
+    column keeps a band of cubes unresolved, which cuts Omega's resolved
+    cubes into three touching components: the strip left of the notch, the
+    lower half and the upper half.
+    """
+    region = region_spec("Omega_lambda", lam=lam)
+    assert verify_whitney(whitney_decompose(region, 6)).w6_violations == 0
+    monkeypatch.setattr(cantorslit.whitney, "oracle_for", _NoColumnBoxOracle)
+    assert verify_whitney(whitney_decompose(region, 6)).w6_violations == 2
+
+
+def test_omega_halves_apart_at_n3():
+    """Known gap: at n = 3 Omega's resolved cubes stay in two components,
+    above and below the pinch plane, so W6 reads 1 and `whitney verify
+    --region Omega_lambda --n 3` exits 1."""
+    dec = whitney_decompose(region_spec("Omega_lambda", lam=0.25, n=3), 4)
+    assert verify_whitney(dec).w6_violations == 1
 
 
 def test_fixture_pinned(decs):
@@ -233,13 +265,13 @@ def test_bracket_cubes_matches_reference(kind, lam, n, max_gen, window):
 @pytest.mark.parametrize("kind, lam, n, max_gen, window", BRACKET_CASES + [
     ("N_lambda", 0.25, 4, 4, N4_WINDOW),
     ("Omega_lambda", 0.25, 4, 4, N4_WINDOW),
-    # the passive set holds most of Omega's frontier here
+    # unwindowed: passive cubes reach the frontier at lambda = 1/4 only
     ("Omega_lambda", 0.25, 2, 9, None),
     ("Omega_lambda", 0.125, 2, 9, None),
-    # near D's notch corner: no cube is live after round 4, and the passive
-    # ones are carried down to max_gen
-    ("Omega_lambda", 0.25, 2, 9, ((-1.50390625, -1.12890625),
-                                  (-1.49609375, -1.12109375))),
+    # below C's interval [3/16, 1/4]: no cube is live after round 6, and
+    # the passive ones are carried down to max_gen
+    ("Omega_lambda", 0.25, 2, 9, ((0.19921875, -0.12890625),
+                                  (0.20703125, -0.12109375))),
     ("Omega_lambda", 0.4, 2, 8, None),
     ("Omega_lambda", 0.25, 3, 5, None),
 ])
@@ -275,17 +307,17 @@ def test_decompose_matches_reference(kind, lam, n, max_gen, window,
 
 
 # cubes sent to _bracket_cubes over all rounds, per case below
-SENT = {("Omega_lambda", 0.25, 2, 9): 115246,
-        ("Omega_lambda", 0.25, 2, 10): 236010,
-        ("Omega_lambda", 0.25, 3, 5): 166008,
+SENT = {("Omega_lambda", 0.25, 2, 9): 86204,
+        ("Omega_lambda", 0.25, 2, 10): 174776,
+        ("Omega_lambda", 0.25, 3, 5): 159692,
         ("N_lambda", 0.25, 2, 9): 11410,
         ("N_lambda", 0.125, 2, 9): 13282}
 
 
 @pytest.mark.parametrize("kind, lam, n, max_gen, stranded, held", [
-    ("Omega_lambda", 0.25, 2, 9, 67960, 152908),
-    ("Omega_lambda", 0.25, 2, 10, 292904, 311436),
-    ("Omega_lambda", 0.25, 3, 5, 24320, 296140),
+    ("Omega_lambda", 0.25, 2, 9, 912, 115740),
+    ("Omega_lambda", 0.25, 2, 10, 3648, 233884),
+    ("Omega_lambda", 0.25, 3, 5, 27136, 276268),
     ("N_lambda", 0.25, 2, 9, 0, 16010),
     ("N_lambda", 0.125, 2, 9, 0, 18170),
 ])
@@ -295,11 +327,11 @@ def test_passive_cubes_are_never_bracketed(kind, lam, n, max_gen, stranded,
 
     held counts each round's live cubes: those sent to _bracket_cubes and
     those the max_gen round leaves on the frontier unbracketed.  Without
-    the passive set the rounds hold 238,276 cubes for Omega at lambda =
-    1/4, max_gen = 9, and 689,708 at max_gen = 10; N has no passive cube
+    the passive set the rounds hold 116,892 cubes for Omega at lambda =
+    1/4, max_gen = 9, and 238,684 at max_gen = 10; N has no passive cube
     here.  The max_gen round sends only the cubes a bracket can still
-    accept or drop: for Omega at lambda = 1/4, max_gen = 9, 41,010 of the
-    78,672 it holds.
+    accept or drop: for Omega at lambda = 1/4, max_gen = 9, 29,232 of the
+    58,768 it holds.
     """
     whitney = cantorslit.whitney
     bracket_cubes, sent = whitney._bracket_cubes, {}
@@ -575,8 +607,12 @@ def test_oracle_rows_independent(kind, n, lam, gen, seed):
         assert _same_bits(a, b[inv])
 
 
-def _tent_bracket_reference(cantor, X):
-    """The tent bracket with its own clipped-x' witness and descent."""
+def _tent_bracket_reference(cantor, X, column_box=True):
+    """The tent bracket with its own clipped-x' witness and descent.
+
+    column_box=False leaves out the bound by the tent's box for x' outside
+    the column [0,1]^{n-1}, as the oracle was before it had one.
+    """
     n, tol = X.shape[1], DEFAULT_TOL
     XP, xn = X[:, :-1], X[:, -1]
     d, near, mids = _descend(XP, cantor, tol / math.sqrt(n - 1), full=True)
@@ -591,6 +627,11 @@ def _tent_bracket_reference(cantor, X):
             blo[i] = bhi[i] = c
             blo[n - 1], bhi[n - 1] = -gamma, gamma
             lo = np.minimum(lo, _box_boundary_dist(X, blo, bhi))
+    if column_box:
+        G = math.sqrt(n - 1) * (1.0 - 2.0 * cantor.ratio_at(0)) / 2.0
+        box = (np.r_[np.zeros(n - 1), -G], np.r_[np.ones(n - 1), G])
+        out = ~np.all((XP >= 0.0) & (XP <= 1.0), axis=1)
+        lo = np.where(out, np.maximum(lo, _box_boundary_dist(X, *box) - tol), lo)
     diff = XP - near
     rho = np.linalg.norm(diff, axis=1)
     direction = diff / np.where(rho > 0.0, rho, 1.0)[:, None]
@@ -619,10 +660,10 @@ def _tent_bracket_reference(cantor, X):
     return lo, hi + tol
 
 
-def _oracle_reference(region, X):
+def _oracle_reference(region, X, column_box=True):
     """Bracket and membership with D's profile written out in literals."""
     n, cantor = region.n, region.cantor
-    lo, hi = _tent_bracket_reference(cantor, X)
+    lo, hi = _tent_bracket_reference(cantor, X, column_box)
     XP, xn = X[:, :-1], X[:, -1]
     in_n = ((np.abs(xn) <= 1.0) & np.all((XP >= 0.0) & (XP <= 1.0), axis=1)
             & (np.abs(xn) <= _product_distance(list(XP.T), cantor)))
@@ -679,6 +720,80 @@ def test_oracle_matches_reference(kind, n, lam):
         for a, b in zip((lo, hi, inside), want):
             assert np.array_equal(a, b)
         assert np.array_equal(inside, oracle.member_many(X))
+
+
+def _rhombus_segments(lam, depth):
+    """Edges of the rhombi over the gaps of K(lam) of the first depth levels,
+    as (start, end) point arrays; and the left ends and length of the
+    level-depth intervals.  Interval [a, a + L] has the gap (a + lam L,
+    a + L - lam L), and over it the tent is the rhombus with apexes (a +
+    lam L, 0), (a + L - lam L, 0) and peaks (a + L/2, +-(1 - 2 lam) L/2)."""
+    a, L, ends = np.zeros(1), 1.0, []
+    for _ in range(depth):
+        g0, g1, m = a + lam * L, a + L - lam * L, a + L / 2.0
+        zero, top = np.zeros_like(a), np.full_like(a, (1.0 - 2.0 * lam) * L / 2.0)
+        for s in (1.0, -1.0):
+            ends += [((g0, zero), (m, s * top)), ((m, s * top), (g1, zero))]
+        a, L = np.concatenate([a, a + L - lam * L]), lam * L
+    P0 = np.concatenate([np.stack(p, axis=1) for p, _ in ends])
+    P1 = np.concatenate([np.stack(q, axis=1) for _, q in ends])
+    return P0, P1, a, L
+
+
+def _rhombus_bracket_reference(lam, X, depth=10):
+    """[lo, hi] on dist(x, boundary of N) at n = 2 with no Cantor descent.
+
+    The boundary of N is the union of the rhombus edges over the gaps of K,
+    so the distances to the edges down to depth bound it from above.  The
+    edges deeper down, and K itself, lie in the level-depth boxes I x [-t,
+    t], t = lam^depth (1 - 2 lam) / 2, so the min with the distances to those
+    boxes bounds it from below.
+    """
+    P0, P1, a, L = _rhombus_segments(lam, depth)
+    e = P1 - P0
+    rel = X[:, None, :] - P0[None]
+    s = np.clip(np.sum(rel * e, axis=2) / np.sum(e * e, axis=1), 0.0, 1.0)
+    hi = np.linalg.norm(rel - s[..., None] * e, axis=2).min(axis=1)
+    t = L * (1.0 - 2.0 * lam) / 2.0
+    dx = np.maximum(np.maximum(a[None] - X[:, :1], X[:, :1] - a[None] - L), 0.0)
+    dy = np.maximum(np.abs(X[:, 1:]) - t, 0.0)
+    return np.minimum(hi, np.sqrt(dx * dx + dy * dy).min(axis=1)), hi
+
+
+_COORD = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.sampled_from((1 / 16, 1 / 8, 1 / 4, 0.4)),
+       outside=st.lists(st.tuples(st.one_of(st.floats(-2.5, -1e-9),
+                                             st.floats(1.0 + 1e-9, 3.5)),
+                                   _COORD), min_size=1, max_size=30),
+       column=st.lists(st.tuples(st.floats(0.0, 1.0), _COORD), max_size=30))
+def test_tent_bracket_brackets_rhombus_reference(lam, outside, column):
+    """N's bracket at n = 2 meets the descent-free rhombus bracket.
+
+    Points with x_1 outside [0, 1], where the tent's box bound acts, and
+    points over the column.
+    """
+    X = np.array(outside + column)
+    lo, hi, _ = oracle_for(region_spec("N_lambda", lam=lam)).bracket_many(X)
+    ref_lo, ref_hi = _rhombus_bracket_reference(lam, X)
+    assert np.all(lo <= ref_hi + DEFAULT_TOL)
+    assert np.all(hi >= ref_lo - DEFAULT_TOL)
+
+
+def test_phantom_cone_point_bracketed_by_box():
+    """(-1.25, 1.25) lies on the cone bound's phantom surface |x_2| = -x_1.
+
+    N's lo there is at least its distance to the tent's box [0,1] x [-1/4,
+    1/4], hypot(1.25, 1) = 1.60078, and Omega's lo is dist(x, boundary of D) = 1/4, the distance to
+    D's top face; the cone bound alone gave 0 for both.
+    """
+    X = np.array([[-1.25, 1.25]])
+    lo_n = oracle_for(region_spec("N_lambda", lam=0.25)).bracket_many(X)[0]
+    lo_o = oracle_for(region_spec("Omega_lambda", lam=0.25)).bracket_many(X)[0]
+    assert lo_n[0] >= math.hypot(1.25, 1.0) - DEFAULT_TOL
+    assert lo_o[0] == 0.25
 
 
 def test_decompose_rejects_max_gen_below_4():
@@ -1002,6 +1117,42 @@ def test_claim_count_per_cube_pinned(decs):
                    for (r, k), v in res.per_cube.items())
     assert len(loads) == 736
     assert hashlib.sha256(repr(loads).encode()).hexdigest() == PER_CUBE_SHA
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tent_rhombi_are_images_of_the_first(k):
+    """At lambda = 2^-k, N's resolved cubes over each gap of levels 1 and 2
+    are the exact image of those over the level-0 gap (1 - 2 lambda).
+
+    At n = 2 N's interior is a disjoint union of open rhombi, one over each
+    gap of K, and x -> lambda x, x -> lambda x + (1 - lambda) map the rhombus
+    over a gap onto those over its two children.  They map generation-g
+    dyadic cubes onto generation g + k ones, and the Whitney rule is scale
+    covariant, so a level-j rhombus holds the level-0 rhombus's cubes of
+    generation <= max_gen - jk, moved.  A resolved cube lies in one rhombus,
+    the one over the gap that holds its centre.
+    """
+    lam, max_gen = 2.0 ** -k, 12
+    dec = whitney_decompose(region_spec("N_lambda", lam=lam), max_gen)
+    gen, idx = dec.gen.tolist(), dec.idx.tolist()
+    cx = (dec.idx[:, 0] + 0.5) * sides(dec.gen)
+
+    def rhombus(a, length):
+        """The cubes over the gap of the construction interval [a, a + length]."""
+        rows = np.flatnonzero((cx > a + lam * length)
+                              & (cx < a + length - lam * length))
+        return {(gen[r], tuple(idx[r])) for r in rows.tolist()}
+
+    base = rhombus(0.0, 1.0)
+    assert len(base) > 1000
+    lefts = [0.0]
+    for j in (1, 2):
+        lefts = [a + b for a in lefts for b in (0.0, (1.0 - lam) * lam ** (j - 1))]
+        s = j * k
+        for a in lefts:
+            image = {(g + s, (i + int(a * 2 ** (g + s)), i_n))
+                     for g, (i, i_n) in base if g + s <= max_gen}
+            assert image and rhombus(a, lam ** j) == image
 
 
 def test_window_decomposition():
