@@ -133,20 +133,24 @@ def radix_strides(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Mixed-radix strides over the integer box [lo, hi], axis 0 most significant.
 
     (row - lo) @ strides is an exact key that preserves lexicographic order;
-    a box whose keys would not fit in int64 raises instead of wrapping.
+    a box whose keys would not fit in int64 raises instead of wrapping.  An
+    axis of span 1 adds 0 to every key, so its stride is 0: in front of 2^63
+    keys its full stride would not fit.
     """
     spans = (hi - lo + 1).tolist()
     if math.prod(spans) - 1 > np.iinfo(np.int64).max:
         raise OverflowError("index range needs keys beyond int64")
-    return np.array([math.prod(spans[i + 1:]) for i in range(len(spans))],
-                    dtype=np.int64)
+    return np.array([math.prod(spans[i + 1:]) if spans[i] > 1 else 0
+                     for i in range(len(spans))], dtype=np.int64)
 
 
 class CubeIndex:
     """Exact (gen, idx) -> row lookup over arrays sorted by (gen, idx).
 
-    Each generation's key is mixed-radix over its index range (radix_strides),
-    so its sorted rows have increasing keys.
+    A row's key is mixed-radix over the box of all rows (gen, idx)
+    (radix_strides), the generation most significant, so the sorted rows
+    have increasing keys and a key's position is its row.  A lookup takes
+    one generation or an array of them that broadcasts against the queries.
     """
 
     def __init__(self, gen: np.ndarray, idx: np.ndarray):
@@ -155,37 +159,44 @@ class CubeIndex:
         stops = np.append(starts[1:], len(gen))
         self.blocks = {g: (a, b) for g, a, b in
                        zip(gens.tolist(), starts.tolist(), stops.tolist())}
-        self._keys = {}
-        for g, (a, b) in self.blocks.items():
-            lo, hi = idx[a:b].min(axis=0), idx[a:b].max(axis=0)
-            strides = radix_strides(lo, hi)
-            keys = (idx[a:b] - lo) @ strides
-            if np.any(np.diff(keys) <= 0):
-                raise ValueError("rows must be sorted by (gen, idx) and distinct")
-            self._keys[g] = (lo, hi, strides, keys)
+        cols = [gen, *idx.T]
+        # with no rows the box [0, -1] holds no query
+        self._lo = np.array([c.min() if len(c) else 0 for c in cols])
+        self._hi = np.array([c.max() if len(c) else -1 for c in cols])
+        self._strides = radix_strides(self._lo, self._hi)
+        # one generation at a time: whole-array temporaries here raise the
+        # claim workload's peak RSS by about 0.6 MiB
+        self._keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            self._key(g, idx[a:b])[0] for g, (a, b) in self.blocks.items()])
+        if np.any(np.diff(self._keys) <= 0):
+            raise ValueError("rows must be sorted by (gen, idx) and distinct")
 
-    def find(self, g: int, q: np.ndarray) -> np.ndarray:
+    def _key(self, g, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Key over the leading 1 + j axes of each query (g, x), x (..., j),
+        clipped into the box so that it fits int64, and whether the query
+        lies in the box; column by column, as a short last axis is slow."""
+        k, inside = 0, True
+        for v, a, b, s in zip([g, *np.moveaxis(x, -1, 0)], self._lo,
+                              self._hi, self._strides):
+            c = np.minimum(np.maximum(v, a), b)
+            k, inside = k + (c - a) * s, inside & (c == v)
+        return k, inside
+
+    def find(self, g, q: np.ndarray) -> np.ndarray:
         """Row of each generation-g query in the full arrays, -1 where absent."""
-        if g not in self.blocks:
+        if not len(self._keys):
             return np.full(len(q), -1, dtype=np.int64)
-        lo, hi, strides, keys = self._keys[g]
-        # & of the columns: np.all over a short last axis is ~15x slower
-        inside = reduce(np.logical_and, ((q >= lo) & (q <= hi)).T)
-        k = (np.where(inside[:, None], q, lo) - lo) @ strides
-        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-        return np.where(inside & (keys[pos] == k), pos + self.blocks[g][0], -1)
+        k, inside = self._key(g, q)
+        pos = np.minimum(self._keys.searchsorted(k), len(self._keys) - 1)
+        return np.where(inside & (self._keys[pos] == k), pos, -1)
 
-    def column(self, g: int, h: np.ndarray) -> np.ndarray:
-        """Start and stop rows, shape (2,) + h.shape[:-1], of the generation-g
-        cubes over each horizontal index h (..., n-1); empty where there is
-        none.  The last axis is the least significant in the key, so a
-        column is the one run of keys (h, lo_n) .. (h, hi_n).
+    def column(self, g, h: np.ndarray) -> np.ndarray:
+        """Start and stop rows, shape (2,) + the shape of g and h.shape[:-1]
+        broadcast, of the generation-g cubes over each horizontal index h
+        (..., n-1); empty where there is none.  The last axis is the least
+        significant in the key, so a column is the one run of keys (g, h,
+        lo_n) .. (g, h, hi_n).
         """
-        if g not in self.blocks:
-            return np.zeros((2,) + h.shape[:-1], dtype=np.int64)
-        lo, hi, strides, keys = self._keys[g]
-        # clipped into the block's range, h keys fit int64; moved h read empty
-        c = np.minimum(np.maximum(h, lo[:-1]), hi[:-1])
-        k = (c - lo[:-1]) @ strides[:-1]
-        ends = keys.searchsorted(np.stack((k, k + hi[-1] - lo[-1] + 1)))
-        return self.blocks[g][0] + ends * (c == h).all(axis=-1)
+        k, inside = self._key(g, h)
+        span = self._hi[-1] - self._lo[-1] + 1
+        return self._keys.searchsorted(np.stack((k, k + span))) * inside

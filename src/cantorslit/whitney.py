@@ -87,6 +87,23 @@ class RegionOracle:
     the max of the two lower bounds is one.  It also returns membership from
     its own descent, member_many's bit for bit: the tent height takes the
     per-axis tolerance and summation order of _product_distance.
+
+    For Omega at n = 2 the bracket is (min(lo_t, d_d), min(hi_t, d_d + tol))
+    with (lo_t, hi_t) the tent's and d_d = dist(x, boundary of D), and D's
+    boundary settles most rows alone.  A bound b on lo_t read off the
+    coordinates, b = dist(x, B) - tol for x' outside the column and b =
+    (|x_n| - G - tol) / sqrt2 over it, picks the rows with b >= d_d + 8 tol;
+    they take (d_d, d_d + tol) and D's membership with no descent, bit for
+    bit the full bracket's:
+      - lo_t >= b - ulp >= d_d.  Outside the column b is lo_t's own box term,
+        bit for bit.  Over it g <= G (up to tol) bounds the cone term below
+        by b, and the lateral-face boxes are the apexes (c, 0), at distance
+        at least |x_n| > b.
+      - every hi witness is within tol of a point of the boundary of N, which
+        lies in B, so hi_t >= dist(x, B) >= b - ulp > d_d + tol.
+      - x' lies outside the column or |x_n| > G >= g, so x is not in N, and
+        _in_region given a tent height of 0 computes D's membership.
+    n >= 3 takes no such rows, as its hi does not take d_d.
     """
 
     def __init__(self, region: RegionSpec):
@@ -96,6 +113,10 @@ class RegionOracle:
         self._per_tol = DEFAULT_TOL / math.sqrt(self.n - 1)
         # half of the first-level gap bounds the 1-D distance function on [0,1]
         self._max_k = (1.0 - 2.0 * self.cantor.ratio_at(0)) / 2.0
+        # the tent's box B = [0,1]^{n-1} x [-G, G]
+        self._G = math.sqrt(self.n - 1) * self._max_k
+        self._box = np.zeros(self.n), np.ones(self.n)
+        self._box[0][-1], self._box[1][-1] = -self._G, self._G
 
     def roots(self) -> np.ndarray:
         """Generation-0 index rows of the unit cubes covering the bbox."""
@@ -108,6 +129,37 @@ class RegionOracle:
 
     def bracket_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                     np.ndarray]:
+        n, tol = self.n, DEFAULT_TOL
+        omega = self.region.kind == "Omega_lambda"
+        d_d = _d_boundary_dist(X) if omega else None
+        rows = slice(None)
+        if omega and n == 2:
+            # the rows D's boundary does not settle alone (see above)
+            out = (X[:, 0] < 0.0) | (X[:, 0] > 1.0)
+            b = np.where(out, _box_boundary_dist(X, *self._box) - tol,
+                         (np.abs(X[:, 1]) - self._G - tol) / math.sqrt(2.0))
+            tent = b < d_d + 8.0 * tol
+            if not tent.all():
+                rows = np.flatnonzero(tent)
+        lo, hi, g = self._tent_bracket(X[rows])
+        if not isinstance(rows, slice):
+            # settled rows: no tent bound, and a tent height of 0
+            full = np.full((3, len(X)), np.inf)
+            full[2] = 0.0
+            full[:, rows] = lo, hi, g
+            lo, hi, g = full
+        member = _in_region(self.region, list(X.T), g)
+        if not omega:
+            return lo, hi, member
+        if n == 2:
+            hi = np.minimum(hi, d_d + tol)
+        # for n >= 3 the min formula can underestimate the distance to the
+        # boundary of D from outside, and notch faces may dip into the tent;
+        # keep only the always-valid tent witness for the upper bound
+        return np.minimum(lo, d_d), hi, member
+
+    def _tent_bracket(self, X: np.ndarray):
+        """lo, hi on the distance to the tent boundary, and the tent heights."""
         n, tol = self.n, DEFAULT_TOL
         XP, xn = X[:, :-1], X[:, -1]
         # height, nearest Cantor point and gap midpoint from one descent
@@ -158,22 +210,9 @@ class RegionOracle:
             dist = np.sum((XP - foot) ** 2, axis=1) + (xn - sgn * gp) ** 2
             hi = np.minimum(hi, np.sqrt(dist))
         # x' outside the column: the distance to the tent's box B
-        G = math.sqrt(n - 1) * self._max_k
-        blo, bhi = np.zeros(n), np.ones(n)
-        blo[n - 1], bhi[n - 1] = -G, G
-        np.maximum(lo, _box_boundary_dist(X, blo, bhi) - tol, out=lo,
+        np.maximum(lo, _box_boundary_dist(X, *self._box) - tol, out=lo,
                    where=np.any((XP < 0.0) | (XP > 1.0), axis=1))
-        hi = hi + tol
-        member = _in_region(self.region, list(X.T), g)
-        if self.region.kind == "N_lambda":
-            return lo, hi, member
-        d_d = _d_boundary_dist(X)
-        if n == 2:
-            hi = np.minimum(hi, d_d + tol)
-        # for n >= 3 the min formula can underestimate the distance to the
-        # boundary of D from outside, and notch faces may dip into the tent;
-        # keep only the always-valid tent witness for the upper bound
-        return np.minimum(lo, d_d), hi, member
+        return lo, hi + tol, g
 
 
 def oracle_for(region: RegionSpec) -> RegionOracle:
@@ -597,19 +636,16 @@ def reflect_assign(w: WhitneyDecomposition,
     # wt rows before each row that lie below x_n = 0
     below = np.concatenate([[0], np.cumsum(wt.idx[:, -1] < 0)])
     # candidate pairs (W row, W-tilde row), one run per W cube and stack
-    pw, pt = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for g, (a, b) in w.index.blocks.items():
-        rows = a + np.flatnonzero(~central[a:b])
-        up = w.idx[rows, -1] >= 0
-        for gshift in (1, 0):          # candidate gen = g - gshift
-            h = w.idx[rows, :-1] >> gshift
-            start, stop = wt.index.column(g - gshift, h)
-            mid = start + below[stop] - below[start]
-            start, stop = np.where(up, mid, start), np.where(up, stop, mid)
-            count = stop - start
-            pw.append(np.repeat(rows, count))
-            pt.append(np.arange(count.sum())
-                      + np.repeat(start - np.cumsum(count) + count, count))
+    rows = np.flatnonzero(~central)
+    up = w.idx[rows, -1] >= 0
+    pw, pt = [], []
+    for gshift in (1, 0):              # candidate gen = gen - gshift
+        start, stop = wt.index.column(w.gen[rows] - gshift,
+                                      w.idx[rows, :-1] >> gshift)
+        mid = start + below[stop] - below[start]
+        start, stop = np.where(up, mid, start), np.where(up, stop, mid)
+        pw.append(np.repeat(rows, stop - start))
+        pt.append(_runs(start, stop))
     pw, pt = np.concatenate(pw), np.concatenate(pt)
     # centers are dyadic, so each squared distance is an exact sum and its
     # sqrt is bit-identical to np.linalg.norm of the difference
@@ -624,6 +660,13 @@ def reflect_assign(w: WhitneyDecomposition,
     target[pw[first]] = pt[first]
     target[central] = Q0_ID
     return ReflectAssignment(target=target)
+
+
+def _runs(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The rows start[i] .. stop[i] - 1 of every run i, concatenated."""
+    count = stop - start
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count,
+                                              count)
 
 
 def q0_adjacent(gen, idx: np.ndarray) -> np.ndarray:
@@ -658,11 +701,12 @@ def chain(wt: WhitneyDecomposition, a: int) -> Chain:
     intervals share an endpoint: a chain runs straight up or down.  The
     shorter run wins, ties to the smaller first step (the choice of a
     breadth-first search with neighbours in ascending row order).  Each
-    generation's part of the column is one CubeIndex.column run of rows.
+    generation's part of the column is one CubeIndex.column run of rows,
+    all from one call.
     """
     ga, h = int(wt.gen[a]), wt.idx[a, :-1]
-    rows = np.concatenate([np.arange(*wt.index.column(g, h >> (ga - g)))
-                           for g in wt.index.blocks if g <= ga])
+    g = np.arange(ga + 1)
+    rows = _runs(*wt.index.column(g, h >> (ga - g)[:, None]))
     # x_n intervals in units of the source's side, bottom to top
     s = ga - wt.gen[rows]
     bot = wt.idx[rows, -1] << s

@@ -120,7 +120,8 @@ def test_cube_index_column(n, seed, size, span):
     holds cubes over h_0 = -1 and 1 but none over h_0 = 0, so some h inside
     its horizontal range has no cube.  Every h over the range grown by one
     on each side is asked, and generations -1 and 4 have no block: all
-    those runs must be empty.
+    those runs must be empty.  One call with an array of generations
+    broadcast against h gives each generation's runs.
     """
     rng = np.random.default_rng(seed)
     gen = rng.integers(0, 4, size=size)
@@ -136,11 +137,13 @@ def test_cube_index_column(n, seed, size, span):
     empty_inside = outside = 0
     every_h = np.array(list(product(range(-span - 1, span + 2), repeat=n - 1)),
                        dtype=np.int64)
+    every_g = index.column(np.arange(-1, 5)[:, None], every_h)
     for g in range(-1, 5):
         a, b = index.blocks.get(g, (0, 0))
         # all of g's columns in one call: the one-row answers, row by row
         runs = index.column(g, every_h)
         assert runs.shape == (2, len(every_h))
+        assert np.array_equal(every_g[:, g + 1], runs)
         for h, run in zip(every_h, runs.T):
             want = a + np.flatnonzero(np.all(idx[a:b, :-1] == h, axis=1))
             start, stop = index.column(g, h)

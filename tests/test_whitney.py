@@ -796,6 +796,103 @@ def test_phantom_cone_point_bracketed_by_box():
     assert lo_o[0] == 0.25
 
 
+def _settle_margin(lam, X):
+    """b - d_d - 8 tol for Omega at n = 2, written out: the rows where it is
+    >= 0 are those bracket_many settles on D's boundary alone."""
+    tol, G = DEFAULT_TOL, (1.0 - 2.0 * lam) / 2.0
+    out = (X[:, 0] < 0.0) | (X[:, 0] > 1.0)
+    b = np.where(out, _box_boundary_dist(X, (0.0, -G), (1.0, G)) - tol,
+                 (np.abs(X[:, 1]) - G - tol) / math.sqrt(2.0))
+    d_d = np.minimum(_box_boundary_dist(X, (-2.0, -1.5), (1.0, 1.5)),
+                     _box_boundary_dist(X, (-1.0, -1.0), (0.0, 1.0)))
+    return b - (d_d + 8.0 * tol)
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.sampled_from((1 / 4, 1 / 8, 0.4)), column=st.booleans(),
+       settled=st.tuples(_UNIT, _UNIT), kept=st.tuples(_UNIT, _UNIT),
+       up=st.booleans(), right=st.booleans())
+def test_settled_rows_at_the_threshold(lam, column, settled, kept, up, right):
+    """bracket_many equals the full-bracket reference bitwise on the rows
+    just either side of the threshold where D's boundary settles a row.
+
+    One row D's boundary settles and one it does not, over the column or
+    outside it; the segment between them is bisected to adjacent floats of
+    its parameter where the margin b - d_d - 8 tol changes sign.  The rows a
+    few ulps and a few tol either side of that point go through
+    bracket_many, which must give _oracle_reference's bits and
+    member_many's membership.
+    """
+    G = (1.0 - 2.0 * lam) / 2.0
+    sy = 1.0 if up else -1.0
+    if column:
+        # over the column: |x_2| in [1.2, 1.5) is settled, |x_2| <= G is not
+        p = np.array([settled[0], sy * (1.2 + 0.3 * settled[1])])
+        q = np.array([kept[0], (2.0 * kept[1] - 1.0) * G])
+    else:
+        # left of the notch is settled; just off the column's sides is not
+        p = np.array([-1.9 + 0.8 * settled[0], sy * 1.4 * settled[1]])
+        dx = 0.2 * kept[0] + 1e-9
+        q = np.array([1.0 + dx if right else -dx, (2.0 * kept[1] - 1.0) * G])
+    region = region_spec("Omega_lambda", lam=lam)
+    margin = lambda s: _settle_margin(lam, (q + s * (p - q))[None])[0]
+    assert margin(1.0) >= 0.0 > margin(0.0)
+    a, b = 0.0, 1.0
+    while (mid := a + (b - a) / 2.0) not in (a, b):
+        a, b = (a, mid) if margin(mid) >= 0.0 else (mid, b)
+    x = q + b * (p - q)
+    u = (p - q) / np.linalg.norm(p - q)
+    steps = np.arange(-3, 4)
+    X = np.concatenate([
+        q + np.array([a, b])[:, None] * (p - q),
+        x + np.multiply.outer(steps, np.spacing(x)),
+        x + np.multiply.outer(steps * 4.0 * DEFAULT_TOL, u),
+        x + np.multiply.outer(steps * 4.0 * DEFAULT_TOL, u[::-1] * (1, -1)),
+    ])
+    m = _settle_margin(lam, X)
+    assert (m >= 0.0).any() and (m < 0.0).any()
+    got = oracle_for(region).bracket_many(X)
+    for arr, want in zip(got, _oracle_reference(region, X)):
+        assert _same_bits(arr, want)
+    assert np.array_equal(got[2], oracle_for(region).member_many(X))
+
+
+@pytest.mark.parametrize("kind, descended, bracketed", [
+    ("Omega_lambda", 12674, 68029),
+    ("N_lambda", 7479, 7479),
+])
+def test_d_boundary_settles_most_omega_rows(kind, descended, bracketed,
+                                            monkeypatch):
+    """The full descent sees only the rows D's boundary does not settle.
+
+    The rows of the full Cantor descent in _tent_bracket and the rows
+    bracketed, over one decomposition at lambda = 1/4, max_gen = 7.  For
+    Omega fewer than a quarter of the rows reach the descent; N takes no
+    shortcut, so all of its rows do.
+    """
+    whitney, rows = cantorslit.whitney, {"descended": 0, "bracketed": 0}
+    descend, bracket_many = whitney._descend, RegionOracle.bracket_many
+
+    def count_descend(XP, *args, **kwargs):
+        rows["descended"] += len(XP)
+        return descend(XP, *args, **kwargs)
+
+    def count_bracket_many(self, X):
+        rows["bracketed"] += len(X)
+        return bracket_many(self, X)
+    monkeypatch.setattr(whitney, "_descend", count_descend)
+    monkeypatch.setattr(RegionOracle, "bracket_many", count_bracket_many)
+    whitney_decompose(region_spec(kind, lam=0.25), max_gen=7)
+    assert rows == {"descended": descended, "bracketed": bracketed}
+    if kind == "N_lambda":
+        assert descended == bracketed
+    else:
+        assert descended < bracketed / 4
+
+
 def test_decompose_rejects_max_gen_below_4():
     with pytest.raises(ValueError, match="max_gen must be >= 4"):
         whitney_decompose(region_spec("N_lambda", lam=LAM), max_gen=3)
