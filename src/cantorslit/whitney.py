@@ -264,10 +264,12 @@ class WhitneyDecomposition:
         """Frontier cubes never bracketed."""
         return int(np.count_nonzero(self.frontier_stranded))
 
-    def adjacency(self) -> dict[int, list[int]]:
-        """row -> sorted rows of the cubes whose closures touch it."""
+    def adjacency(self) -> dict[str, np.ndarray]:
+        """Touching graph {"u": u, "v": v}, read by key: int64 rows, each
+        touching pair once, u < v, sorted by (u, v).  perfbench/spans.py
+        counts its edges as the values' summed lengths halved: len(u)."""
         if self._adj is None:
-            self._adj = _build_adjacency(self.idx, self.index)
+            self._adj = dict(zip("uv", _build_adjacency(self.idx, self.index)))
         return self._adj
 
     @property
@@ -465,15 +467,15 @@ def whitney_decompose(region: RegionSpec, max_gen: int,
                                 window=window)
 
 
-def _build_adjacency(idx: np.ndarray, index: CubeIndex) -> dict[int, list[int]]:
-    """Touching graph over cubes, exact.
+def _build_adjacency(idx: np.ndarray, index: CubeIndex) -> tuple:
+    """Touching graph over cubes, exact, as (u, v) edge arrays: u < v.
 
     Neighbors are found from the finer side, one (finer, coarser) generation
     pair at a time: s levels coarser, index j touches ceil(j/2^s) - 1 ..
     floor((j+1)/2^s), within (j >> s) + {-1, 0, 1}.  Same-generation pairs
     are found once, from the smaller cube.
     """
-    m, n = idx.shape
+    n = idx.shape[1]
     offs = np.array(list(product((-1, 0, 1), repeat=n)), dtype=np.int64)
     src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for gf, (a, b) in index.blocks.items():
@@ -490,10 +492,10 @@ def _build_adjacency(idx: np.ndarray, index: CubeIndex) -> dict[int, list[int]]:
                 hit = index.find(gc, cand[ok])
                 src.append(rows[ok][hit >= 0])
                 dst.append(hit[hit >= 0])
-    u, v = np.concatenate(src + dst), np.concatenate(dst + src)
-    nbrs = v[np.lexsort((v, u))].tolist()
-    ends = [0] + np.cumsum(np.bincount(u, minlength=m)).tolist()
-    return {r: nbrs[ends[r]:ends[r + 1]] for r in range(m)}
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    u, v = np.minimum(src, dst), np.maximum(src, dst)
+    perm = np.lexsort((v, u))
+    return u[perm], v[perm]
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +554,10 @@ def verify_whitney(dec: WhitneyDecomposition, coverage_samples: int = 0,
                 has_anc[a:b] |= union.find(ga, idx[a:b] >> (g - ga)) >= 0
     w2 = int(np.sum(has_anc))
 
-    # the touching graph's edges, both ways
     adj = dec.adjacency()
-    u = np.repeat(np.arange(len(dec)), [len(nbrs) for nbrs in adj.values()])
-    v = np.fromiter((s for nbrs in adj.values() for s in nbrs), np.int64, len(u))
+    u, v = adj["u"], adj["v"]
     # W4: side ratio > 4
-    w4 = int(np.count_nonzero((u < v) & (np.abs(dec.gen[u] - dec.gen[v]) > 2)))
+    w4 = int(np.count_nonzero(np.abs(dec.gen[u] - dec.gen[v]) > 2))
     # W6: Omega's resolved cubes form one touching component
     w6 = 0
     if dec.oracle.region.kind == "Omega_lambda" and dec.window is None:
@@ -759,16 +759,16 @@ def claim_count(w: WhitneyDecomposition, wt: WhitneyDecomposition,
     growth in k the construction bounds by A 2^{k (n-1) log 2 / |log lambda|},
     with a constant A that the construction leaves unquantified.
     """
-    central = central_mask(w).tolist()
-    adj = w.adjacency()
+    central, adj = central_mask(w), w.adjacency()
+    u, v = adj["u"], adj["v"]
+    touch = np.zeros(len(w), dtype=bool)
+    touch[u[central[v]]] = touch[v[central[u]]] = True
+    # target < 0: the central family (Q0_ID) or no reflected cube
+    rows = np.flatnonzero(touch & (reflect.target >= 0))
     per_cube: dict[tuple[int, int], int] = {}
-    sources = unreachable = 0
+    unreachable = 0
     w_gen, wt_gen = w.gen.tolist(), wt.gen.tolist()
-    for r, t in enumerate(reflect.target.tolist()):
-        # t < 0: the central family (Q0_ID) or no reflected cube
-        if t < 0 or not any(central[s] for s in adj[r]):
-            continue
-        sources += 1
+    for r, t in zip(rows.tolist(), reflect.target[rows].tolist()):
         ch = chain(wt, t)
         if not ch.found:
             unreachable += 1
@@ -781,4 +781,4 @@ def claim_count(w: WhitneyDecomposition, wt: WhitneyDecomposition,
     for (s, k), c in per_cube.items():
         counts[k] = max(counts[k], c)
     return ClaimCountResult(counts=counts, per_cube=per_cube,
-                            sources=sources, unreachable=unreachable)
+                            sources=len(rows), unreachable=unreachable)

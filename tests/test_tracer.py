@@ -80,9 +80,13 @@ def test_traced_claim_count_counters():
     assert res.sources > 0
     assert m["whitney.chain_calls"] == res.sources
     assert wt._adj is None
-    edges = sum(len(v) for v in w.adjacency().values())
+    adj = w.adjacency()
+    edges = sum(len(v) for v in adj.values())
     assert edges > 0
     assert m["whitney.adjacency_edges"] == edges // 2
+    # the edge arrays are the tracer's contract: each undirected edge once
+    assert sorted(adj) == ["u", "v"]
+    assert m["whitney.adjacency_edges"] == len(adj["u"])
 
 
 def test_traced_decompose_matches_untraced(monkeypatch):

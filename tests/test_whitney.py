@@ -137,18 +137,36 @@ def _small_decompositions():
                             window=((0.4, 0.4, -0.1), (0.6, 0.6, 0.1)))
 
 
+def _assert_adjacency_brute_force(dec):
+    """adjacency() is the all-pairs touching graph: int64 (u, v), u < v,
+    sorted by (u, v)."""
+    cubes = list(dec.cubes)
+    want = [(i, j) for i in range(len(cubes)) for j in range(i + 1, len(cubes))
+            if cubes_touch(cubes[i], cubes[j])]
+    want = np.array(want, dtype=np.int64).reshape(-1, 2)
+    adj = dec.adjacency()
+    assert sorted(adj) == ["u", "v"]
+    for key, col in zip("uv", want.T):
+        assert adj[key].dtype == np.int64
+        np.testing.assert_array_equal(adj[key], col)
+
+
 def test_adjacency_matches_brute_force():
-    """adjacency() is the all-pairs touching graph, in sorted rows."""
     for dec in _small_decompositions():
-        cubes = list(dec.cubes)
         assert len(set(dec.gen.tolist())) >= 3
-        want = {r: [] for r in range(len(cubes))}
-        for i, a in enumerate(cubes):
-            for j in range(i + 1, len(cubes)):
-                if cubes_touch(a, cubes[j]):
-                    want[i].append(j)
-                    want[j].append(i)
-        assert dec.adjacency() == want
+        _assert_adjacency_brute_force(dec)
+    # a windowed Omega at n=3, whose touching cubes span two generations
+    dec = whitney_decompose(region_spec("Omega_lambda", lam=LAM, n=3), 5,
+                            window=((0.0, 0.0, 0.0), (0.25, 0.25, 1.0)))
+    assert len(set(dec.gen.tolist())) >= 2
+    _assert_adjacency_brute_force(dec)
+    # a window at the pinch point (0, 0) that keeps no resolved cube
+    dec = whitney_decompose(region_spec("Omega_lambda", lam=LAM), 4,
+                            window=((0.0, -1e-3), (1e-3, 1e-3)))
+    assert len(dec) == 0 and len(dec.frontier_gen) > 0
+    _assert_adjacency_brute_force(dec)
+    rep = verify_whitney(dec)
+    assert rep.w4_violations == rep.w6_violations == 0
 
 
 def _bracket_cubes_reference(oracle, gen, idx):
@@ -915,12 +933,14 @@ def test_whitney_bracket_consistency(decs):
 
 
 def test_adjacency_symmetric_and_touching(decs):
+    """Each edge is one touching pair, u < v, listed once."""
     w, _ = decs
     adj = w.adjacency()
-    for r, nbrs in adj.items():
-        for s in nbrs:
-            assert cubes_touch(w.cubes[r], w.cubes[s])
-            assert r in adj[s]
+    u, v = adj["u"], adj["v"]
+    assert len(u) > 0 and np.all(u < v)
+    assert len(set(zip(u.tolist(), v.tolist()))) == len(u)
+    for r, s in zip(u.tolist(), v.tolist()):
+        assert cubes_touch(w.cubes[r], w.cubes[s])
 
 
 def test_central_mask_on_plane(decs):
@@ -1101,8 +1121,19 @@ def test_chain_projection_monotone(decs):
     assert checked >= 40
 
 
-def _chain_reference(wt, a):
-    """Breadth-first search over wt's touching graph, as (rows, found).
+def _neighbours(wt):
+    """row -> ascending rows of the cubes touching it, from the edge arrays."""
+    adj = {r: [] for r in range(len(wt))}
+    edges = wt.adjacency()
+    for r, s in zip(edges["u"].tolist(), edges["v"].tolist()):
+        adj[r].append(s)
+        adj[s].append(r)
+    return {r: sorted(nbrs) for r, nbrs in adj.items()}
+
+
+def _chain_reference(wt, a, adj):
+    """Breadth-first search over wt's touching graph adj (from _neighbours),
+    as (rows, found).
 
     Nodes are complement cube rows and Q0_ID, restricted to the cubes no
     finer than the source whose projection contains the source's;
@@ -1114,7 +1145,6 @@ def _chain_reference(wt, a):
     anc = wt.idx[a, : n - 1] >> np.where(ok, shift, 0)[:, None]
     rows = np.flatnonzero(ok & np.all(wt.idx[:, : n - 1] == anc, axis=1))
     allowed = set(rows.tolist()) | {Q0_ID}
-    adj = wt.adjacency()
     q0_set = set(rows[q0_adjacent(wt.gen[rows], wt.idx[rows])].tolist())
     prev = {a: None}
     dq = deque([a])
@@ -1137,9 +1167,10 @@ def _chain_reference(wt, a):
 
 
 def _assert_chains_match_reference(wt, sources):
+    adj = _neighbours(wt)
     for a in sources:
         ch = chain(wt, a)
-        assert (ch.rows, ch.found) == _chain_reference(wt, a), a
+        assert (ch.rows, ch.found) == _chain_reference(wt, a, adj), a
 
 
 def test_chain_matches_reference(decs):
@@ -1274,14 +1305,14 @@ def test_claim_count_k1_configuration(decs):
     hub = int(wt.index.find(5, np.array([[11, -8]]))[0])
     assert res.counts[1] == 3
     assert res.per_cube[(hub, 1)] == 3
-    central = central_mask(w)
-    adj = w.adjacency()
+    central, adj = central_mask(w), w.adjacency()
+    u, v = adj["u"], adj["v"]
     reflected = {}
     for idx in ((22, -2), (23, -2), (23, -3)):
         r = int(w.index.find(6, np.array([idx]))[0])
         # a source: outside the central family, touching it, reflected
         assert not central[r]
-        assert central[adj[r]].any()
+        assert central[np.concatenate((v[u == r], u[v == r]))].any()
         t = int(ra.target[r])
         assert t >= 0
         assert hub in chain(wt, t).rows
@@ -1289,3 +1320,17 @@ def test_claim_count_k1_configuration(decs):
     # three distinct sources on a load of 3: these are all of them
     assert reflected[(23, -2)] == reflected[(23, -3)] == DyadicCube(6, (23, -12))
     assert reflected[(22, -2)] != reflected[(23, -2)]
+
+
+def test_claim_count_sources_brute_force(decs):
+    """The sources are the rows outside the central family, with a
+    reflected cube, that touch some central cube; found by all pairs."""
+    w, wt = decs
+    ra = reflect_assign(w, wt)
+    central = central_mask(w)
+    cubes = list(w.cubes)
+    hubs = [cubes[r] for r in np.flatnonzero(central)]
+    want = sum(any(cubes_touch(cubes[r], c) for c in hubs)
+               for r in np.flatnonzero(~central & (ra.target >= 0)))
+    assert want > 0
+    assert claim_count(w, wt, ra, k_max=1).sources == want
