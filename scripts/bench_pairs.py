@@ -17,9 +17,13 @@ The record goes into workloads[NAME] (default NAME: the workload) of the
 --out file, which is created or updated in place: each run's metrics, each
 side's median and quartiles over its runs, the change's win count per
 end-to-end metric, a regression verdict per end-to-end metric, and whether
-every iteration's result summary is the same record on both sides.  With
---traced, one `--trace 1` run per side adds the named per-layer metrics
-under traced_NAME.  Standard library only.
+every iteration's result summary is the same record on both sides.  Each
+run also records wall_run_s and host_speed, its medians from result.json,
+with their medians and quartiles per side but no wins or verdict: they are
+not end-to-end metrics, and the speed factor moves with the workload's own
+code as well as with the host.  With --traced, one `--trace 1` run per
+side adds the named per-layer metrics under traced_NAME.  Standard library
+only.
 
 The verdict reads the metrics, their direction and their bounds from
 BENCHMARK.json's end_to_end list.  A metric regressed ("yes") when the
@@ -44,6 +48,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # end-to-end metric -> (lower is better, relative regression bound)
 METRICS = {m["name"]: (m["better"] == "lower", m["bound"]) for m in
            json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+# recorded beside them from result.json, without wins or a verdict: the
+# uncorrected wall time of the iterations and the host speed factor that
+# turns it into run_s, which moves with the workload's own code
+UNCORRECTED = ("wall_run_s", "host_speed")
 
 
 def git(*args: str) -> str:
@@ -138,11 +146,13 @@ def main(argv=None) -> int:
                      "correct": last["correct"], "failed": last["failed"],
                      "attempted": last["attempted"],
                      **{m: last["metrics"][m]["value"] for m in METRICS},
+                     **{m: res["result"]["metrics"][m]["median"]
+                        for m in UNCORRECTED},
                      "iterations": res["result"]["facts"]["iterations"]})
                 summaries[side] += summ
                 print(f"pair {i} {side}: run_s "
-                      f"{last['metrics']['run_s']['value']:.4f}",
-                      file=sys.stderr)
+                      f"{last['metrics']['run_s']['value']:.4f} wall_run_s "
+                      f"{runs[side][-1]['wall_run_s']:.4f}", file=sys.stderr)
         wins = {m: sum((c[m] < p[m]) if lower else (c[m] > p[m])
                        for p, c in zip(runs["parent"], runs["change"]))
                 for m, (lower, _) in METRICS.items()}
@@ -158,7 +168,7 @@ def main(argv=None) -> int:
                            else "")),
             **{side: {"runs": runs[side],
                       "summary": {m: spread([r[m] for r in runs[side]])
-                                  for m in METRICS}}
+                                  for m in (*METRICS, *UNCORRECTED)}}
                for side in revs},
             "change_better_pairs": wins,
             "regressed": verdicts,

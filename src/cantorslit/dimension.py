@@ -26,15 +26,23 @@ def separated_net(candidates: np.ndarray, r: float) -> np.ndarray:
     Candidates are visited in the given order and accepted when at least r
     from every accepted point, so the result is deterministic and maximal
     over the candidates: every rejected candidate lies within r of the net.
+    Distances are sqrt of the row sums of squares, np.linalg.norm's value
+    wherever the difference has one nonzero coordinate (as between
+    cantor_candidates' points); with two or more, norm's BLAS dot may fuse
+    or reorder the sum and differ in the last bit.
     """
     if r <= 0:
         raise ValueError("separation radius must be positive")
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    accepted: list[np.ndarray] = []
+    net = np.empty_like(candidates)
+    k = 0
     for c in candidates:
-        if all(np.linalg.norm(c - a) >= r for a in accepted):
-            accepted.append(c)
-    return np.array(accepted) if accepted else np.zeros((0, candidates.shape[1]))
+        d = net[:k] - c
+        d *= d
+        if (np.sqrt(d.sum(axis=1)) >= r).all():
+            net[k] = c
+            k += 1
+    return net[:k].copy()
 
 
 def cantor_candidates(spec: CantorSpec, r: float, n: int = 1) -> np.ndarray:
@@ -205,9 +213,13 @@ def measure_density_sides(region: RegionSpec, x, radii: list[float],
     """measure_density_check for both sides, labelling each radius once.
 
     Each side draws from its own generator seeded with seed, so its result
-    is that of measure_density_check on that side alone, bit for bit.  The
-    upper side's skip warnings come first; NoComponentError names the
-    first side with no component, after that side's warnings.
+    is that of measure_density_check on that side alone, bit for bit.
+    While the two generators are in one state, that is until one side
+    skips a radius, one pass of draws serves both sides: each side's label
+    is compared on the same cells, and the state is copied to the other
+    generator after the pass.  The upper side's skip warnings come first;
+    NoComponentError names the first side with no component, after that
+    side's warnings.
     """
     return _measure_density(region, x, radii, samples, seed, SIDES)
 
@@ -224,24 +236,26 @@ def _measure_density(region, x, radii, samples, seed, sides):
     for r in radii:
         cmap = component_label(region, x, r, r / 256)
         labels = dict(zip(SIDES, cmap.side_labels(x)))
+        # sides whose generators are in one state share a pass; they part
+        # only after one of them skips a radius
+        passes: dict[str, list[str]] = {}
         for s in sides:
             if labels[s] < 0:
                 skipped[s].append(r)
                 continue
-            hits = 0
-            for a in range(0, samples, _DRAW_BLOCK):
-                size = (min(_DRAW_BLOCK, samples - a), n)
-                pts = x + rng[s].uniform(-r, r, size=size)
-                # the squares added column by column, in np.sum's order
-                inside = sum((c - xi) ** 2 for c, xi in zip(pts.T, x)) <= r * r
-                hits += int(np.count_nonzero(
-                    inside & (cmap.label_at(pts) == labels[s])))
-            phat = float(hits) / samples
-            boxvol = (2.0 * r) ** n
-            vol = phat * boxvol
-            cs[s].append(vol / r ** n)
-            hw[s].append(1.96 * math.sqrt(phat * (1.0 - phat) / samples)
-                         * boxvol / r ** n)
+            passes.setdefault(repr(rng[s].bit_generator.state), []).append(s)
+        for p in passes.values():
+            counts = _hit_counts(cmap, x, r, [labels[s] for s in p],
+                                 rng[p[0]], samples)
+            for s in p[1:]:
+                rng[s].bit_generator.state = rng[p[0]].bit_generator.state
+            for s, hits in zip(p, counts):
+                phat = float(hits) / samples
+                boxvol = (2.0 * r) ** n
+                vol = phat * boxvol
+                cs[s].append(vol / r ** n)
+                hw[s].append(1.96 * math.sqrt(phat * (1.0 - phat) / samples)
+                             * boxvol / r ** n)
         del cmap                # before the next radius's labelling
     out = {}
     for s in sides:
@@ -254,3 +268,44 @@ def _measure_density(region, x, radii, samples, seed, sides):
                                halfwidth=hw[s], c_fit=min(cs[s]),
                                samples=samples, seed=seed)
     return out
+
+
+def _hit_counts(cmap, x, r, labels, rng, samples) -> list[int]:
+    """Per label, the number of `samples` draws uniform in the box
+    x + [-r, r)^n that fall in B(x, r) on a cell carrying that label.
+
+    The draws come in blocks of _DRAW_BLOCK rows, and each block works in
+    place in scratch arrays allocated once: random(out=) scaled as
+    uniform(-r, r) computes it (-r + 2r U, bit for bit), the squares of
+    the ball test added column by column in np.sum's order, and the
+    labels gathered by ComponentMap.labels_into.
+    """
+    n = len(x)
+    block = min(_DRAW_BLOCK, samples)
+    pts = np.empty((block, n))
+    acc, k = np.empty(block), np.empty(block)
+    flat = np.empty(block, np.intp)
+    lab = np.empty(block, cmap.labels.dtype)
+    inside, hit = np.empty(block, bool), np.empty(block, bool)
+    counts = [0] * len(labels)
+    for a in range(0, samples, block):
+        size = min(block, samples - a)
+        p, d, t, b = pts[:size], acc[:size], k[:size], inside[:size]
+        rng.random(out=p)
+        p *= 2.0 * r
+        p += -r
+        p += x
+        cols = p.T
+        np.subtract(cols[0], x[0], out=d)
+        d *= d
+        for c, xi in zip(cols[1:], x[1:]):
+            np.subtract(c, xi, out=t)
+            t *= t
+            d += t
+        np.less_equal(d, r * r, out=b)
+        cmap.labels_into(cols, lab[:size], d, t, flat[:size])
+        for i, label in enumerate(labels):
+            h = np.equal(lab[:size], label, out=hit[:size])
+            h &= b
+            counts[i] += int(np.count_nonzero(h))
+    return counts

@@ -157,16 +157,43 @@ class ComponentMap:
     def label_at(self, x) -> np.ndarray:
         """Component labels of the cells containing the points x, of shape
         (..., n); -1 off the grid.  One point gives a numpy integer."""
-        x = np.asarray(x, dtype=float)
-        # one flat C-order cell index, built axis by axis: reductions and
-        # gathers over a short last axis are several times slower
-        flat, on = 0, True
-        for xi, o, m in zip(np.moveaxis(x, -1, 0), self.origin,
-                            self.labels.shape):
-            k = np.floor((xi - o) / self.h).astype(int)
-            on = on & (k >= 0) & (k < m)
-            flat = flat * m + k.clip(0, m - 1)
-        return np.where(on, self.labels.reshape(-1)[flat], -1)[()]
+        cols = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+        shape = cols.shape[1:]
+        out = np.empty(shape, self.labels.dtype)
+        self.labels_into(cols, out, np.empty(shape), np.empty(shape),
+                         np.empty(shape, np.intp))
+        return out[()]
+
+    def labels_into(self, cols, out, acc, k, flat) -> None:
+        """label_at of the points whose coordinates are the rows of cols,
+        of shape (n, ...), written into out (labels' dtype).
+
+        acc and k (float) and flat (intp) are scratch of out's shape, so a
+        caller that reuses them allocates nothing while every point is on
+        the grid.  The cell of x is floor((x - origin) / h) on each axis,
+        folded into one flat C-order index (exact in float: the grid has
+        far fewer than 2^53 cells); reductions and gathers over a short
+        last axis are several times slower.  An axis whose min/max shows a
+        point off the grid takes the masked path, and those points get -1.
+        """
+        off = None
+        for i, (xi, o, m) in enumerate(zip(cols, self.origin,
+                                           self.labels.shape)):
+            t = k if i else acc
+            np.subtract(xi, o, out=t)
+            t /= self.h
+            np.floor(t, out=t)
+            if t.size and not (t.min() >= 0 and t.max() < m):
+                bad = ~((t >= 0) & (t < m))     # NaN is off the grid too
+                off = bad if off is None else off | bad
+                t[bad] = 0
+            if i:
+                acc *= m
+                acc += k
+        np.copyto(flat, acc, casting="unsafe")
+        np.take(self.labels.reshape(-1), flat, out=out)
+        if off is not None:
+            out[off] = -1
 
     def side_labels(self, x) -> tuple:
         """(upper, lower) labels at the witnesses x + (h, .., h, +-4h), one

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cantorslit.dimension
 from cantorslit.cantor import CantorSpec, fat_thin_cantor
@@ -19,7 +21,7 @@ from cantorslit.dimension import (
     measure_density_sides,
     separated_net,
 )
-from cantorslit.regions import component_label, region_spec
+from cantorslit.regions import ComponentMap, component_label, region_spec
 
 
 def test_separated_net_separation_and_maximality():
@@ -31,6 +33,55 @@ def test_separated_net_separation_and_maximality():
     # every candidate is within r of some net point (maximality)
     dc = np.min(np.abs(cand[:, 0][:, None] - net[None, :, 0]), axis=1)
     assert np.all(dc < 0.25)
+
+
+def _separated_net_reference(candidates, r):
+    """separated_net as a scalar loop: one np.linalg.norm per accepted
+    point and candidate."""
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    accepted = []
+    for c in candidates:
+        if all(np.linalg.norm(c - a) >= r for a in accepted):
+            accepted.append(c)
+    return (np.array(accepted) if accepted
+            else np.zeros((0, candidates.shape[1])))
+
+
+def _assert_same_net(candidates, r):
+    got = separated_net(candidates, r)
+    want = _separated_net_reference(candidates, r)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3),
+       ints=st.lists(st.lists(st.integers(-64, 64), min_size=3,
+                              max_size=3), max_size=60),
+       lifted=st.lists(st.floats(-2.0, 2.0), max_size=60),
+       r=st.sampled_from([0.25, 0.1, 0.3, 2.0 ** -5, 1.0 / 3.0]))
+@example(n=2, ints=[[0, 0, 0], [8, 0, 0], [0, 8, 0]], lifted=[], r=0.25)
+def test_separated_net_matches_scalar_loop(n, ints, lifted, r):
+    """The one-array test accepts the candidates the norm loop accepts,
+    bit for bit: on multiples of 2^-5, where every square and sum is
+    exact and distances of exactly r are common, and on points that
+    differ in their first coordinate only, as cantor_candidates' do."""
+    _assert_same_net(np.array(ints, dtype=float).reshape(-1, 3)[:, :n]
+                     / 32.0, r)
+    pts = np.zeros((len(lifted), n))
+    pts[:, 0] = lifted
+    _assert_same_net(pts, r)
+
+
+def test_separated_net_matches_scalar_loop_on_audit_nets():
+    """Every level of the audit workload's hierarchies, (1/4, 5 levels)
+    and (1/8, 4 levels), from the same candidates."""
+    for lam, levels in ((0.25, 5), (0.125, 4)):
+        h = build_net_hierarchy(CantorSpec(lam=lam), levels, n=2)
+        for i in range(1, levels + 1):
+            cand = cantor_candidates(CantorSpec(lam=lam), h.radius(i), n=2)
+            want = _separated_net_reference(cand, h.radius(i))
+            assert h.levels[i].tobytes() == want.tobytes()
 
 
 def test_net_cardinality_monotone_in_r():
@@ -238,6 +289,119 @@ def test_density_blocks_match_one_draw(block, samples, monkeypatch):
         for res in (one, both[side]):
             assert (res.c_per_radius, res.halfwidth) == want
             assert res.c_fit == min(want[0])
+
+
+@settings(max_examples=12, deadline=None)
+@given(point=st.one_of(
+           st.sampled_from([(0.0625, 0.0), (0.25, 0.0), (0.8125, 0.0)]),
+           st.tuples(st.floats(-1.9, -1.1), st.floats(-1.4, 1.4))),
+       radii=st.lists(st.sampled_from([0.3, 0.1, 0.25, 0.0625]),
+                      min_size=1, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1),
+       block=st.sampled_from([97, 1000]),
+       samples=st.integers(1, 2500))
+def test_density_matches_reference_off_origin(point, radii, seed, block,
+                                              samples):
+    """Off-origin points, non-dyadic radii and a block that need not
+    divide the sample count: both entry points give the one-draw
+    reference's c_per_radius and halfwidth, bit for bit."""
+    ro = region_spec("Omega_lambda", lam=0.25)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cantorslit.dimension, "_DRAW_BLOCK", block)
+        both = measure_density_sides(ro, point, radii, samples=samples,
+                                     seed=seed)
+        for side in ("upper", "lower"):
+            want = _density_reference(ro, point, radii, samples, seed, side)
+            one = measure_density_check(ro, point, radii, samples=samples,
+                                        seed=seed, side=side)
+            for res in (one, both[side]):
+                assert (res.c_per_radius, res.halfwidth) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(r=st.floats(1e-6, 10.0), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.integers(1, 300))
+@example(r=0.3, seed=7, size=300)
+@example(r=0.1, seed=0, size=257)
+def test_scaled_random_is_uniform(r, seed, size):
+    """random(out=) scaled in place, U * 2r + (-r), is uniform(-r, r) bit
+    for bit: numpy computes low + (high - low) * U, and r - (-r) = 2r."""
+    buf = np.empty((size, 2))
+    np.random.default_rng(seed).random(out=buf)
+    buf *= 2.0 * r
+    buf += -r
+    want = np.random.default_rng(seed).uniform(-r, r, size=(size, 2))
+    assert buf.tobytes() == want.tobytes()
+
+
+def test_density_draws_off_the_label_grid_are_misses(monkeypatch):
+    """A label grid smaller than the ball's box (13 x 21 cells of h = r/16
+    against 32 x 32): label_at gives -1 off it, and the kernel counts
+    those draws as misses, in every block."""
+    monkeypatch.setattr(cantorslit.dimension, "_DRAW_BLOCK", 500)
+    x, r = np.array([0.1, -0.2]), 0.3
+    h = r / 16
+    labels = np.random.default_rng(1).integers(
+        -1, 3, size=(13, 21)).astype(np.int32)
+    cmap = ComponentMap(h=h, origin=x - np.array([5.5, 12.25]) * h,
+                        labels=labels, count=3)
+    samples = 4321
+    pts = x + np.random.default_rng(6).uniform(-r, r, size=(samples, 2))
+    idx = np.floor((pts - cmap.origin) / h).astype(int)
+    on = np.all((idx >= 0) & (idx < labels.shape), axis=1)
+    assert on.any() and not on.all()
+    want_labels = np.full(samples, -1)
+    want_labels[on] = labels[tuple(idx[on].T)]
+    assert cmap.label_at(pts).tolist() == want_labels.tolist()
+    inside = sum((c - xi) ** 2 for c, xi in zip(pts.T, x)) <= r * r
+    assert (inside & ~on).any()
+    want = [int(np.count_nonzero(inside & on & (want_labels == lab)))
+            for lab in (0, 1, 2)]
+    counts = cantorslit.dimension._hit_counts(
+        cmap, x, r, [0, 1, 2], np.random.default_rng(6), samples)
+    assert counts == want
+
+
+class _CountingGenerator:
+    """A numpy Generator that logs each random() call."""
+
+    def __init__(self, gen, log):
+        self._gen, self._log = gen, log
+
+    def random(self, *args, **kwargs):
+        self._log.append("draw")
+        return self._gen.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+@pytest.mark.parametrize("point, radii, events", [
+    ((0.0, 0.0), [0.25, 0.125], ["label", "draw", "label", "draw"]),
+    # the lower side skips radius 1/4, so from then on the sides' streams
+    # differ and a radius both sides keep draws twice
+    ((0.5, 0.252), [0.25, 0.03125, 0.25],
+     ["label", "draw", "label", "draw", "draw", "label", "draw"]),
+])
+def test_density_sides_share_one_pass(point, radii, events, monkeypatch):
+    """measure_density_sides draws once per radius for both sides while
+    their generators agree, and once per side after one side skipped."""
+    log = []
+    real_rng, real_label = np.random.default_rng, component_label
+
+    def rng(seed):
+        return _CountingGenerator(real_rng(seed), log)
+
+    def label(*args):
+        log.append("label")
+        return real_label(*args)
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    monkeypatch.setattr(cantorslit.dimension, "component_label", label)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        measure_density_sides(region_spec("Omega_lambda", lam=0.25), point,
+                              radii, samples=3000, seed=9)
+    assert log == events
 
 
 def test_density_peak_memory_follows_the_block():
