@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import CantorSpec, cantor_dim, cell_endpoints
-from .fields import (GridField, _cells_in_box, _grid_axes, _read,
-                     _stack_centers, grid_sample, gradient, seminorm_p)
-from .regions import (D_BOX, Q0_HOLE, RegionSpec, component_label,
+from .fields import (GridField, _grid_axes, _read, _stack_centers,
+                     grid_sample, gradient, seminorm_p)
+from .regions import (RegionSpec, _cells_in_box, component_label,
                       membership_grid, region_membership_many, region_spec)
 from .whitney import (Q0_ID, UNASSIGNED, ReflectAssignment,
                       WhitneyDecomposition, reflect_assign, whitney_decompose)
@@ -126,27 +126,17 @@ def assemble(lam: float, n: int, max_gen: int) -> ExtensionAssembly:
         whitney_decompose(region_spec("Omega_lambda", lam=lam, n=n), max_gen))
 
 
-def _reservoir(axes: list[np.ndarray], mask: np.ndarray) -> np.ndarray:
-    """mask & Q0_tilde on the grid of the cell-center axes, from index boxes:
-    the open D_BOX, open (0, 1) on leading axes, less the closed Q0_HOLE."""
-    lo, hi = np.zeros(len(axes)), np.ones(len(axes))
-    lo[-2:], hi[-2:] = D_BOX
-    q0 = np.zeros(mask.shape, dtype=bool)
-    q0[_cells_in_box(axes, np.nextafter(lo, hi), np.nextafter(hi, lo))] = True
-    lo[-2:], hi[-2:] = Q0_HOLE
-    q0[_cells_in_box(axes, lo, hi)] = False
-    return q0 & mask
-
-
 def cube_average(u: GridField, Q) -> float:
     """Mean of u over the masked-in cells whose centers lie in the closed
     cube Q (anything with lo, hi); raises if the grid has no such cell.
 
-    Q None means the reservoir region (the box minus the enlarged notch).
+    Q None means the reservoir Q0_tilde (the box minus the enlarged notch),
+    classified by membership_grid.
     Values are read only inside u.support.
     """
     box = _cells_in_box(u.axes(), *(u.bbox if Q is None else (Q.lo, Q.hi)))
-    sel = _reservoir(u.axes(), u.mask) if Q is None else u.mask[box]
+    sel = (u.mask & membership_grid(RegionSpec(kind="Q0_tilde", n=u.n),
+                                    u.axes())) if Q is None else u.mask[box]
     if not sel.any():
         raise ValueError("cube has no masked-in cells to average over")
     if Q is None and not sel[u.support].any():

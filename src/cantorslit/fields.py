@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regions import RegionSpec, membership_grid
+from .regions import RegionSpec, _cells_in_box, membership_grid
 
 
 @dataclass
@@ -75,16 +75,6 @@ def _grid_axes(bbox: np.ndarray, h: float) -> list[np.ndarray]:
 def _stack_centers(axes: list[np.ndarray]) -> np.ndarray:
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def _cells_in_box(axes: list[np.ndarray], lo, hi) -> tuple[slice, ...]:
-    """Index slices of the cells whose centers lie in the closed box
-    [lo, hi], one per axis of a grid's cell-center axes; clipped to the
-    grid, possibly empty.  Index the full grid's axes with them for the
-    sub-grid's coordinates."""
-    return tuple(slice(int(np.searchsorted(a, a_lo, side="left")),
-                       int(np.searchsorted(a, a_hi, side="right")))
-                 for a, a_lo, a_hi in zip(axes, lo, hi))
 
 
 def grid_sample(f, region: RegionSpec, h: float,

@@ -83,15 +83,14 @@ def _check_dim(spec: RegionSpec, x: np.ndarray):
 
 
 def _in_region(spec: RegionSpec, coords, tent=None) -> np.ndarray:
-    """Membership from n coordinate arrays that broadcast against each other.
+    """Membership of the points whose coordinates are the n 1-D arrays coords.
 
-    The one membership routine: points pass their columns, grids pass each
-    axis shaped along its own dimension, so a grid's tent heights are
-    per-axis descents and no (cells, n) point array is built.  D, Omega and
-    Q0_tilde are open, N is closed; points within the distance tolerance of
-    the tent graph are classified by the <= inequality on the height
-    resolved to 2^-40; tent, when given, is that height already computed
-    as _product_distance does.  Omega_2 uses its variable-ratio set at the
+    D, Omega and Q0_tilde are open, N is closed; points within the distance
+    tolerance of the tent graph are classified by the <= inequality on the
+    height resolved to 2^-40.  The descent runs only on the points in the
+    column [0,1]^{n-1} x [-1,1], outside which N's other factors are false;
+    tent, when given, is every point's height already computed as
+    _product_distance does.  Omega_2 uses its variable-ratio set at the
     spec's full depth.
     """
     n = spec.n
@@ -106,10 +105,12 @@ def _in_region(spec: RegionSpec, coords, tent=None) -> np.ndarray:
         h = np.abs(b)
         in_n = h <= 1.0
         for x in coords[: n - 1]:
-            in_n = in_n & ((x >= 0.0) & (x <= 1.0))
+            in_n &= (x >= 0.0) & (x <= 1.0)
         if tent is None:
-            tent = _product_distance(coords[: n - 1], spec.cantor)
-        in_n = in_n & (h <= tent)
+            in_n[in_n] = h[in_n] <= _product_distance(
+                [x[in_n] for x in coords[: n - 1]], spec.cantor)
+        else:
+            in_n &= h <= tent
         if spec.kind == "N_lambda":
             return in_n
     (blo, bhi), (hlo, hhi) = D_BOX, Q0_HOLE if spec.kind == "Q0_tilde" else D_NOTCH
@@ -125,16 +126,59 @@ def region_membership(spec: RegionSpec, x) -> bool:
     """Membership of one point in the open region (D, Omega, Q0) or closed N."""
     x = np.asarray(x, dtype=float)
     _check_dim(spec, x)
-    return bool(_in_region(spec, list(x)))
+    return bool(_in_region(spec, list(x[:, None]))[0])
+
+
+def _cells_in_box(axes: list[np.ndarray], lo, hi) -> tuple[slice, ...]:
+    """Index slices of the cells whose centers lie in the closed box
+    [lo, hi], one per axis of a grid's ascending cell-center axes; clipped
+    to the grid, possibly empty.  Index the full grid's axes with them for
+    the sub-grid's coordinates."""
+    return tuple(slice(int(np.searchsorted(a, a_lo, side="left")),
+                       int(np.searchsorted(a, a_hi, side="right")))
+                 for a, a_lo, a_hi in zip(axes, lo, hi))
 
 
 def membership_grid(spec: RegionSpec, axes: list[np.ndarray]) -> np.ndarray:
-    """Vectorised region membership on a tensor grid (cell centers)."""
+    """Region membership at the cell centers of a tensor grid, from index
+    boxes on its strictly increasing axes.
+
+    The outer box (spec.bbox: open, or N's closed column) and D's closed
+    notch or Q0_tilde's closed hole are index slices; open faces slice from
+    np.nextafter bounds.  Only the closed column [0,1]^{n-1} x [-1,1]
+    compares |x_n| with the tent height (Omega_2's interval-union distance
+    over x_1 in [0,1]), computed per axis there.  Every bit is
+    region_membership_many's at the stacked centers.
+    """
     n = spec.n
     if len(axes) != n:
         raise ValueError("need one coordinate axis per dimension")
-    return _in_region(spec, [np.reshape(a, [-1 if j == i else 1 for j in range(n)])
-                             for i, a in enumerate(axes)])
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    if not all(np.all(np.diff(a) > 0.0) for a in axes):
+        raise ValueError("grid axes must be strictly increasing")
+    mask = np.zeros([len(a) for a in axes], dtype=bool)
+    lo, hi = spec.bbox
+    if spec.kind != "N_lambda":
+        mask[_cells_in_box(axes, np.nextafter(lo, hi), np.nextafter(hi, lo))] = True
+    if spec.kind in ("D", "Omega_lambda", "Q0_tilde"):
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        lo[n - 2:], hi[n - 2:] = Q0_HOLE if spec.kind == "Q0_tilde" else D_NOTCH
+        mask[_cells_in_box(axes, lo, hi)] = False
+    if spec.kind in ("N_lambda", "Omega_lambda", "Omega2"):
+        col = _cells_in_box(axes, [0.0] * (n - 1) + [-1.0], [1.0] * n)
+        xs = [np.reshape(a[s], [-1 if j == i else 1 for j in range(n)])
+              for i, (a, s) in enumerate(zip(axes[:-1], col))]
+        if spec.kind == "Omega2":
+            cantor = spec.cantor if spec.cantor is not None else fat_thin_cantor(12)
+            height = interval_union_distance(xs[0], cantor, cantor.depth)
+        else:
+            height = _product_distance(xs, spec.cantor)
+        h = np.abs(axes[-1][col[-1]])
+        if spec.kind == "N_lambda":
+            mask[col] = h <= height
+        else:
+            mask[col] &= h > height
+    return mask
 
 
 def region_membership_many(spec: RegionSpec, X) -> np.ndarray:

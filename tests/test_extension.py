@@ -35,9 +35,9 @@ from cantorslit.extension import (
     thm_upper_curve,
     trace_mismatch,
 )
-from cantorslit.fields import (GridField, _cells_in_box, _grid_axes,
+from cantorslit.fields import (GridField, _grid_axes, _stack_centers,
                                grid_sample, gradient, seminorm_p)
-from cantorslit.regions import (RegionSpec, membership_grid,
+from cantorslit.regions import (RegionSpec, _cells_in_box, membership_grid,
                                 region_membership_many, region_spec)
 from cantorslit.whitney import Q0_ID, UNASSIGNED, whitney_decompose
 
@@ -236,14 +236,21 @@ def _cube_average_reference(u, Q):
     (3, 0.125, (0.0, -0.5, 0.75), (1.0, 1.25, 1.75)),
 ])
 def test_reservoir_matches_membership(n, h, lo, hi):
-    """The reservoir's index boxes select exactly the masked-in cells that
-    membership_grid puts in Q0_tilde, faces included."""
-    axes = _grid_axes(np.array([lo, hi]), h)
-    mask = np.random.default_rng(3).random([len(a) for a in axes]) < 0.8
-    want = mask & membership_grid(RegionSpec(kind="Q0_tilde", n=n), axes)
-    got = extension._reservoir(axes, mask)
-    assert got.shape == want.shape and np.array_equal(got, want)
-    assert 0 < np.count_nonzero(want) < np.count_nonzero(mask)
+    """cube_average(u, None) averages exactly the masked-in cells whose
+    centres region_membership_many puts in Q0_tilde, faces included: on
+    random values its mean is bit for bit the mean over those cells."""
+    bbox = np.array([lo, hi])
+    axes = _grid_axes(bbox, h)
+    rng = np.random.default_rng(3)
+    shape = tuple(len(a) for a in axes)
+    mask = rng.random(shape) < 0.8
+    u = GridField(bbox=bbox, h=h, values=rng.standard_normal(shape),
+                  mask=mask, kind="scalar")
+    q0 = region_membership_many(RegionSpec(kind="Q0_tilde", n=n),
+                                _stack_centers(axes)).reshape(shape)
+    want = u.values[mask & q0]
+    assert 0 < want.size < np.count_nonzero(mask)
+    assert cube_average(u, None) == float(np.sum(want) / want.size)
 
 
 def _extend_reference(u, asm):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorslit import regions
-from cantorslit.cantor import CantorSpec, k_distance_many
+from cantorslit.cantor import (CantorSpec, fat_thin_cantor,
+                               interval_union_distance, k_distance_many)
+from cantorslit.fields import _grid_axes, _stack_centers
 from cantorslit.regions import (
     RegionSpec,
     component_label,
@@ -290,3 +292,95 @@ def test_membership_forms_agree(kind, n, lam):
     assert grid.shape == tuple(len(a) for a in axes)
     cells = tuple(np.searchsorted(axes[i], pts[:, i]) for i in range(n))
     assert np.array_equal(grid[cells], scalar)
+
+
+# every kind at n = 2, 3 and three ratios, and Omega2 on its default and a
+# shallow fat/thin set
+GRID_CASES = ([(kind, n, lam) for kind in ("D", "N_lambda", "Omega_lambda",
+                                           "Q0_tilde")
+               for n in (2, 3) for lam in (1 / 16, 1 / 4, 0.4)]
+              + [("Omega2", 2, None), ("Omega2", 2, 5)])
+# every face coordinate of D, the notch, the hole, the column and Omega2's
+# square, and the pinch plane
+FACES = (-2.0, -1.5, -1.0, 0.0, 1.0, 1.5)
+
+
+def _grid_case(kind, n, param):
+    """The spec and the coordinates an axis must hold: the faces, x_1 = 1/2
+    and the tent graph's heights over it and over (1/2, 1/2), and the
+    first gap's ends."""
+    if kind == "Omega2":
+        sp = RegionSpec(kind="Omega2",
+                        cantor=None if param is None else fat_thin_cantor(param))
+        cantor = sp.cantor or fat_thin_cantor(12)
+        d = interval_union_distance(np.array([0.5]), cantor, cantor.depth)[0]
+    else:
+        sp = region_spec(kind, lam=param, n=n)
+        cantor = CantorSpec(lam=param)
+        d = k_distance_many(np.array([0.5]), cantor)[0]
+    lam = cantor.ratio_at(0)
+    heights = (d, np.sqrt(d * d + d * d))
+    return sp, FACES + (0.5, lam, 1.0 - lam) + heights + tuple(-x for x in heights)
+
+
+@pytest.mark.parametrize("kind,n,param", GRID_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_membership_grid_matches_points_on_faces(kind, n, param, data):
+    """membership_grid's index boxes give region_membership_many's bit at
+    every stacked centre, on axes that hold each face, the pinch plane and
+    the tent graph's heights, their float neighbours, and a lattice of
+    random offset and dyadic or non-dyadic spacing."""
+    sp, marks = _grid_case(kind, n, param)
+    axes = []
+    for _ in range(n):
+        step = data.draw(st.sampled_from((1 / 8, 0.1, 1 / 12)))
+        off = data.draw(st.sampled_from((0.0, step / 2))
+                        | st.floats(0.0, step, exclude_max=True))
+        near = data.draw(st.lists(st.tuples(st.sampled_from(marks),
+                                            st.sampled_from((-np.inf, np.inf))),
+                                  max_size=6))
+        axes.append(np.unique(np.concatenate([
+            -2.25 + off + step * np.arange(int(4.0 / step)), marks,
+            [np.nextafter(x, to) for x, to in near]])))
+    grid = membership_grid(sp, axes)
+    points = region_membership_many(sp, _stack_centers(axes))
+    assert grid.shape == tuple(len(a) for a in axes)
+    assert np.array_equal(grid.ravel(), points)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_descent_runs_only_in_the_column(monkeypatch, n):
+    """The tent height is computed only where the column [0,1]^{n-1} x
+    [-1,1] leaves membership open: on a grid, for the axis centres in
+    [0,1]; on points, for the rows with x' in [0,1]^{n-1} and |x_n| <= 1."""
+    sizes = []
+    real = regions._product_distance
+
+    def recorded(coords, spec):
+        sizes.append([np.size(c) for c in coords])
+        return real(coords, spec)
+
+    monkeypatch.setattr(regions, "_product_distance", recorded)
+    sp = spec_omega(n=n)
+    axes = _grid_axes(sp.bbox, 2.0 ** -7 if n == 2 else 2.0 ** -5)
+    want = membership_grid(sp, axes)
+    cols = [int(np.count_nonzero((a >= 0.0) & (a <= 1.0))) for a in axes[:-1]]
+    assert sizes == [cols] and cols[-1] < len(axes[-2])
+    if n == 2:
+        assert cols == [128]        # of Omega's 384 x_1 centres on (-2, 1)
+    sizes.clear()
+    X = _stack_centers(axes)
+    assert np.array_equal(region_membership_many(sp, X), want.ravel())
+    rows = int(np.count_nonzero(np.all((X[:, :-1] >= 0.0) & (X[:, :-1] <= 1.0),
+                                       axis=1) & (np.abs(X[:, -1]) <= 1.0)))
+    assert sizes == [[rows] * (n - 1)] and rows < len(X) // 4
+
+
+def test_membership_grid_needs_increasing_axes():
+    sp = spec_omega()
+    axis = np.linspace(-1.5, 1.5, 13)
+    assert membership_grid(sp, [axis, axis]).shape == (13, 13)
+    for bad in (axis[::-1], np.r_[axis, axis[-1]], np.r_[axis, np.nan]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            membership_grid(sp, [axis, bad])
